@@ -389,8 +389,7 @@ fn measure_checkpoint() -> CheckpointMeasured {
     let hashed_seconds = start.elapsed().as_secs_f64();
     std::hint::black_box(digest);
     assert_eq!(
-        format!("{plain_report:?}"),
-        format!("{hashed_report:?}"),
+        plain_report, hashed_report,
         "per-slot state hashing must not perturb the run"
     );
 

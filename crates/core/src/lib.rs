@@ -141,7 +141,7 @@ pub mod stats {
 /// The deterministic event engines ([`rthv_sim`]).
 pub mod sim {
     pub use rthv_sim::{
-        Engine, EngineKind, EngineQueue, EngineStats, EventId, EventQueue, SchedulePastError,
-        WheelEngine,
+        Engine, EngineKind, EngineQueue, EngineStats, EventId, EventQueue, Fnv1a,
+        SchedulePastError, WheelEngine,
     };
 }

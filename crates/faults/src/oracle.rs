@@ -106,14 +106,17 @@ pub enum Violation {
     },
     /// A checkpoint replay diverged from the recorded run: at slot boundary
     /// `slot` the re-executed machine's state hash differs from the hash the
-    /// original run recorded. Either the simulation is not a pure function
-    /// of its inputs, or the recorded state was corrupted in flight.
+    /// original run recorded, or, at `slot` = boundaries + 1, the finished
+    /// report differs. Either the simulation is not a pure function of its
+    /// inputs, or the recorded state was corrupted in flight.
     ReplayDivergence {
-        /// First slot boundary whose state hash mismatched.
+        /// First slot boundary whose state hash mismatched (boundaries + 1
+        /// for a report-only divergence at the horizon).
         slot: u64,
-        /// The hash the original run recorded at that boundary.
+        /// The hash the original run recorded at that boundary (for the
+        /// report, a digest of its `Debug` rendering).
         expected: u64,
-        /// The hash the replayed machine produced.
+        /// The hash the replayed machine produced (likewise).
         actual: u64,
         /// The scenario seed that reproduces the divergence.
         seed: u64,

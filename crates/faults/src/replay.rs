@@ -5,10 +5,11 @@
 //! [`state_hash`](rthv::Machine::state_hash) at every boundary and a full
 //! [`MachineSnapshot`] every [`ReplayConfig::checkpoint_every`] boundaries.
 //! [`verify_from`] then re-executes the run from the nearest checkpoint at
-//! or before a chosen slot and compares hashes boundary by boundary: the
-//! first mismatch is reported as
+//! or before a chosen slot and compares hashes boundary by boundary, then
+//! the finished [`RunReport`] with `==`: the first mismatch is reported as
 //! [`Violation::ReplayDivergence`] carrying the diverging slot, both
-//! hashes, and the scenario seed that reproduces the run.
+//! hashes (for the report, digests of its `Debug` rendering, computed only
+//! on a mismatch), and the scenario seed that reproduces the run.
 //!
 //! Because scenario plans are pure seed functions and the machine is a
 //! pure function of `(config, plan)`, a clean replay proves the recorded
@@ -86,10 +87,9 @@ pub struct ReplayTrace {
     /// Snapshots keyed by the boundary index they were taken at; always
     /// starts with `(0, <initial state>)`.
     checkpoints: Vec<(u64, MachineSnapshot)>,
-    /// FNV-1a digest of the final report's canonical rendering — covers
-    /// the record buffers in full, beyond the per-boundary length+last
-    /// summary inside `state_hash`.
-    report_digest: u64,
+    /// The finished run's report; a replay must reproduce it exactly,
+    /// record buffers in full, beyond the per-boundary length+last summary
+    /// inside `state_hash`.
     report: RunReport,
 }
 
@@ -151,13 +151,11 @@ pub fn record_scenario(
         k += 1;
     }
     machine.run_until(horizon);
-    let report = machine.finish();
     Ok(ReplayTrace {
         seed: scenario.seed,
         boundary_hashes,
         checkpoints,
-        report_digest: fnv1a(format!("{report:?}").as_bytes()),
-        report,
+        report: machine.finish(),
     })
 }
 
@@ -180,14 +178,15 @@ pub fn verify(
 
 /// Re-executes the recorded run from the nearest checkpoint at or before
 /// slot boundary `from_slot`, comparing the machine's state hash against
-/// the recording at every subsequent boundary and the final report digest
-/// at the horizon.
+/// the recording at every subsequent boundary and the finished report at
+/// the horizon.
 ///
 /// # Errors
 ///
 /// The first diverging boundary, as [`ReplayError::Divergence`] carrying
 /// a [`Violation::ReplayDivergence`] with `(slot, expected hash, actual
-/// hash, scenario seed)`; [`ReplayError::Config`] if the configuration
+/// hash, scenario seed)` — slot `boundaries() + 1` for a report-only
+/// divergence at the horizon; [`ReplayError::Config`] if the configuration
 /// cannot build a machine.
 pub fn verify_from(
     config: &CampaignConfig,
@@ -244,29 +243,18 @@ pub fn verify_from_with(
         }
     }
 
-    // Past the last boundary: the report digest covers the full record
+    // Past the last boundary: the report comparison covers the full record
     // buffers (completions, admissions, spans), catching any tail-only
     // divergence the length+last boundary hash could miss.
-    let end_slot = trace.boundaries() + 1;
-    mutate(end_slot, &mut machine);
+    mutate(trace.boundaries() + 1, &mut machine);
     machine.run_until(horizon);
-    let report = machine.finish();
-    let actual = fnv1a(format!("{report:?}").as_bytes());
-    if actual != trace.report_digest {
-        return Err(ReplayError::Divergence(Violation::ReplayDivergence {
-            slot: end_slot,
-            expected: trace.report_digest,
-            actual,
-            seed: trace.seed,
-        }));
-    }
-    Ok(())
+    check_report(trace, &machine.finish())
 }
 
 /// Records the scenario under the [`EngineChoice::Heap`] reference engine,
 /// then re-executes it from scratch on the [`EngineChoice::Wheel`] timing
 /// wheel, comparing [`state_hash`](Machine::state_hash) at **every** slot
-/// boundary and the full report digest at the horizon. The wheel run
+/// boundary and the finished report at the horizon. The wheel run
 /// additionally crosses a snapshot/restore cut at every
 /// [`ReplayConfig::checkpoint_every`] boundaries — the continuation machine
 /// is a fresh build restored from the snapshot — so hash identity is also
@@ -328,24 +316,30 @@ pub fn verify_cross_engine(
     }
 
     machine.run_until(horizon);
-    let report = machine.finish();
-    let actual = fnv1a(format!("{report:?}").as_bytes());
-    if actual != trace.report_digest {
-        return Err(ReplayError::Divergence(Violation::ReplayDivergence {
-            slot: trace.boundaries() + 1,
-            expected: trace.report_digest,
-            actual,
-            seed: trace.seed,
-        }));
-    }
-    Ok(())
+    check_report(&trace, &machine.finish())
 }
 
-/// 64-bit FNV-1a over raw bytes (the same digest family `state_hash`
-/// uses for state words).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// Compares a replay's finished report with the recorded one. Equal
+/// reports cost one structural `==`; only a mismatch renders both reports
+/// to fill the divergence's `(expected, actual)` digests, at slot
+/// `boundaries() + 1`.
+fn check_report(trace: &ReplayTrace, report: &RunReport) -> Result<(), ReplayError> {
+    if *report == trace.report {
+        return Ok(());
+    }
+    Err(ReplayError::Divergence(Violation::ReplayDivergence {
+        slot: trace.boundaries() + 1,
+        expected: report_digest(&trace.report),
+        actual: report_digest(report),
+        seed: trace.seed,
+    }))
+}
+
+/// 64-bit FNV-1a over a report's `Debug` rendering.
+fn report_digest(report: &RunReport) -> u64 {
+    let rendering = format!("{report:?}");
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
+    for byte in rendering.bytes() {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x100_0000_01b3);
     }
@@ -357,7 +351,7 @@ mod tests {
     use super::*;
     use crate::inject::FaultKind;
     use rthv::time::Duration;
-    use rthv::IrqSourceId;
+    use rthv::{IrqHandlingMode, IrqSourceId};
 
     fn config() -> CampaignConfig {
         CampaignConfig {
@@ -444,6 +438,52 @@ mod tests {
                 assert_eq!(seed, 0xFA);
             }
             other => panic!("expected a replay divergence, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn report_only_divergence_is_pinned_past_the_last_boundary() {
+        let config = config();
+        let replay = ReplayConfig::default();
+        let trace = record_scenario(&config, &storm(), &replay).expect("valid config");
+        let end_slot = trace.boundaries() + 1;
+
+        // Mutations made after the last boundary hash never reach a
+        // boundary check: only the report comparison can catch them.
+        let extra_irq = |machine: &mut Machine| {
+            let now = machine.now();
+            machine
+                .schedule_irq(IrqSourceId::new(0), now)
+                .expect("not in the past");
+        };
+        let baseline = |machine: &mut Machine| machine.set_mode(IrqHandlingMode::Baseline);
+        let mutations: [&dyn Fn(&mut Machine); 2] = [&extra_irq, &baseline];
+        for (i, mutation) in mutations.into_iter().enumerate() {
+            let verdict = verify_from_with(
+                &config,
+                &storm(),
+                &replay,
+                &trace,
+                trace.boundaries(),
+                |k, machine| {
+                    if k == end_slot {
+                        mutation(machine);
+                    }
+                },
+            );
+            match verdict {
+                Err(ReplayError::Divergence(Violation::ReplayDivergence {
+                    slot,
+                    expected,
+                    actual,
+                    seed,
+                })) => {
+                    assert_eq!(slot, end_slot, "mutation {i}");
+                    assert_ne!(expected, actual, "mutation {i}");
+                    assert_eq!(seed, 0xFA);
+                }
+                other => panic!("mutation {i}: expected a replay divergence, got {other:?}"),
+            }
         }
     }
 

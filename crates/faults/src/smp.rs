@@ -38,6 +38,7 @@ use rand::{Rng, SeedableRng};
 
 use rthv::monitor::{DeltaFunction, ShaperConfig};
 use rthv::obs::ObsConfig;
+use rthv::sim::Fnv1a;
 use rthv::time::{Duration, Instant};
 use rthv::{
     CoreFault, CostModel, FailoverPolicy, FallbackRoute, HypervisorConfig, IrqHandlingMode,
@@ -661,26 +662,20 @@ fn platform_violations(
 /// co-located aggressors. It must therefore be byte-identical across
 /// core counts — the identity verdict.
 fn victim_digest(report: &MultiRunReport) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut fnv = |word: u64| {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-    };
+    let mut hash = Fnv1a::new();
     let victim = report.cores.first();
     let mut last: Option<Instant> = None;
     for record in victim.map(|r| r.admissions.as_slice()).unwrap_or(&[]) {
         if record.source.index() != 0 {
             continue;
         }
-        fnv(u64::from(record.admitted));
-        fnv(last.map_or(0, |prev| {
+        hash.word(u64::from(record.admitted));
+        hash.word(last.map_or(0, |prev| {
             record.check_at.saturating_duration_since(prev).as_nanos()
         }));
         last = Some(record.check_at);
     }
-    hash
+    hash.finish()
 }
 
 /// The full scenario outcome: every enabled `(arm, cores)` case, the

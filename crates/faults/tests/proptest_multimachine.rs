@@ -173,11 +173,7 @@ proptest! {
         let multi_report = multi.finish();
         prop_assert!(multi_report.conserved(), "degenerate platform ledger leaked");
         prop_assert_eq!(multi_report.sheds.len(), 0, "degenerate platform shed traffic");
-        prop_assert_eq!(
-            format!("{machine_report:?}"),
-            format!("{:?}", multi_report.cores[0]),
-            "final reports differ"
-        );
+        prop_assert_eq!(&machine_report, &multi_report.cores[0], "final reports differ");
     }
 
     /// The platform's snapshot/restore must preserve the identity across a

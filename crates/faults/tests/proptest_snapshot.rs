@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use rthv::time::{Duration, Instant};
-use rthv::{Machine, SupervisionPolicy};
+use rthv::{Machine, RunReport, SupervisionPolicy};
 use rthv_faults::{scenario_machine, CampaignConfig, FaultKind, FaultScenario};
 
 /// All eleven fault families with representative tier-1 geometry.
@@ -66,10 +66,10 @@ fn campaign() -> CampaignConfig {
 }
 
 /// End-state fingerprint: the state hash at the horizon plus the full
-/// report rendering.
-fn finish_fingerprint(mut machine: Machine, horizon: Instant) -> (u64, String) {
+/// report.
+fn finish_fingerprint(mut machine: Machine, horizon: Instant) -> (u64, RunReport) {
     machine.run_until(horizon);
-    (machine.state_hash(), format!("{:?}", machine.finish()))
+    (machine.state_hash(), machine.finish())
 }
 
 proptest! {

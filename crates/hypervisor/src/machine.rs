@@ -29,7 +29,7 @@ use std::mem;
 
 use rthv_monitor::{Admission, MonitorStats, Shaper, ShaperConfig};
 use rthv_obs::{MetricsHub, ObsConfig, SourceObs};
-use rthv_sim::{EngineKind, EngineQueue, EngineStats, EventId};
+use rthv_sim::{ElementHash, EngineKind, EngineQueue, EngineStats, EventId, Fnv1a, SetDigest};
 use rthv_time::{Duration, Instant};
 
 use crate::{
@@ -159,7 +159,10 @@ struct PartitionRt {
 }
 
 /// Final result of a simulation run; returned by [`Machine::finish`].
-#[derive(Debug, Clone)]
+///
+/// Reports compare structurally with `==`: two runs agree iff every
+/// record, counter and trace they produced is equal.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Per-IRQ completion records.
     pub recorder: TraceRecorder,
@@ -896,33 +899,31 @@ impl Machine {
         self.obs_supervision_seen = snapshot.obs_supervision_seen;
     }
 
-    /// A cheap deterministic digest (64-bit FNV-1a over canonical state
-    /// words) of the machine's live execution state.
+    /// A cheap deterministic digest of the machine's live execution state:
+    /// 64-bit FNV-1a over its canonical state words, streamed with no
+    /// buffer.
     ///
     /// Two machines in behaviourally identical states — same virtual time,
     /// same scheduled events, same monitor histories, same supervision
     /// states, same counters — hash equal; a restored-vs-fresh divergence
     /// shows up at the first slot boundary where the hashes differ rather
-    /// than only in the end-of-run report. Unbounded record buffers
-    /// (completions, admissions, window openings) contribute their length
-    /// and most recent entry, which pins down the divergence point without
-    /// rescanning the whole history on every boundary.
+    /// than only in the end-of-run report. The event queue enters as a
+    /// [`SetDigest`] of its live `(time, seq, payload)` tuples, which any
+    /// engine yields in one allocation-free walk over its storage.
+    /// Unbounded record buffers (completions, admissions, window openings)
+    /// contribute their length and most recent entry, which pins down the
+    /// divergence point without rescanning the whole history on every
+    /// boundary. Hash values only compare states within one process and are
+    /// never persisted.
     #[must_use]
     pub fn state_hash(&self) -> u64 {
-        let mut words = Vec::with_capacity(256);
-        self.state_words(&mut words);
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for word in words {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        hash
+        let mut hash = Fnv1a::new();
+        self.state_words(&mut |word| hash.word(word));
+        hash.finish()
     }
 
-    /// Appends the machine's canonical state words (the preimage of
-    /// [`state_hash`](Machine::state_hash)).
+    /// Feeds the machine's canonical state words — the preimage of
+    /// [`state_hash`](Machine::state_hash) — to `word`.
     ///
     /// The observability hub (`metrics`, `obs_supervision_seen`) is
     /// deliberately **excluded**: it is derived observation that never
@@ -932,124 +933,131 @@ impl Machine {
     /// compatibility across the two. The hub still travels with
     /// [`snapshot`](Machine::snapshot)/[`restore`](Machine::restore), so a
     /// resumed run reproduces its metrics exactly.
-    fn state_words(&self, out: &mut Vec<u64>) {
-        out.push(self.queue.now().as_nanos());
-        out.push(self.current_slot);
-        out.push(match self.config.mode {
+    fn state_words(&self, word: &mut impl FnMut(u64)) {
+        word(self.queue.now().as_nanos());
+        word(self.current_slot);
+        word(match self.config.mode {
             IrqHandlingMode::Baseline => 0,
             IrqHandlingMode::Interposed => 1,
         });
-        self.queue.for_each_scheduled(|at, seq, event| {
-            out.push(at.as_nanos());
-            out.push(seq);
-            event_words(event, out);
+        let mut queue = SetDigest::default();
+        self.queue.for_each_live(|at, seq, event| {
+            let mut element = ElementHash::default();
+            element.word(at.as_nanos());
+            element.word(seq);
+            event_words(event, &mut |w| element.word(w));
+            queue.insert(element);
         });
+        word(queue.count());
+        word(queue.sum());
         match &self.hv {
-            None => out.push(0),
+            None => word(0),
             Some(block) => {
-                out.push(1);
-                out.push(block.started.as_nanos());
-                hv_cont_words(&block.cont, out);
+                word(1);
+                word(block.started.as_nanos());
+                hv_cont_words(&block.cont, word);
             }
         }
         match &self.activity {
-            Activity::None => out.push(0),
+            Activity::None => word(0),
             Activity::User { partition, since } => {
-                out.push(1);
-                out.push(partition.index() as u64);
-                out.push(since.as_nanos());
+                word(1);
+                word(partition.index() as u64);
+                word(since.as_nanos());
             }
             Activity::Bottom {
                 partition,
                 since,
                 end_event,
             } => {
-                out.push(2);
-                out.push(partition.index() as u64);
-                out.push(since.as_nanos());
-                out.push(u64::from(end_event.generation()));
-                out.push(end_event.seq());
+                word(2);
+                word(partition.index() as u64);
+                word(since.as_nanos());
+                word(u64::from(end_event.generation()));
+                word(end_event.seq());
             }
         }
         match &self.window {
-            None => out.push(0),
+            None => word(0),
             Some(w) => {
-                out.push(1);
-                out.push(w.partition.index() as u64);
-                out.push(w.opened.as_nanos());
-                out.push(w.budget_end.as_nanos());
-                out.push(w.source.index() as u64);
-                out.push(u64::from(w.shrunk));
+                word(1);
+                word(w.partition.index() as u64);
+                word(w.opened.as_nanos());
+                word(w.budget_end.as_nanos());
+                word(w.source.index() as u64);
+                word(u64::from(w.shrunk));
             }
         }
         match self.pending_boundary {
-            None => out.push(0),
+            None => word(0),
             Some(index) => {
-                out.push(1);
-                out.push(index);
+                word(1);
+                word(index);
             }
         }
-        out.push(self.latched.len() as u64);
+        word(self.latched.len() as u64);
         for irq in &self.latched {
-            out.push(irq.source.index() as u64);
-            out.push(irq.seq);
-            out.push(irq.arrival.as_nanos());
-            out.push(irq.work.as_nanos());
+            word(irq.source.index() as u64);
+            word(irq.seq);
+            word(irq.arrival.as_nanos());
+            word(irq.work.as_nanos());
         }
         for partition in &self.partitions {
-            out.push(partition.queue.len() as u64);
+            word(partition.queue.len() as u64);
             for pending in &partition.queue {
-                out.push(pending.source.index() as u64);
-                out.push(pending.seq);
-                out.push(pending.arrival.as_nanos());
-                out.push(pending.work.as_nanos());
-                out.push(pending.remaining.as_nanos());
+                word(pending.source.index() as u64);
+                word(pending.seq);
+                word(pending.arrival.as_nanos());
+                word(pending.work.as_nanos());
+                word(pending.remaining.as_nanos());
             }
         }
         for monitor in &self.monitors {
             match monitor {
-                None => out.push(0),
+                None => word(0),
                 Some(shaper) => {
-                    out.push(1);
-                    shaper.state_words(out);
+                    word(1);
+                    shaper.state_words(word);
                 }
             }
         }
         match &self.supervisor {
-            None => out.push(0),
+            None => word(0),
             Some(supervisor) => {
-                out.push(1);
-                supervisor.state_words(out);
+                word(1);
+                supervisor.state_words(word);
             }
         }
-        counter_words(&self.counters, out);
-        out.extend(self.next_seq.iter().copied());
-        out.push(self.expected_completions);
-        out.push(self.recorder.len() as u64);
+        counter_words(&self.counters, word);
+        for &seq in &self.next_seq {
+            word(seq);
+        }
+        word(self.expected_completions);
+        word(self.recorder.len() as u64);
         if let Some(last) = self.recorder.completions().last() {
-            out.push(last.source.index() as u64);
-            out.push(last.seq);
-            out.push(last.partition.index() as u64);
-            out.push(last.arrival.as_nanos());
-            out.push(last.completed.as_nanos());
-            out.push(match last.class {
+            word(last.source.index() as u64);
+            word(last.seq);
+            word(last.partition.index() as u64);
+            word(last.arrival.as_nanos());
+            word(last.completed.as_nanos());
+            word(match last.class {
                 HandlingClass::Direct => 0,
                 HandlingClass::Interposed => 1,
                 HandlingClass::Delayed => 2,
             });
         }
-        out.push(self.window_openings.len() as u64);
+        word(self.window_openings.len() as u64);
         if let Some(last) = self.window_openings.last() {
-            out.push(last.as_nanos());
+            word(last.as_nanos());
         }
-        out.push(self.admissions.len() as u64);
+        word(self.admissions.len() as u64);
         if let Some(last) = self.admissions.last() {
-            out.push(last.source.index() as u64);
-            out.push(last.seq);
-            out.push(last.check_at.as_nanos());
-            out.push(u64::from(last.admitted));
+            word(last.source.index() as u64);
+            word(last.seq);
+            word(last.check_at.as_nanos());
+            word(u64::from(last.admitted));
         }
-        out.push(u64::from(self.defect.is_some()));
+        word(u64::from(self.defect.is_some()));
     }
 
     /// Advances the supervision state machines to current virtual time,
@@ -1778,26 +1786,26 @@ impl MachineSnapshot {
     }
 }
 
-/// Appends the canonical word encoding of a scheduled [`Event`].
-fn event_words(event: &Event, out: &mut Vec<u64>) {
+/// Feeds `word` the canonical word encoding of a scheduled [`Event`].
+fn event_words(event: &Event, word: &mut impl FnMut(u64)) {
     match event {
         Event::Arrival { source, seq, work } => {
-            out.push(0);
-            out.push(source.index() as u64);
-            out.push(*seq);
-            out.push(work.as_nanos());
+            word(0);
+            word(source.index() as u64);
+            word(*seq);
+            word(work.as_nanos());
         }
-        Event::HvEnd => out.push(1),
-        Event::SegEnd => out.push(2),
+        Event::HvEnd => word(1),
+        Event::SegEnd => word(2),
         Event::Boundary { index } => {
-            out.push(3);
-            out.push(*index);
+            word(3);
+            word(*index);
         }
     }
 }
 
-/// Appends the canonical word encoding of a hypervisor-block continuation.
-fn hv_cont_words(cont: &HvCont, out: &mut Vec<u64>) {
+/// Feeds `word` the canonical word encoding of a hypervisor-block continuation.
+fn hv_cont_words(cont: &HvCont, word: &mut impl FnMut(u64)) {
     match cont {
         HvCont::TopHandler {
             source,
@@ -1805,11 +1813,11 @@ fn hv_cont_words(cont: &HvCont, out: &mut Vec<u64>) {
             arrival,
             work,
         } => {
-            out.push(0);
-            out.push(source.index() as u64);
-            out.push(*seq);
-            out.push(arrival.as_nanos());
-            out.push(work.as_nanos());
+            word(0);
+            word(source.index() as u64);
+            word(*seq);
+            word(arrival.as_nanos());
+            word(work.as_nanos());
         }
         HvCont::EnterInterposed {
             partition,
@@ -1817,43 +1825,44 @@ fn hv_cont_words(cont: &HvCont, out: &mut Vec<u64>) {
             source,
             shrunk,
         } => {
-            out.push(1);
-            out.push(partition.index() as u64);
-            out.push(budget.as_nanos());
-            out.push(source.index() as u64);
-            out.push(u64::from(*shrunk));
+            word(1);
+            word(partition.index() as u64);
+            word(budget.as_nanos());
+            word(source.index() as u64);
+            word(u64::from(*shrunk));
         }
-        HvCont::ExitInterposed => out.push(2),
+        HvCont::ExitInterposed => word(2),
         HvCont::SlotSwitch { slot } => {
-            out.push(3);
-            out.push(*slot);
+            word(3);
+            word(*slot);
         }
     }
 }
 
-/// Appends every [`Counters`] scalar plus per-partition service accounting.
-fn counter_words(counters: &Counters, out: &mut Vec<u64>) {
-    out.push(counters.context_switches);
-    out.push(counters.slot_switches);
-    out.push(counters.hypervisor_time.as_nanos());
-    out.push(counters.interposed_windows);
-    out.push(counters.deferred_boundaries);
-    out.push(counters.aborted_windows);
-    out.push(counters.expired_windows);
-    out.push(counters.latched_irqs);
-    out.push(counters.coalesced_irqs);
-    out.push(counters.overflow_rejected);
-    out.push(counters.overflow_dropped);
-    out.push(counters.monitor_admitted);
-    out.push(counters.monitor_denied);
-    out.push(counters.events_processed);
-    out.push(counters.supervised_demotions);
-    out.push(counters.shrunk_windows);
-    out.push(counters.quarantine_entries);
-    out.push(counters.recoveries);
+/// Feeds `word` every [`Counters`] scalar plus per-partition service
+/// accounting.
+fn counter_words(counters: &Counters, word: &mut impl FnMut(u64)) {
+    word(counters.context_switches);
+    word(counters.slot_switches);
+    word(counters.hypervisor_time.as_nanos());
+    word(counters.interposed_windows);
+    word(counters.deferred_boundaries);
+    word(counters.aborted_windows);
+    word(counters.expired_windows);
+    word(counters.latched_irqs);
+    word(counters.coalesced_irqs);
+    word(counters.overflow_rejected);
+    word(counters.overflow_dropped);
+    word(counters.monitor_admitted);
+    word(counters.monitor_denied);
+    word(counters.events_processed);
+    word(counters.supervised_demotions);
+    word(counters.shrunk_windows);
+    word(counters.quarantine_entries);
+    word(counters.recoveries);
     for service in &counters.service {
-        out.push(service.user.as_nanos());
-        out.push(service.bottom.as_nanos());
+        word(service.user.as_nanos());
+        word(service.bottom.as_nanos());
     }
 }
 

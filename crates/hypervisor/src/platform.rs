@@ -47,6 +47,7 @@
 //! only affects wall-clock speed.
 
 use rthv_obs::{ObsConfig, PlatformObs};
+use rthv_sim::Fnv1a;
 use rthv_time::{Duration, Instant};
 
 use crate::{
@@ -1304,37 +1305,32 @@ impl MultiMachine {
         if self.cores.len() == 1 && self.platform_pristine() {
             return self.cores[0].state_hash();
         }
-        let mut words: Vec<u64> = Vec::with_capacity(16 + 8 * self.cores.len());
-        words.push(self.cores.len() as u64);
+        let mut hash = Fnv1a::new();
+        hash.word(self.cores.len() as u64);
         for machine in &self.cores {
-            words.push(machine.state_hash());
+            hash.word(machine.state_hash());
         }
         for &frozen in &self.frozen {
-            words.push(u64::from(frozen));
+            hash.word(u64::from(frozen));
         }
-        words.push(self.now.as_nanos());
-        words.push(u64::from(self.sealed));
-        words.push(self.scheduled);
-        words.push(self.delivered);
-        words.push(self.sheds.len() as u64);
+        hash.word(self.now.as_nanos());
+        hash.word(u64::from(self.sealed));
+        hash.word(self.scheduled);
+        hash.word(self.delivered);
+        hash.word(self.sheds.len() as u64);
         for c in &self.counters {
-            words.extend_from_slice(&[
+            for word in [
                 c.ipi_in,
                 c.ipi_out,
                 c.failover_in,
                 c.failover_retries,
                 c.stall_deferrals,
                 c.shed,
-            ]);
-        }
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for word in words {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x100_0000_01b3);
+            ] {
+                hash.word(word);
             }
         }
-        hash
+        hash.finish()
     }
 
     /// `true` when no platform-level adversity exists or ever engaged.

@@ -244,7 +244,7 @@ pub struct AdmissionRecord {
 
 /// Collects [`IrqCompletion`] records during a simulation run and offers the
 /// summaries the experiments print.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceRecorder {
     completions: Vec<IrqCompletion>,
 }

@@ -333,13 +333,13 @@ impl HealthTracker {
         HealthTransition { from, to, cause }
     }
 
-    /// Appends the tracker's mutable state as canonical `u64` words for
-    /// checkpoint state-hashing.
-    pub fn state_words(&self, out: &mut Vec<u64>) {
-        out.push(state_word(self.state));
-        out.push(u64::from(self.score));
-        out.push(self.entered_at.as_nanos());
-        out.push(self.clean_since.as_nanos());
+    /// Feeds the tracker's mutable state to `word` as canonical `u64` words
+    /// for checkpoint state-hashing.
+    pub fn state_words(&self, word: &mut impl FnMut(u64)) {
+        word(state_word(self.state));
+        word(u64::from(self.score));
+        word(self.entered_at.as_nanos());
+        word(self.clean_since.as_nanos());
     }
 }
 
@@ -563,37 +563,39 @@ impl Supervisor {
         self.events.clear();
     }
 
-    /// Appends the supervisor's mutable state as canonical `u64` words —
-    /// every tracker, every conformance watch, the partition ledger and the
-    /// event log's length plus its most recent entry — for checkpoint
-    /// state-hashing.
-    pub fn state_words(&self, out: &mut Vec<u64>) {
+    /// Feeds the supervisor's mutable state to `word` as canonical `u64`
+    /// words — every tracker, every conformance watch, the partition ledger
+    /// and the event log's length plus its most recent entry — for
+    /// checkpoint state-hashing.
+    pub fn state_words(&self, word: &mut impl FnMut(u64)) {
         for slot in &self.slots {
             match slot {
-                None => out.push(0),
+                None => word(0),
                 Some(slot) => {
-                    out.push(1);
-                    out.push(slot.partition as u64);
-                    slot.tracker.state_words(out);
-                    slot.watch.state_words(out);
+                    word(1);
+                    word(slot.partition as u64);
+                    slot.tracker.state_words(word);
+                    slot.watch.state_words(word);
                 }
             }
         }
-        out.extend(self.partition_penalties.iter().copied());
-        out.push(self.events.len() as u64);
+        for &penalty in &self.partition_penalties {
+            word(penalty);
+        }
+        word(self.events.len() as u64);
         if let Some(event) = self.events.last() {
-            out.push(event.at.as_nanos());
-            out.push(event.source as u64);
+            word(event.at.as_nanos());
+            word(event.source as u64);
             match event.kind {
                 SupervisionEventKind::Signal(signal) => {
-                    out.push(0);
-                    out.push(signal_word(signal));
+                    word(0);
+                    word(signal_word(signal));
                 }
                 SupervisionEventKind::Transition(t) => {
-                    out.push(1);
-                    out.push(state_word(t.from));
-                    out.push(state_word(t.to));
-                    out.push(match t.cause {
+                    word(1);
+                    word(state_word(t.from));
+                    word(state_word(t.to));
+                    word(match t.cause {
                         TransitionCause::Signal(signal) => 1 + signal_word(signal),
                         TransitionCause::Conformance => 0,
                     });

@@ -99,8 +99,8 @@ fn metrics_never_perturb_the_run() {
             );
         }
         assert_eq!(
-            format!("{:?}", bare.finish()),
-            format!("{:?}", instrumented.finish()),
+            bare.finish(),
+            instrumented.finish(),
             "supervised={supervised}: reports diverged"
         );
     }

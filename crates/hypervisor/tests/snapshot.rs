@@ -3,8 +3,9 @@
 //! from, and `state_hash()` must expose the first divergence.
 
 use rthv_hypervisor::{
-    CostModel, HypervisorConfig, IrqHandlingMode, IrqSourceId, IrqSourceSpec, Machine, PartitionId,
-    PartitionSpec, PolicyOptions, SupervisionPolicy,
+    CostModel, EngineChoice, EngineKind, HypervisorConfig, IrqHandlingMode, IrqSourceId,
+    IrqSourceSpec, Machine, PartitionId, PartitionSpec, PolicyOptions, RunReport,
+    SupervisionPolicy,
 };
 use rthv_monitor::DeltaFunction;
 use rthv_time::{Duration, Instant};
@@ -54,10 +55,10 @@ fn schedule_burst(machine: &mut Machine) {
 }
 
 /// Finishes the machine and returns the end state as (state hash before
-/// finalization, full `RunReport` debug rendering).
-fn fingerprint(mut machine: Machine) -> (u64, String) {
+/// finalization, full `RunReport`).
+fn fingerprint(mut machine: Machine) -> (u64, RunReport) {
     assert!(machine.run_until_complete(at_us(HORIZON)));
-    (machine.state_hash(), format!("{:?}", machine.finish()))
+    (machine.state_hash(), machine.finish())
 }
 
 #[test]
@@ -178,4 +179,64 @@ fn snapshots_are_independent_plain_data() {
     assert_eq!(machine.now(), copy.taken_at());
     assert!(machine.run_until_complete(at_us(HORIZON)));
     assert_eq!(machine.state_hash(), done);
+}
+
+/// A supervised `busy_config` machine on `engine` with the burst plus three
+/// late arrivals (at 120, 119 and 118 ms) whose bottom-handler work is
+/// `works`, run to `at`.
+fn pending_machine(engine: EngineChoice, works: [u64; 3], at: Instant) -> Machine {
+    let mut config = busy_config(true);
+    config.policies.engine = engine;
+    let mut machine = Machine::new(config).expect("valid config");
+    schedule_burst(&mut machine);
+    for (k, work) in (0u64..).zip(works) {
+        machine
+            .schedule_irq_with_work(IRQ0, at_us(HORIZON - 1_000 * k), us(work))
+            .expect("in the future");
+    }
+    machine.run_until(at);
+    machine
+}
+
+#[test]
+fn state_hash_covers_each_pending_payload() {
+    let t = at_us(20_000);
+    let base = pending_machine(EngineChoice::Heap, [30, 40, 50], t);
+    for works in [[31, 40, 50], [30, 40, 49], [30, 40, 500]] {
+        assert_ne!(
+            pending_machine(EngineChoice::Heap, works, t).state_hash(),
+            base.state_hash(),
+            "works={works:?}"
+        );
+    }
+}
+
+#[test]
+fn state_hash_binds_each_payload_to_its_event() {
+    // The same multiset of pending work values, assigned to different
+    // arrivals: an order-independent digest must still tell them apart.
+    let t = at_us(20_000);
+    let base = pending_machine(EngineChoice::Heap, [30, 40, 50], t);
+    for works in [[40, 30, 50], [30, 50, 40], [50, 40, 30]] {
+        assert_ne!(
+            pending_machine(EngineChoice::Heap, works, t).state_hash(),
+            base.state_hash(),
+            "works={works:?}"
+        );
+    }
+}
+
+#[test]
+fn heap_and_wheel_hash_the_same_pending_content_equal() {
+    // The engines store their events in different orders (a binary heap
+    // against buckets, staging and an overflow map); the digest must not
+    // see the difference at any point of the run.
+    for step in [0, 1, 7, 20, 55, 119] {
+        let t = at_us(step * 1_000 + 300);
+        let heap = pending_machine(EngineChoice::Heap, [30, 40, 50], t);
+        let wheel = pending_machine(EngineChoice::Wheel, [30, 40, 50], t);
+        assert_eq!(heap.engine_kind(), EngineKind::Heap);
+        assert_eq!(wheel.engine_kind(), EngineKind::Wheel);
+        assert_eq!(heap.state_hash(), wheel.state_hash(), "at {t:?}");
+    }
 }

@@ -325,22 +325,22 @@ impl ActivationMonitor {
         self.stats = MonitorStats::default();
     }
 
-    /// Appends the monitor's state as canonical `u64` words — the enforced
-    /// δ⁻ entries, the admitted-trace timestamps newest-first and the
-    /// counters — for checkpoint state-hashing. Two monitors that would
+    /// Feeds the monitor's state to `word` as canonical `u64` words — the
+    /// enforced δ⁻ entries, the admitted-trace timestamps newest-first and
+    /// the counters — for checkpoint state-hashing. Two monitors that would
     /// make identical future decisions emit identical words, and a runtime
     /// δ⁻ replacement changes the words immediately.
-    pub fn state_words(&self, out: &mut Vec<u64>) {
-        out.push(self.delta.len() as u64);
+    pub fn state_words(&self, word: &mut impl FnMut(u64)) {
+        word(self.delta.len() as u64);
         for entry in self.delta.entries() {
-            out.push(entry.as_nanos());
+            word(entry.as_nanos());
         }
-        out.push(self.trace.len() as u64);
+        word(self.trace.len() as u64);
         for i in 0..self.trace.len() {
-            out.push(self.trace.get(i).as_nanos());
+            word(self.trace.get(i).as_nanos());
         }
-        out.push(self.stats.admitted);
-        out.push(self.stats.denied);
+        word(self.stats.admitted);
+        word(self.stats.denied);
     }
 }
 

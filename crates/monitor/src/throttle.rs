@@ -122,13 +122,13 @@ impl TokenBucket {
         self.stats = MonitorStats::default();
     }
 
-    /// Appends the bucket's mutable state as canonical `u64` words (token
-    /// count, refill anchor, counters) for checkpoint state-hashing.
-    pub fn state_words(&self, out: &mut Vec<u64>) {
-        out.push(u64::from(self.tokens));
-        out.push(self.last_refill.as_nanos());
-        out.push(self.stats.admitted);
-        out.push(self.stats.denied);
+    /// Feeds the bucket's mutable state to `word` as canonical `u64` words
+    /// (token count, refill anchor, counters) for checkpoint state-hashing.
+    pub fn state_words(&self, word: &mut impl FnMut(u64)) {
+        word(u64::from(self.tokens));
+        word(self.last_refill.as_nanos());
+        word(self.stats.admitted);
+        word(self.stats.denied);
     }
 }
 
@@ -295,18 +295,18 @@ impl Shaper {
         }
     }
 
-    /// Appends the shaper's mutable state as canonical `u64` words (a
-    /// variant discriminant followed by the inner state) for checkpoint
+    /// Feeds the shaper's mutable state to `word` as canonical `u64` words
+    /// (a variant discriminant followed by the inner state) for checkpoint
     /// state-hashing.
-    pub fn state_words(&self, out: &mut Vec<u64>) {
+    pub fn state_words(&self, word: &mut impl FnMut(u64)) {
         match self {
             Shaper::Delta(monitor) => {
-                out.push(0);
-                monitor.state_words(out);
+                word(0);
+                monitor.state_words(word);
             }
             Shaper::Bucket(bucket) => {
-                out.push(1);
-                bucket.state_words(out);
+                word(1);
+                bucket.state_words(word);
             }
         }
     }

@@ -117,19 +117,19 @@ impl ConformanceWatch {
         self.last_violation = None;
     }
 
-    /// Appends the watch's mutable state as canonical `u64` words (shadow
-    /// monitor state, counts, last-violation timestamp) for checkpoint
-    /// state-hashing.
-    pub fn state_words(&self, out: &mut Vec<u64>) {
-        self.shadow.state_words(out);
-        out.push(self.observed);
-        out.push(self.violations);
+    /// Feeds the watch's mutable state to `word` as canonical `u64` words
+    /// (shadow monitor state, counts, last-violation timestamp) for
+    /// checkpoint state-hashing.
+    pub fn state_words(&self, word: &mut impl FnMut(u64)) {
+        self.shadow.state_words(word);
+        word(self.observed);
+        word(self.violations);
         match self.last_violation {
             Some(at) => {
-                out.push(1);
-                out.push(at.as_nanos());
+                word(1);
+                word(at.as_nanos());
             }
-            None => out.push(0),
+            None => word(0),
         }
     }
 }

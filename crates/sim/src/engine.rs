@@ -18,7 +18,9 @@
 //!   sequence numbers, generations bumped by `clear`);
 //! * identical pop streams — ascending time, FIFO within a timestamp;
 //! * identical [`for_each_scheduled`](Engine::for_each_scheduled) walks —
-//!   ascending `(time, seq)` over live events only — so state hashing over
+//!   ascending `(time, seq)` over live events only — and
+//!   [`for_each_live`](Engine::for_each_live) walks over the same set of
+//!   live events in storage order, so an order-independent state hash over
 //!   queue content cannot tell the engines apart;
 //! * identical error behaviour (`SchedulePast`, stale-id detection) and
 //!   identical lazy-cancellation observables (`len`, cancel return values).
@@ -29,6 +31,7 @@
 
 use rthv_time::{Duration, Instant};
 
+use crate::digest::{ElementHash, Fnv1a, SetDigest};
 use crate::queue::{EventId, EventQueue, SchedulePastError, SimError};
 use crate::wheel::WheelEngine;
 
@@ -153,8 +156,21 @@ pub trait Engine<E> {
         }
     }
 
-    /// Visits every live event in canonical `(time, seq)` order.
-    fn for_each_scheduled(&self, f: &mut dyn FnMut(Instant, u64, &E));
+    /// Visits every live event once, in storage order, without allocating.
+    /// The order is engine-specific: consumers must not depend on it.
+    fn for_each_live<'a>(&'a self, f: &mut dyn FnMut(Instant, u64, &'a E));
+
+    /// Visits every live event in canonical `(time, seq)` order. Collects
+    /// and sorts the live events on every call: this is the reference walk
+    /// the cross-engine tests compare, not a hot path.
+    fn for_each_scheduled(&self, f: &mut dyn FnMut(Instant, u64, &E)) {
+        let mut live = Vec::with_capacity(self.len());
+        self.for_each_live(&mut |at, seq, event| live.push((at, seq, event)));
+        live.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+        for (at, seq, event) in live {
+            f(at, seq, event);
+        }
+    }
 
     /// Sheds lazy-deletion debt now instead of at the next guard trip.
     fn compact(&mut self);
@@ -178,25 +194,25 @@ pub trait Engine<E> {
         self.clone_from(snapshot);
     }
 
-    /// FNV-1a digest of the engine's observable timeline state: `now` plus
-    /// every live `(time, seq)` pair in canonical order. Event payloads are
-    /// hashed by the embedding machine (which knows their encoding); this
-    /// digest is the engine-level slice of that hash and must agree between
-    /// any two engines holding the same timeline.
+    /// Digest of the engine's observable timeline state: FNV-1a over `now`,
+    /// the live count and the [`SetDigest`] sum of every live `(time, seq)`
+    /// pair. Order-independent, so it costs one allocation-free walk. Event
+    /// payloads are hashed by the embedding machine (which knows their
+    /// encoding); this digest is the engine-level slice of that hash and
+    /// must agree between any two engines holding the same timeline.
     fn state_hash(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        mix(self.now().as_nanos());
-        self.for_each_scheduled(&mut |at, seq, _| {
-            mix(at.as_nanos());
-            mix(seq);
+        let mut live = SetDigest::default();
+        self.for_each_live(&mut |at, seq, _| {
+            let mut element = ElementHash::default();
+            element.word(at.as_nanos());
+            element.word(seq);
+            live.insert(element);
         });
-        hash
+        let mut hash = Fnv1a::new();
+        hash.word(self.now().as_nanos());
+        hash.word(live.count());
+        hash.word(live.sum());
+        hash.finish()
     }
 }
 
@@ -241,8 +257,8 @@ impl<E> Engine<E> for EventQueue<E> {
         EventQueue::peek_time(self)
     }
 
-    fn for_each_scheduled(&self, f: &mut dyn FnMut(Instant, u64, &E)) {
-        EventQueue::for_each_scheduled(self, |at, seq, event| f(at, seq, event));
+    fn for_each_live<'a>(&'a self, f: &mut dyn FnMut(Instant, u64, &'a E)) {
+        EventQueue::for_each_live(self, f);
     }
 
     fn compact(&mut self) {
@@ -295,8 +311,8 @@ impl<E> Engine<E> for WheelEngine<E> {
         WheelEngine::peek_time(self)
     }
 
-    fn for_each_scheduled(&self, f: &mut dyn FnMut(Instant, u64, &E)) {
-        WheelEngine::for_each_scheduled(self, |at, seq, event| f(at, seq, event));
+    fn for_each_live<'a>(&'a self, f: &mut dyn FnMut(Instant, u64, &'a E)) {
+        WheelEngine::for_each_live(self, f);
     }
 
     fn compact(&mut self) {
@@ -426,9 +442,9 @@ impl<E> EngineQueue<E> {
         }
     }
 
-    /// See [`Engine::for_each_scheduled`].
-    pub fn for_each_scheduled(&self, mut f: impl FnMut(Instant, u64, &E)) {
-        dispatch!(self, q => q.for_each_scheduled(|at, seq, event| f(at, seq, event)));
+    /// See [`Engine::for_each_live`].
+    pub fn for_each_live<'a>(&'a self, mut f: impl FnMut(Instant, u64, &'a E)) {
+        dispatch!(self, q => q.for_each_live(&mut f));
     }
 
     /// See [`Engine::compact`].

@@ -17,7 +17,8 @@
 //! with `O(1)` amortised operations and closed-form fast-forward across
 //! empty virtual time. [`EngineQueue`] selects between them at runtime; the
 //! two are observation-equivalent bit for bit (see [`engine`] for the exact
-//! obligations).
+//! obligations). The [`digest`] module holds the streaming hashes that
+//! checkpoint state-hashing builds on.
 //!
 //! # Examples
 //!
@@ -40,10 +41,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod digest;
 pub mod engine;
 mod queue;
 mod wheel;
 
+pub use digest::{ElementHash, Fnv1a, SetDigest};
 pub use engine::{Engine, EngineKind, EngineQueue, EngineStats};
 pub use queue::{EventId, EventQueue, SchedulePastError, SimError};
 pub use wheel::WheelEngine;

@@ -533,24 +533,21 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Visits every live (scheduled, not cancelled) event in canonical
-    /// firing order — ascending `(time, seq)` — without disturbing the
-    /// queue.
+    /// Visits every live (scheduled, not cancelled) event once, in heap
+    /// storage order, without allocating or disturbing the queue.
     ///
     /// The callback receives the firing time, the dense sequence number and
-    /// the event payload. This is the queue's canonical-state iterator:
-    /// two queues that would pop the same event stream visit the same
-    /// `(time, seq, event)` triples, which is what checkpoint state-hashing
-    /// relies on.
-    pub fn for_each_scheduled(&self, mut f: impl FnMut(Instant, u64, &E)) {
-        let mut live: Vec<&Entry<E>> = self
-            .heap
-            .iter()
-            .filter(|entry| self.ids.state(entry.seq()) != IdState::Cancelled)
-            .collect();
-        live.sort_by_key(|entry| entry.key);
-        for entry in live {
-            f(entry.at(), entry.seq(), &entry.event);
+    /// the event payload. Two queues that would pop the same event stream
+    /// visit the same set of `(time, seq, event)` triples, but in an
+    /// unspecified order: consumers must be order-independent, as
+    /// checkpoint state-hashing is. The sorted
+    /// [`Engine::for_each_scheduled`](crate::Engine::for_each_scheduled)
+    /// gives firing order.
+    pub fn for_each_live<'a>(&'a self, mut f: impl FnMut(Instant, u64, &'a E)) {
+        for entry in &self.heap {
+            if self.ids.state(entry.seq()) != IdState::Cancelled {
+                f(entry.at(), entry.seq(), &entry.event);
+            }
         }
     }
 
@@ -610,6 +607,7 @@ impl<E> fmt::Debug for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
 
     #[derive(Debug, PartialEq, Eq, Clone, Copy)]
     enum Ev {
@@ -1013,7 +1011,7 @@ mod tests {
             .expect("future");
         q.cancel(b);
         let mut seen = Vec::new();
-        q.for_each_scheduled(|at, seq, e| seen.push((at, seq, *e)));
+        Engine::for_each_scheduled(&q, &mut |at, seq, e| seen.push((at, seq, *e)));
         assert_eq!(
             seen,
             vec![

@@ -53,10 +53,13 @@
 //!
 //! The wheel shares the heap engine's id allocator ([`IdTable`]), packed
 //! `(time, seq)` keys, lazy cancellation and compaction guard, so ids, pop
-//! streams, error behaviour and the canonical
-//! [`for_each_scheduled`](WheelEngine::for_each_scheduled) walk are
-//! byte-identical to [`EventQueue`](crate::EventQueue) — asserted by the
-//! cross-engine differential suites in `rthv-sim` and `rthv-faults`.
+//! streams and error behaviour are byte-identical to
+//! [`EventQueue`](crate::EventQueue), and
+//! [`for_each_live`](WheelEngine::for_each_live) visits the same live set
+//! (so the canonical
+//! [`Engine::for_each_scheduled`](crate::Engine::for_each_scheduled) walk
+//! is identical too) — asserted by the cross-engine differential suites in
+//! `rthv-sim` and `rthv-faults`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -490,12 +493,15 @@ impl<E> WheelEngine<E> {
         }
     }
 
-    /// Visits every live event in canonical ascending `(time, seq)` order —
-    /// the same walk [`EventQueue::for_each_scheduled`](crate::EventQueue::for_each_scheduled)
-    /// produces for the same timeline, which is what cross-engine state
-    /// hashing relies on.
-    pub fn for_each_scheduled(&self, mut f: impl FnMut(Instant, u64, &E)) {
-        let mut live: Vec<(u128, &E)> = Vec::with_capacity(self.len());
+    /// Visits every live event once, in storage order (staging, then each
+    /// level's buckets, then the overflow map), without allocating or
+    /// disturbing the wheel.
+    ///
+    /// The set of `(time, seq, event)` triples visited is the one
+    /// [`EventQueue::for_each_live`](crate::EventQueue::for_each_live)
+    /// visits for the same timeline; only the order differs, so consumers
+    /// must be order-independent, as checkpoint state-hashing is.
+    pub fn for_each_live<'a>(&'a self, mut f: impl FnMut(Instant, u64, &'a E)) {
         let is_live = |seq: u64| self.ids.state(seq) != IdState::Cancelled;
         let stored = self.staging.iter().chain(
             self.levels
@@ -503,18 +509,15 @@ impl<E> WheelEngine<E> {
                 .flat_map(|level| level.slots.iter().flatten()),
         );
         for entry in stored {
-            if is_live(key_seq(entry.key)) {
-                live.push((entry.key, &entry.event));
+            let seq = key_seq(entry.key);
+            if is_live(seq) {
+                f(key_time(entry.key), seq, &entry.event);
             }
         }
-        for (key, event) in &self.overflow {
-            if is_live(key_seq(*key)) {
-                live.push((*key, event));
+        for (&key, event) in &self.overflow {
+            if is_live(key_seq(key)) {
+                f(key_time(key), key_seq(key), event);
             }
-        }
-        live.sort_unstable_by_key(|(key, _)| *key);
-        for (key, event) in live {
-            f(key_time(key), key_seq(key), event);
         }
     }
 

@@ -176,6 +176,14 @@ fn fast_forward_never_skips_an_armed_event() {
     );
 }
 
+/// The `(time, seq, event)` triples a storage-order walk visits, sorted.
+fn collect_live(walk: impl FnOnce(&mut dyn FnMut(Instant, u64, &u32))) -> Vec<(Instant, u64, u32)> {
+    let mut live = Vec::new();
+    walk(&mut |at, seq, e| live.push((at, seq, *e)));
+    live.sort_unstable();
+    live
+}
+
 #[test]
 fn canonical_walk_and_state_hash_match_the_heap() {
     let mut wheel: WheelEngine<u32> = WheelEngine::with_tick_shift(8);
@@ -197,11 +205,31 @@ fn canonical_walk_and_state_hash_match_the_heap() {
     for _ in 0..100 {
         assert_eq!(wheel.pop(), heap.pop());
     }
+    for i in 0..5u32 {
+        let at = Instant::from_nanos(10_000_000_000 + u64::from(i) * 1_000_000_000);
+        wheel.schedule_at(at, 1_000 + i).expect("future");
+        heap.schedule_at(at, 1_000 + i).expect("future");
+    }
+    assert!(
+        wheel.stats().overflow_len > 0,
+        "the walks must cover the overflow map"
+    );
     let mut wheel_walk = Vec::new();
-    wheel.for_each_scheduled(|at, seq, e| wheel_walk.push((at, seq, *e)));
+    wheel.for_each_scheduled(&mut |at, seq, e| wheel_walk.push((at, seq, *e)));
     let mut heap_walk = Vec::new();
-    heap.for_each_scheduled(|at, seq, e| heap_walk.push((at, seq, *e)));
+    heap.for_each_scheduled(&mut |at, seq, e| heap_walk.push((at, seq, *e)));
     assert_eq!(wheel_walk, heap_walk, "canonical walks must be identical");
+    // The storage-order walks visit the same live set, each in its own
+    // order.
+    for live in [
+        collect_live(|f| wheel.for_each_live(f)),
+        collect_live(|f| heap.for_each_live(f)),
+    ] {
+        assert_eq!(
+            live, heap_walk,
+            "storage-order walk misses or repeats an event"
+        );
+    }
     assert_eq!(
         Engine::<u32>::state_hash(&wheel),
         Engine::<u32>::state_hash(&heap),

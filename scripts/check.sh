@@ -17,6 +17,13 @@ echo "==> cargo test -q (RTHV_ENGINE=wheel)"
 # on the heap but failing here is a cross-engine divergence.
 RTHV_ENGINE=wheel cargo test --workspace -q
 
+echo "==> cargo test --release (benchmark package)"
+# The benchmark is a package of its own (benchmark/Cargo.toml). Its
+# per-workload smoke tests run every workload's output check, traced and
+# untraced, so a library change that breaks a workload fails here before
+# any benchmark run.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
