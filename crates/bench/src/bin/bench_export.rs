@@ -14,11 +14,7 @@
 //! identical to the sequential one before reporting its timing. A
 //! single-core host cannot demonstrate parallel speedup, so each sweep
 //! point records how many workers actually ran and whether its speedup
-//! number is meaningful at all. The same convention covers the
-//! `smp_scaling` probe (the five multi-core platform families at simulated
-//! core counts 1/2/4, stepped sequentially vs in parallel inside each
-//! scenario on one scoped worker per simulated core, verified
-//! byte-identical), and every single-threaded probe records
+//! number is meaningful at all. Every single-threaded probe records
 //! `"threads": 1` so the export is explicit about what ran where.
 
 use std::fmt::Write as _;
@@ -29,12 +25,10 @@ use rthv::scenarios::{merge_fig6_loads, run_fig6_load, Fig6Config, Fig6Run, Fig6
 use rthv::sim::EngineQueue;
 use rthv::time::{Duration as SimDuration, Instant as SimInstant};
 use rthv::{
-    EngineChoice, EngineKind, IrqHandlingMode, IrqSourceId, Machine, PaperSetup, StepChoice,
-    SupervisionPolicy,
+    EngineChoice, EngineKind, IrqHandlingMode, IrqSourceId, Machine, PaperSetup, SupervisionPolicy,
 };
 use rthv_admit::{AdmitFleet, FleetConfig, FleetReport, TenantConfig, TenantSpec};
 use rthv_experiments::{parse_journal_flags, SweepRunner};
-use rthv_faults::{run_smp_case_stepped, smp_scenarios, SmpArm, SmpCase, SmpConfig};
 use rthv_workload::FloodEvent;
 
 /// IRQs per load level at each scale; the paper's Figure 6 uses 5000.
@@ -436,64 +430,6 @@ fn speedup_meaningful(host_cores: usize, threads_used: usize) -> bool {
     host_cores > 1 && threads_used > 1
 }
 
-/// Simulated core counts for the multi-core platform scaling probe — the
-/// same ladder the `smp_storm` campaign sweeps.
-const SMP_CORES: [usize; 3] = [1, 2, 4];
-
-/// Scenarios in the smp scaling probe (the five SMP families once each).
-const SMP_SCENARIOS: u32 = 5;
-
-/// Timed passes per smp stepping mode; the best pass is reported.
-const SMP_REPS: u32 = 3;
-
-struct SmpMeasured {
-    wall_seconds: f64,
-    cases: Vec<SmpCase>,
-}
-
-impl SmpMeasured {
-    fn scenarios_per_sec(&self) -> f64 {
-        self.cases.len() as f64 / self.wall_seconds
-    }
-}
-
-/// Runs the SMP families at a fixed simulated core count with an explicit
-/// platform stepping mode, scenarios strictly one after another so
-/// intra-scenario stepping is the *only* concurrency being timed, and
-/// reports the best of [`SMP_REPS`] passes. The per-scenario outcomes
-/// come back in scenario order, so the caller can assert parallel
-/// stepping is byte-identical to sequential before trusting its timing.
-fn measure_smp(config: &SmpConfig, cores: usize, step: StepChoice) -> SmpMeasured {
-    let scenarios = smp_scenarios(SMP_SCENARIOS, 0x5317_2014, config.horizon);
-    let mut wall_seconds = f64::INFINITY;
-    let mut cases = Vec::new();
-    for _ in 0..SMP_REPS {
-        let start = HostInstant::now();
-        let pass: Vec<SmpCase> = scenarios
-            .iter()
-            .map(|scenario| {
-                run_smp_case_stepped(
-                    config,
-                    scenario,
-                    SmpArm::HierAffinity,
-                    cores,
-                    true,
-                    None,
-                    step,
-                )
-                .expect("smp scaling geometry is valid")
-                .0
-            })
-            .collect();
-        wall_seconds = wall_seconds.min(start.elapsed().as_secs_f64());
-        cases = pass;
-    }
-    SmpMeasured {
-        wall_seconds,
-        cases,
-    }
-}
-
 /// Live-population levels for the `queue_micro` probe: small (a single
 /// scenario's working set), medium (a pre-scheduled campaign), large (the
 /// scaling-cliff regime the heap degraded in).
@@ -714,90 +650,6 @@ fn main() {
         }
     }
 
-    // Multi-core platform scaling: the five SMP families at each simulated
-    // core count, stepped sequentially vs in parallel *inside* each
-    // scenario (scoped worker threads at the safe-horizon barriers, one
-    // per simulated core — scenarios themselves run strictly one after
-    // another). Parallel stepping is byte-identical by construction and
-    // asserted so per core count; the speedup-meaningful flag follows the
-    // Fig. 6 convention, with the worker count being the simulated core
-    // count itself.
-    let smp_config = SmpConfig::smoke();
-    let mut smp_points = String::new();
-    for (i, &smp_cores) in SMP_CORES.iter().enumerate() {
-        let sequential = measure_smp(&smp_config, smp_cores, StepChoice::Sequential);
-        let parallel = measure_smp(&smp_config, smp_cores, StepChoice::Parallel);
-        assert_eq!(
-            sequential.cases, parallel.cases,
-            "parallel stepping diverged from sequential at {smp_cores} core(s)"
-        );
-        let violations: u64 = sequential.cases.iter().map(|c| c.violations).sum();
-        let sheds: u64 = sequential.cases.iter().map(|c| c.sheds).sum();
-        let ipi_in: u64 = sequential.cases.iter().map(|c| c.ipi_in).sum();
-        let speedup = sequential.wall_seconds / parallel.wall_seconds;
-        // Parallel stepping spawns one scoped worker per simulated core
-        // (a single-core platform short-circuits to the sequential walk);
-        // the host can only truly run `cores` of them at once.
-        let workers = if smp_cores > 1 { smp_cores } else { 1 };
-        let threads_used = workers.min(cores);
-        let speedup_meaningful = speedup_meaningful(cores, threads_used);
-        if speedup_meaningful && smp_cores == SMP_CORES[SMP_CORES.len() - 1] {
-            assert!(
-                speedup > 1.0,
-                "parallel stepping must beat sequential at {smp_cores} simulated cores on a \
-                 {cores}-core host (measured {speedup:.3}x)"
-            );
-        }
-        eprintln!(
-            "smp_scaling @ {smp_cores} sim core(s): sequential stepping {:.1} scenarios/s \
-             ({:.3} s), parallel stepping {:.1} scenarios/s ({:.3} s), speedup {speedup:.2}x on \
-             {workers} worker(s) ({threads_used} effective){}",
-            sequential.scenarios_per_sec(),
-            sequential.wall_seconds,
-            parallel.scenarios_per_sec(),
-            parallel.wall_seconds,
-            if speedup_meaningful {
-                ""
-            } else {
-                " [speedup not meaningful]"
-            },
-        );
-        let _ = write!(
-            smp_points,
-            r#"    {{
-      "sim_cores": {smp_cores},
-      "host_cores": {cores},
-      "scenarios": {scenarios},
-      "oracle_violations": {violations},
-      "typed_sheds": {sheds},
-      "cross_core_deliveries": {ipi_in},
-      "sequential_stepping": {{
-        "threads": 1,
-        "wall_seconds": {sw:.6},
-        "scenarios_per_sec": {ss:.1}
-      }},
-      "parallel_stepping": {{
-        "threads": {workers},
-        "threads_used": {threads_used},
-        "wall_seconds": {pw:.6},
-        "scenarios_per_sec": {ps:.1}
-      }},
-      "parallel_speedup": {speedup:.3},
-      "parallel_speedup_meaningful": {speedup_meaningful}
-    }}"#,
-            scenarios = sequential.cases.len(),
-            sw = sequential.wall_seconds,
-            ss = sequential.scenarios_per_sec(),
-            pw = parallel.wall_seconds,
-            ps = parallel.scenarios_per_sec(),
-        );
-        if i + 1 < SMP_CORES.len() {
-            smp_points.push_str(",\n");
-        } else {
-            smp_points.push('\n');
-        }
-    }
-
     let off = measure_supervision(false);
     let on = measure_supervision(true);
     assert_eq!(
@@ -924,7 +776,7 @@ fn main() {
     let json = format!(
         r#"{{
   "benchmark": "fig6c_conformant_scenario",
-  "description": "Fig. 6c (monitored, d_min-conformant arrivals) at three scales per event engine (heap reference vs hierarchical timing wheel, verified observationally identical); parallel pass fans the three load levels over host cores and is verified bit-identical to the sequential pass; smp_scaling times the five multi-core platform families at simulated core counts 1/2/4 with sequential vs parallel intra-scenario stepping (one scoped worker per simulated core, byte-identical results asserted); queue_micro times raw engine schedule/cancel/pop ops at three fill levels; every probe records the thread count it ran on, and per-core speedups are flagged not-meaningful on a single-core host",
+  "description": "Fig. 6c (monitored, d_min-conformant arrivals) at three scales per event engine (heap reference vs hierarchical timing wheel, verified observationally identical); parallel pass fans the three load levels over host cores and is verified bit-identical to the sequential pass; queue_micro times raw engine schedule/cancel/pop ops at three fill levels; every probe records the thread count it ran on, and per-core speedups are flagged not-meaningful on a single-core host",
   "host_cores": {cores},
   "supervision_overhead": {{
     "description": "conformant monitored workload timed with health supervision off vs on; both runs make identical admission decisions, so the delta is pure supervision bookkeeping",
@@ -986,8 +838,6 @@ fn main() {
     "snapshot_mean_us": {csnap:.2},
     "restore_mean_us": {crestore:.2}
   }},
-  "smp_scaling": [
-{smp_points}  ],
   "queue_micro": [
 {queue_micro}  ],
   "points": [

@@ -14,12 +14,9 @@
 //!
 //! `--smoke` swaps the 1 s horizon for the CI-sized 250 ms one; families
 //! and verdict are unchanged. The event engine comes from `RTHV_ENGINE`
-//! (`heap`, the default, or `wheel`) and the platform stepping mode from
-//! `RTHV_PARALLEL` (`off`, the default sequential walk, or `on` for
-//! scoped-thread parallel stepping); an unknown value of either is a
-//! typed, loud failure before any scenario runs, and neither the engine
-//! nor the stepping mode ever leaks into the report bytes — parallel
-//! runs are byte-identical to sequential ones.
+//! (`heap`, the default, or `wheel`); an unknown value is a typed, loud
+//! failure before any scenario runs, and the engine never leaks into the
+//! report bytes.
 //!
 //! With `--journal`, each completed scenario is appended to a JSONL
 //! journal the moment it finishes; with `--resume`, scenarios already
@@ -47,7 +44,7 @@
 use std::process::ExitCode;
 
 use rthv::obs::ObsConfig;
-use rthv::{EngineChoice, MultiMachine, StepChoice};
+use rthv::{EngineChoice, MultiMachine};
 use rthv_experiments::{parse_journal_flags, read_complete_lines, Journal, SweepRunner};
 use rthv_faults::{
     assemble_smp_report, build_platform, run_smp_scenario, smp_report_passes, smp_scenarios,
@@ -84,9 +81,8 @@ fn main() -> ExitCode {
         .map(|s| s.parse().expect("base seed must be a number"))
         .unwrap_or(0x5317_2014);
 
-    // Fail loudly on a bad engine, stepping mode or platform before any
-    // scenario burns cycles: resolve RTHV_ENGINE and RTHV_PARALLEL and
-    // validate the largest platform.
+    // Fail loudly on a bad engine or platform before any scenario burns
+    // cycles: resolve RTHV_ENGINE and validate the largest platform.
     let engine = match EngineChoice::Auto.try_resolve() {
         Ok(kind) => format!("{kind:?}").to_lowercase(),
         Err(error) => {
@@ -94,10 +90,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Err(error) = StepChoice::Auto.try_resolve() {
-        eprintln!("smp_storm: {error}");
-        return ExitCode::FAILURE;
-    }
     let config = if smoke {
         SmpConfig::smoke()
     } else {

@@ -76,8 +76,8 @@ pub use rthv_hypervisor::{
     MultiRunReport, MultiSnapshot, OverflowPolicy, PartitionId, PartitionService, PartitionSpec,
     Platform, PlatformError, PlatformScheduleError, PlatformSource, PolicyOptions, RerouteBudget,
     RunReport, ScheduleIrqError, ServiceInterval, ServiceKind, ShedReason, ShedRecord, SlotSpec,
-    Span, StepChoice, StepKind, StepSelectError, SupervisionEvent, SupervisionEventKind,
-    SupervisionPolicy, SupervisionReport, Supervisor, TdmaSchedule, TraceRecorder, TransitionCause,
+    Span, SupervisionEvent, SupervisionEventKind, SupervisionPolicy, SupervisionReport, Supervisor,
+    TdmaSchedule, TraceRecorder, TransitionCause,
 };
 
 /// Virtual-time primitives ([`rthv_time`]).

@@ -83,8 +83,8 @@ pub use replay::{
 };
 pub use smp::{
     assemble_smp_report, build_platform, core_faults, line_arrivals, run_smp_case,
-    run_smp_case_stepped, run_smp_scenario, smp_report_passes, smp_scenarios, SmpArm, SmpCase,
-    SmpConfig, SmpError, SmpOutcome, SmpRecord, SmpScenario, SmpTraffic,
+    run_smp_scenario, smp_report_passes, smp_scenarios, SmpArm, SmpCase, SmpConfig, SmpError,
+    SmpOutcome, SmpRecord, SmpScenario, SmpTraffic,
 };
 pub use supervised::{
     composite_plan, run_supervised_campaign, run_supervised_scenario, supervised_scenarios,

@@ -43,7 +43,7 @@ use rthv::time::{Duration, Instant};
 use rthv::{
     CoreFault, CostModel, FailoverPolicy, FallbackRoute, HypervisorConfig, IrqHandlingMode,
     IrqSourceId, IrqSourceSpec, MultiMachine, MultiRunReport, PartitionId, PartitionSpec, Platform,
-    PlatformError, PlatformScheduleError, PlatformSource, StepChoice,
+    PlatformError, PlatformScheduleError, PlatformSource,
 };
 
 use crate::inject::{FaultKind, FaultScenario};
@@ -544,38 +544,10 @@ pub fn run_smp_case(
     failover_enabled: bool,
     metrics: Option<ObsConfig>,
 ) -> Result<(SmpCase, Option<String>), SmpError> {
-    run_smp_case_stepped(
-        config,
-        scenario,
-        arm,
-        cores,
-        failover_enabled,
-        metrics,
-        StepChoice::Auto,
-    )
-}
-
-/// [`run_smp_case`] with an explicit stepping mode instead of the
-/// `RTHV_PARALLEL` default — the hook the differential proptests and the
-/// bench smp_scaling probe use to run the *same* case sequentially and in
-/// parallel and compare bytes.
-///
-/// # Errors
-///
-/// As [`run_smp_case`].
-pub fn run_smp_case_stepped(
-    config: &SmpConfig,
-    scenario: &SmpScenario,
-    arm: SmpArm,
-    cores: usize,
-    failover_enabled: bool,
-    metrics: Option<ObsConfig>,
-    step: StepChoice,
-) -> Result<(SmpCase, Option<String>), SmpError> {
     let platform = build_platform(config, arm, cores, failover_enabled)?;
     let line_count = platform.sources.len();
     let faults = core_faults(scenario, cores, config.horizon);
-    let mut multi = MultiMachine::with_step(platform, &faults, step)?;
+    let mut multi = MultiMachine::new(platform, &faults)?;
     if let Some(obs) = metrics {
         multi.enable_metrics(obs);
     }

@@ -7,14 +7,20 @@
 //! This is what makes the multi-core campaign's claims transfer: every
 //! single-machine guarantee (snapshot/restore, cross-engine determinism,
 //! replay journals) holds on the platform because N = 1 adds nothing.
+//!
+//! The split-invariance properties pin why `MultiMachine::run_until` may
+//! run each live core straight to `min(until, crash_at)`: a `Machine` run
+//! split at any instant ends where the one-shot run ends, and so does a
+//! multi-core campaign case stopped at every slot boundary and crash
+//! instant, with a snapshot/restore cut on the way.
 
 use proptest::prelude::*;
 
 use rthv::monitor::DeltaFunction;
 use rthv::time::{Duration, Instant};
 use rthv::{
-    EngineChoice, FailoverPolicy, HypervisorConfig, IrqHandlingMode, IrqSourceId, Machine,
-    MultiMachine, PaperSetup, Platform, PlatformSource, StepChoice, SupervisionPolicy,
+    CoreFault, EngineChoice, FailoverPolicy, HypervisorConfig, IrqHandlingMode, IrqSourceId,
+    Machine, MultiMachine, PaperSetup, Platform, PlatformSource, SupervisionPolicy,
 };
 use rthv_faults::{
     build_platform, core_faults, line_arrivals, FaultKind, FaultScenario, SmpArm, SmpConfig,
@@ -224,20 +230,66 @@ proptest! {
         prop_assert_eq!(multi.state_hash(), reference, "replayed horizon state");
     }
 
-    /// Parallel stepping is byte-identical to sequential: the same smp
-    /// campaign case driven by `StepChoice::Sequential` and
-    /// `StepChoice::Parallel` must agree on `state_hash` at **every** slot
-    /// boundary to the horizon, across all fault families × both engines ×
-    /// cores {1, 2, 4}, and a snapshot/restore cut taken mid-scenario on
-    /// the parallel machine must replay onto the same bytes.
+    /// `Machine::run_until` is split-invariant: for any `a ≤ b`, running
+    /// to `a` and then to `b` ends in the same state and report as running
+    /// straight to `b`.
     #[test]
-    fn parallel_stepping_matches_sequential_at_every_slot_boundary(
+    fn machine_run_until_is_split_invariant(
+        kind_index in 0usize..11,
+        seed in any::<u64>(),
+        monitored in prop::bool::ANY,
+        supervised in prop::bool::ANY,
+        wheel in prop::bool::ANY,
+        first_us in 0u64..=150_000,
+        second_us in 0u64..=150_000,
+    ) {
+        let engine = if wheel { EngineChoice::Wheel } else { EngineChoice::Heap };
+        let scenario = FaultScenario { id: 0, kind: kind(kind_index), seed };
+        let plan = scenario.plan(HORIZON, PaperSetup::default().bottom_cost);
+        let a = Instant::from_micros(first_us.min(second_us));
+        let b = Instant::from_micros(first_us.max(second_us));
+
+        let hv = paired_config(monitored, supervised, engine, plan.admission_clock);
+        let build = || {
+            let mut machine = Machine::new(hv.clone()).expect("paper config is valid");
+            machine.enable_service_trace();
+            for arrival in &plan.arrivals {
+                machine
+                    .schedule_irq_with_work(IrqSourceId::new(0), arrival.at, arrival.work)
+                    .expect("machine accepts the plan");
+            }
+            machine
+        };
+        let mut one = build();
+        one.run_until(b);
+        let mut split = build();
+        split.run_until(a);
+        split.run_until(b);
+        prop_assert_eq!(one.state_hash(), split.state_hash(), "split at {} diverged at {}", a, b);
+        prop_assert_eq!(one.finish(), split.finish(), "final reports differ");
+    }
+}
+
+proptest! {
+    // Core crashes arise only from the core-crash family on two or more
+    // cores (about one case in sixteen); 64 cases keep the freeze-at-crash
+    // path covered.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A multi-core campaign case run to the horizon in one `run_until`
+    /// ends byte-identical to the same case stopped at every slot boundary
+    /// and at each crash instant — with a snapshot taken at one stop, the
+    /// run continued to the horizon, then rewound and stepped on — across
+    /// all fault families × both engines × cores {1, 2, 4} × storm and
+    /// nominal traffic.
+    #[test]
+    fn split_runs_match_the_one_shot_run(
         kind_index in 0usize..11,
         seed in any::<u64>(),
         cores_pick in 0usize..3,
         wheel in prop::bool::ANY,
         storm in prop::bool::ANY,
-        cut in 1u64..6,
+        cut in 0usize..8,
     ) {
         let cores = [1usize, 2, 4][cores_pick];
         let engine = if wheel { EngineChoice::Wheel } else { EngineChoice::Heap };
@@ -257,9 +309,8 @@ proptest! {
         }
         let faults = core_faults(&scenario, cores, config.horizon);
         let lines = platform.sources.len();
-        let build = |step| {
-            let mut m = MultiMachine::with_step(platform.clone(), &faults, step)
-                .expect("explicit step choice never fails");
+        let build = || {
+            let mut m = MultiMachine::new(platform.clone(), &faults).expect("valid platform");
             for line in 0..lines {
                 for at in line_arrivals(&config, &scenario, line) {
                     m.schedule_irq(line, at).expect("campaign arrivals are in range");
@@ -267,48 +318,47 @@ proptest! {
             }
             m
         };
-        let mut seq = build(StepChoice::Sequential);
-        let mut par = build(StepChoice::Parallel);
+        let horizon = Instant::ZERO + config.horizon;
+        let mut one = build();
+        one.run_until(horizon);
 
-        // All cores share the campaign's TDMA geometry; probe it off core 0.
+        // Stops: every slot boundary (all cores share the campaign's TDMA
+        // geometry; probe it off core 0) and every crash instant.
         let schedule = Machine::new(platform.cores[0].clone())
             .expect("campaign core config is valid")
             .schedule()
             .clone();
-        let horizon = Instant::ZERO + config.horizon;
-        let cut_at = schedule.boundary_time(cut).min(horizon);
-        let mut checkpoint = None;
-        let mut k = 1u64;
-        while schedule.boundary_time(k) <= horizon {
-            let boundary = schedule.boundary_time(k);
-            seq.run_until(boundary);
-            par.run_until(boundary);
-            prop_assert_eq!(
-                seq.state_hash(),
-                par.state_hash(),
-                "parallel diverged from sequential at slot boundary {}",
-                k
-            );
-            if boundary == cut_at {
-                checkpoint = Some(par.snapshot());
+        let mut stops: Vec<Instant> = (1u64..)
+            .map(|k| schedule.boundary_time(k))
+            .take_while(|&t| t <= horizon)
+            .collect();
+        stops.extend(faults.iter().filter_map(|fault| match *fault {
+            CoreFault::Crash { at, .. } if at <= horizon => Some(at),
+            _ => None,
+        }));
+        stops.push(horizon);
+        stops.sort_unstable();
+        stops.dedup();
+
+        let mut split = build();
+        for (index, &stop) in stops.iter().enumerate() {
+            split.run_until(stop);
+            if index == cut.min(stops.len() - 1) {
+                let checkpoint = split.snapshot();
+                let hash = split.state_hash();
+                split.run_until(horizon);
+                split.restore(&checkpoint);
+                prop_assert_eq!(split.state_hash(), hash, "restored state at {}", stop);
             }
-            k += 1;
         }
-        seq.run_until(horizon);
-        par.run_until(horizon);
-        let reference = seq.state_hash();
-        prop_assert_eq!(par.state_hash(), reference, "horizon state");
+        prop_assert_eq!(one.state_hash(), split.state_hash(), "horizon state");
 
-        if let Some(checkpoint) = checkpoint {
-            par.restore(&checkpoint);
-            par.run_until(horizon);
-            prop_assert_eq!(par.state_hash(), reference, "replayed horizon state");
-        }
-
-        let seq = seq.finish();
-        let par = par.finish();
-        prop_assert!(seq.conserved() && par.conserved(), "ledger leaked");
-        prop_assert_eq!(&seq.counters, &par.counters, "counters differ");
-        prop_assert_eq!(&seq.sheds, &par.sheds, "sheds differ");
+        let one = one.finish();
+        let split = split.finish();
+        prop_assert!(one.conserved() && split.conserved(), "ledger leaked");
+        prop_assert_eq!(&one.cores, &split.cores, "per-core reports differ");
+        prop_assert_eq!(&one.counters, &split.counters, "counters differ");
+        prop_assert_eq!(&one.sheds, &split.sheds, "sheds differ");
+        prop_assert_eq!(&one.crashed, &split.crashed, "crash sets differ");
     }
 }

@@ -42,7 +42,7 @@ pub use machine::{Machine, MachineError, MachineSnapshot, RunReport, ScheduleIrq
 pub use platform::{
     CoreCounters, CoreFault, FailoverPolicy, FallbackRoute, MultiMachine, MultiRunReport,
     MultiSnapshot, Platform, PlatformError, PlatformScheduleError, PlatformSource, RerouteBudget,
-    ShedReason, ShedRecord, StepChoice, StepKind, StepSelectError,
+    ShedReason, ShedRecord,
 };
 pub use record::{
     AdmissionRecord, Counters, HandlingClass, IrqCompletion, PartitionService, ServiceInterval,

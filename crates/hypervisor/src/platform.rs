@@ -26,25 +26,14 @@
 //! the machine seals, so two runs — or a heap-engine and a wheel-engine
 //! run — produce byte-identical per-core trajectories.
 //!
-//! # Parallel stepping
+//! # Stepping
 //!
-//! Because sealing resolves every cross-core delivery up front, the N
-//! per-core machines are *independent* between two safe horizons: no event
-//! processed on one core can change another core's trajectory. `run_until`
-//! exploits this by walking a deterministic **safe-horizon list** — each
-//! horizon is the earliest of the next pending cross-core delivery instant,
-//! the next core-crash instant and the requested end, capped at the next
-//! TDMA slot boundary of any live core — and stepping every live core to
-//! each horizon either on one thread ([`StepKind::Sequential`]) or on one
-//! scoped worker thread per core with a barrier at every horizon
-//! ([`StepKind::Parallel`]). Both modes walk the identical horizon list and
-//! never exchange state between horizons, so parallel stepping is
-//! byte-identical to sequential **by construction**: same
-//! [`state_hash`](MultiMachine::state_hash) at every slot boundary, same
-//! reports, same digests. The mode is selected via [`StepChoice`] (or the
-//! `RTHV_PARALLEL` environment variable for [`StepChoice::Auto`]) and is
-//! deliberately excluded from state hashing — like the event engine, it
-//! only affects wall-clock speed.
+//! Sealing schedules every cross-core delivery into its destination
+//! machine before the first step, so after the seal the per-core machines
+//! never exchange state. [`Machine::run_until`] is split-invariant — it
+//! only processes events at or before its limit and never moves its clock
+//! past the last one — so [`MultiMachine::run_until`] simply runs each live
+//! core to `min(until, crash_at)` and freezes it at its crash instant.
 
 use rthv_obs::{ObsConfig, PlatformObs};
 use rthv_sim::Fnv1a;
@@ -121,101 +110,6 @@ impl Default for FailoverPolicy {
     }
 }
 
-/// How [`MultiMachine::run_until`] steps the per-core machines between
-/// safe horizons.
-///
-/// Both modes are **observation-equivalent**: identical horizon lists,
-/// identical [`state_hash`](MultiMachine::state_hash) at every point — the
-/// parallel-vs-sequential differential suite in `rthv-faults` pins this.
-/// The choice therefore only affects wall-clock speed and is deliberately
-/// excluded from platform state hashing, mirroring
-/// [`EngineChoice`](crate::EngineChoice).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum StepChoice {
-    /// Resolve from the `RTHV_PARALLEL` environment variable (`"on"` /
-    /// `"off"`), falling back to sequential stepping. The default, so the
-    /// CI harness can sweep every campaign binary across both modes
-    /// without per-call-site plumbing — the same contract as
-    /// `RTHV_ENGINE`.
-    #[default]
-    Auto,
-    /// One thread steps the cores in core order (the reference mode).
-    Sequential,
-    /// One scoped worker thread per core, synchronized by a barrier at
-    /// every safe horizon.
-    Parallel,
-}
-
-impl StepChoice {
-    /// The concrete stepping mode this choice selects, consulting
-    /// `RTHV_PARALLEL` (read once per process) for [`StepChoice::Auto`].
-    ///
-    /// # Errors
-    ///
-    /// [`StepSelectError`] when `RTHV_PARALLEL` is set to something other
-    /// than an on/off spelling — a typo must fail loudly, not silently
-    /// run the sequential mode while the harness believes it swept both.
-    pub fn try_resolve(self) -> Result<StepKind, StepSelectError> {
-        match self {
-            StepChoice::Sequential => Ok(StepKind::Sequential),
-            StepChoice::Parallel => Ok(StepKind::Parallel),
-            StepChoice::Auto => ENV_STEP
-                .get_or_init(|| match std::env::var("RTHV_PARALLEL") {
-                    Err(_) => Ok(StepKind::Sequential),
-                    Ok(name) => StepKind::parse(&name).ok_or(StepSelectError { value: name }),
-                })
-                .clone(),
-        }
-    }
-}
-
-/// The concrete stepping mode a [`StepChoice`] resolves to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StepKind {
-    /// One thread, cores stepped in core order.
-    Sequential,
-    /// One scoped worker per core, barrier-synchronized per horizon.
-    Parallel,
-}
-
-impl StepKind {
-    /// Parses an `RTHV_PARALLEL` value; `None` when it names no mode.
-    #[must_use]
-    pub fn parse(value: &str) -> Option<StepKind> {
-        match value.to_ascii_lowercase().as_str() {
-            "on" | "1" | "true" | "parallel" => Some(StepKind::Parallel),
-            "off" | "0" | "false" | "seq" | "sequential" => Some(StepKind::Sequential),
-            _ => None,
-        }
-    }
-}
-
-/// `RTHV_PARALLEL` named no known stepping mode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StepSelectError {
-    /// The rejected variable value.
-    pub value: String,
-}
-
-impl std::fmt::Display for StepSelectError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "RTHV_PARALLEL={:?} names no stepping mode (expected \"on\" or \"off\")",
-            self.value
-        )
-    }
-}
-
-impl std::error::Error for StepSelectError {}
-
-/// Process-wide cache of the `RTHV_PARALLEL` resolution: the selection
-/// must be stable for a whole run even if the environment mutates
-/// mid-process. The rejection is cached too — a bad value fails every
-/// platform build, not just the first.
-static ENV_STEP: std::sync::OnceLock<Result<StepKind, StepSelectError>> =
-    std::sync::OnceLock::new();
-
 /// The static multi-core platform description.
 #[derive(Debug, Clone)]
 pub struct Platform {
@@ -290,12 +184,6 @@ pub enum PlatformError {
     },
     /// A route-stall fault has a degenerate interval or a self edge.
     DegenerateStall,
-    /// [`StepChoice::Auto`] found `RTHV_PARALLEL` set to an unknown
-    /// value.
-    UnknownStepMode {
-        /// The rejected variable value.
-        value: String,
-    },
 }
 
 impl std::fmt::Display for PlatformError {
@@ -336,10 +224,6 @@ impl std::fmt::Display for PlatformError {
             PlatformError::DegenerateStall => {
                 write!(f, "route stall needs a distinct edge and start < until")
             }
-            PlatformError::UnknownStepMode { value } => write!(
-                f,
-                "RTHV_PARALLEL={value:?} names no stepping mode (expected \"on\" or \"off\")"
-            ),
         }
     }
 }
@@ -621,9 +505,6 @@ pub struct MultiSnapshot {
     scheduled: u64,
     delivered: u64,
     defect: Option<ScheduleIrqError>,
-    xcore_deliveries: Vec<Instant>,
-    step_counts: Vec<u64>,
-    barriers: u64,
 }
 
 impl MultiSnapshot {
@@ -666,17 +547,6 @@ pub struct MultiMachine {
     /// First unexpected per-core scheduling failure at seal time (an
     /// internal invariant breach, surfaced instead of panicking).
     defect: Option<ScheduleIrqError>,
-    /// Resolved stepping mode (performance-only; outside `state_hash`).
-    step: StepKind,
-    /// Sorted distinct cross-core delivery instants recorded at seal time
-    /// — the "pending IPI arrivals" the safe-horizon rule keys on.
-    xcore_deliveries: Vec<Instant>,
-    /// Horizon segments each core actually stepped (observability gauge,
-    /// identical across stepping modes, outside `state_hash`).
-    step_counts: Vec<u64>,
-    /// Horizon barriers walked so far (observability gauge, identical
-    /// across stepping modes, outside `state_hash`).
-    barriers: u64,
 }
 
 impl MultiMachine {
@@ -688,26 +558,6 @@ impl MultiMachine {
     /// Returns the first [`PlatformError`] of the platform description or
     /// the fault plan.
     pub fn new(platform: Platform, faults: &[CoreFault]) -> Result<Self, PlatformError> {
-        Self::with_step(platform, faults, StepChoice::default())
-    }
-
-    /// Builds the multi-core machine with an explicit [`StepChoice`]
-    /// instead of the `RTHV_PARALLEL`-consulting default. Differential
-    /// tests and benchmarks use this to pin both modes in one process.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`PlatformError`] of the platform description or
-    /// the fault plan, or [`PlatformError::UnknownStepMode`] when
-    /// [`StepChoice::Auto`] finds `RTHV_PARALLEL` set to garbage.
-    pub fn with_step(
-        platform: Platform,
-        faults: &[CoreFault],
-        step: StepChoice,
-    ) -> Result<Self, PlatformError> {
-        let step = step
-            .try_resolve()
-            .map_err(|error| PlatformError::UnknownStepMode { value: error.value })?;
         platform.validate()?;
         let n = platform.cores.len();
         let mut crash_at: Vec<Option<Instant>> = vec![None; n];
@@ -750,7 +600,6 @@ impl MultiMachine {
         Ok(MultiMachine {
             frozen: vec![false; n],
             counters: vec![CoreCounters::default(); n],
-            step_counts: vec![0; n],
             platform,
             cores,
             crash_at,
@@ -763,16 +612,7 @@ impl MultiMachine {
             scheduled: 0,
             delivered: 0,
             defect: None,
-            step,
-            xcore_deliveries: Vec::new(),
-            barriers: 0,
         })
-    }
-
-    /// The resolved stepping mode this machine runs with.
-    #[must_use]
-    pub fn step_kind(&self) -> StepKind {
-        self.step
     }
 
     /// Number of cores.
@@ -913,14 +753,20 @@ impl MultiMachine {
             .any(|&(f, o, start, until)| f == from && o == to && t >= start && t < until)
     }
 
-    /// End of the latest stall covering `t` on edge `from → to`.
+    /// First instant at or after `t` at which edge `from → to` is clear:
+    /// overlapping or back-to-back stalls are waited out in turn.
     fn stall_end(&self, from: usize, to: usize, t: Instant) -> Instant {
-        self.stalls
+        let mut end = t;
+        while let Some(until) = self
+            .stalls
             .iter()
-            .filter(|&&(f, o, start, until)| f == from && o == to && t >= start && t < until)
+            .filter(|&&(f, o, start, until)| f == from && o == to && end >= start && end < until)
             .map(|&(_, _, _, until)| until)
             .max()
-            .unwrap_or(t)
+        {
+            end = until;
+        }
+        end
     }
 
     /// `true` if `core` is lost at (or before) `t` per the fault plan.
@@ -936,7 +782,6 @@ impl MultiMachine {
             return;
         }
         self.sealed = true;
-        self.xcore_deliveries.clear();
         let mut pending = std::mem::take(&mut self.pending);
         pending.sort_by_key(|a| (a.at, a.seq));
         // Strictly increasing delivery times per platform source keep the
@@ -968,7 +813,6 @@ impl MultiMachine {
                     spec.home,
                     spec.home_source,
                     deliver_at,
-                    spec.origin != spec.home,
                     &mut last_delivery,
                 );
                 continue;
@@ -1018,7 +862,6 @@ impl MultiMachine {
                         fallback.core,
                         fallback.source,
                         deliver_at,
-                        spec.origin != fallback.core,
                         &mut last_delivery,
                     );
                 }
@@ -1026,36 +869,23 @@ impl MultiMachine {
             }
         }
 
-        // The safe-horizon rule keys on the *distinct, ordered* set of
-        // cross-core delivery instants; deliveries land in (at, seq) order
-        // but nudges can locally reorder instants across sources.
-        self.xcore_deliveries.sort_unstable();
-        self.xcore_deliveries.dedup();
-
         // The platform ledger is final; publish the per-core gauges into
         // the observability hubs (pure observation, outside state_hash).
         self.publish_platform_obs();
     }
 
-    /// Publishes the per-core routing/failover ledger plus the stepping
-    /// gauges into the observability hubs (pure observation, outside
-    /// `state_hash`). Called when the ledger is finalized at seal time and
-    /// again after every `run_until`, so the step/barrier gauges track the
-    /// horizon walk.
+    /// Publishes the per-core routing/failover ledger into the
+    /// observability hubs (pure observation, outside `state_hash`).
     fn publish_platform_obs(&mut self) {
-        for core in 0..self.cores.len() {
-            let c = self.counters[core];
-            let gauge = PlatformObs {
+        for (machine, c) in self.cores.iter_mut().zip(&self.counters) {
+            machine.record_platform_obs(PlatformObs {
                 ipi_in: c.ipi_in,
                 ipi_out: c.ipi_out,
                 failover_in: c.failover_in,
                 failover_retries: c.failover_retries,
                 stall_deferrals: c.stall_deferrals,
                 shed: c.shed,
-                steps: self.step_counts[core],
-                barriers: self.barriers,
-            };
-            self.cores[core].record_platform_obs(gauge);
+            });
         }
     }
 
@@ -1093,15 +923,13 @@ impl MultiMachine {
     }
 
     /// Schedules one resolved delivery into a core machine, keeping
-    /// per-platform-source delivery times strictly increasing. Cross-core
-    /// deliveries are recorded for the safe-horizon rule.
+    /// per-platform-source delivery times strictly increasing.
     fn deliver(
         &mut self,
         arrival: PendingArrival,
         core: usize,
         source: IrqSourceId,
         deliver_at: Instant,
-        cross_core: bool,
         last_delivery: &mut [Option<Instant>],
     ) {
         let mut at = deliver_at;
@@ -1111,9 +939,6 @@ impl MultiMachine {
             }
         }
         last_delivery[arrival.source] = Some(at);
-        if cross_core {
-            self.xcore_deliveries.push(at);
-        }
         match self.cores[core].schedule_irq_with_work(source, at, arrival.work) {
             Ok(()) => self.delivered += 1,
             Err(error) => {
@@ -1149,146 +974,25 @@ impl MultiMachine {
     /// seals the platform (see [`seal` semantics in the type docs
     /// ](MultiMachine)).
     ///
-    /// Internally this walks the deterministic safe-horizon list (see the
-    /// module docs), stepping the cores either on one thread or on one
-    /// scoped worker per core depending on the resolved [`StepKind`] —
-    /// the two modes are byte-identical by construction.
+    /// After the seal the cores never exchange state, and
+    /// [`Machine::run_until`] is split-invariant, so each live core simply
+    /// runs to `min(until, crash_at)`: a victim core processes everything
+    /// up to and including its crash instant, then freezes.
     pub fn run_until(&mut self, until: Instant) {
         self.seal();
-        if self.now < until {
-            let horizons = self.horizons(until);
-            let spans = self.active_spans(&horizons);
-            // A single core (or a single horizon on an all-frozen
-            // platform) has nothing to overlap; skip the thread fan-out
-            // but keep the gauges identical across modes.
-            if self.step == StepKind::Parallel && self.cores.len() > 1 {
-                self.step_parallel(&horizons, &spans);
-            } else {
-                self.step_sequential(&horizons, &spans);
+        for (core, machine) in self.cores.iter_mut().enumerate() {
+            if self.frozen[core] {
+                continue;
             }
-            for (count, &span) in self.step_counts.iter_mut().zip(&spans) {
-                *count += span as u64;
+            match self.crash_at[core] {
+                Some(crash) if crash <= until => {
+                    machine.run_until(crash);
+                    self.frozen[core] = true;
+                }
+                _ => machine.run_until(until),
             }
-            self.barriers += horizons.len() as u64;
-            self.now = until;
         }
         self.now = self.now.max(until);
-        // A victim core steps exactly to its crash instant (the instant
-        // is always a horizon) and freezes there.
-        for core in 0..self.cores.len() {
-            if !self.frozen[core] && self.crash_at[core].is_some_and(|t| t <= self.now) {
-                self.frozen[core] = true;
-            }
-        }
-        self.publish_platform_obs();
-    }
-
-    /// The deterministic safe-horizon list for stepping from `self.now`
-    /// (exclusive) to `until` (inclusive). Each horizon is the earliest
-    /// of: the next pending cross-core delivery instant, the next
-    /// core-crash instant, and `until` — capped at the next TDMA slot
-    /// boundary of any live core. The list is a pure function of sealed
-    /// state, so sequential and parallel stepping walk identical horizons.
-    fn horizons(&self, until: Instant) -> Vec<Instant> {
-        let mut out = Vec::new();
-        let mut cursor = self.now;
-        let mut next_delivery = self.xcore_deliveries.partition_point(|&d| d <= cursor);
-        while cursor < until {
-            let mut target = until;
-            for core in 0..self.cores.len() {
-                if let Some(crash) = self.crash_at[core] {
-                    if crash > cursor && crash < target {
-                        target = crash;
-                    }
-                }
-            }
-            while next_delivery < self.xcore_deliveries.len()
-                && self.xcore_deliveries[next_delivery] <= cursor
-            {
-                next_delivery += 1;
-            }
-            if next_delivery < self.xcore_deliveries.len()
-                && self.xcore_deliveries[next_delivery] < target
-            {
-                target = self.xcore_deliveries[next_delivery];
-            }
-            for core in 0..self.cores.len() {
-                if self.live_toward(core, cursor) {
-                    let schedule = self.cores[core].schedule();
-                    let boundary = schedule.boundary_time(schedule.slot_index_at(cursor) + 1);
-                    if boundary < target {
-                        target = boundary;
-                    }
-                }
-            }
-            debug_assert!(target > cursor, "horizon walk must make progress");
-            out.push(target);
-            cursor = target;
-        }
-        out
-    }
-
-    /// `true` when `core` still steps toward horizons past `from`: not
-    /// frozen, and not crashed at or before `from`.
-    fn live_toward(&self, core: usize, from: Instant) -> bool {
-        !self.frozen[core] && self.crash_at[core].is_none_or(|t| t > from)
-    }
-
-    /// How many leading horizons each core steps. A victim core steps
-    /// toward every horizon starting before its crash instant — including
-    /// the horizon landing exactly on it, so the machine reaches the
-    /// crash instant before freezing — then stops.
-    fn active_spans(&self, horizons: &[Instant]) -> Vec<usize> {
-        (0..self.cores.len())
-            .map(|core| {
-                if self.frozen[core] {
-                    return 0;
-                }
-                match self.crash_at[core] {
-                    Some(crash) if crash <= self.now => 0,
-                    Some(crash) => {
-                        (horizons.partition_point(|&h| h < crash) + 1).min(horizons.len())
-                    }
-                    None => horizons.len(),
-                }
-            })
-            .collect()
-    }
-
-    /// Steps the cores through the horizon list on the calling thread, in
-    /// core order — the reference mode.
-    fn step_sequential(&mut self, horizons: &[Instant], spans: &[usize]) {
-        for (index, &horizon) in horizons.iter().enumerate() {
-            for (machine, &span) in self.cores.iter_mut().zip(spans) {
-                if index < span {
-                    machine.run_until(horizon);
-                }
-            }
-        }
-    }
-
-    /// Steps every core on its own scoped worker thread, one barrier per
-    /// horizon. Workers never exchange state — every cross-core delivery
-    /// was scheduled into its destination machine at seal time — so the
-    /// barrier only pins the horizon cadence both modes share: no worker
-    /// runs past a horizon before every cross-core arrival bound for the
-    /// segment behind it is in place on all cores. Panics propagate on
-    /// scope exit, mirroring the sweep runner.
-    fn step_parallel(&mut self, horizons: &[Instant], spans: &[usize]) {
-        let barrier = std::sync::Barrier::new(self.cores.len());
-        std::thread::scope(|scope| {
-            for (machine, &span) in self.cores.iter_mut().zip(spans) {
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    for (index, &horizon) in horizons.iter().enumerate() {
-                        if index < span {
-                            machine.run_until(horizon);
-                        }
-                        barrier.wait();
-                    }
-                });
-            }
-        });
     }
 
     /// A cheap deterministic digest of the whole platform state: the
@@ -1358,9 +1062,6 @@ impl MultiMachine {
             scheduled: self.scheduled,
             delivered: self.delivered,
             defect: self.defect,
-            xcore_deliveries: self.xcore_deliveries.clone(),
-            step_counts: self.step_counts.clone(),
-            barriers: self.barriers,
         }
     }
 
@@ -1380,9 +1081,6 @@ impl MultiMachine {
         self.scheduled = snapshot.scheduled;
         self.delivered = snapshot.delivered;
         self.defect = snapshot.defect;
-        self.xcore_deliveries = snapshot.xcore_deliveries.clone();
-        self.step_counts = snapshot.step_counts.clone();
-        self.barriers = snapshot.barriers;
     }
 
     /// Finalizes the run and hands back the per-core reports plus the
@@ -1722,6 +1420,38 @@ mod tests {
     }
 
     #[test]
+    fn plain_ipi_waits_out_chained_route_stalls() {
+        let mut platform = two_core_platform();
+        platform.sources[1].origin = 0;
+        // The first stall ends inside the second: the edge stays stalled
+        // until 60 ms, so the IPI raised at 10 ms must wait for both.
+        let faults = [
+            CoreFault::RouteStall {
+                from: 0,
+                to: 1,
+                start: ms(5),
+                until: ms(30),
+            },
+            CoreFault::RouteStall {
+                from: 0,
+                to: 1,
+                start: ms(20),
+                until: ms(60),
+            },
+        ];
+        let mut multi = MultiMachine::new(platform, &faults).expect("valid");
+        multi.schedule_irq(1, ms(10)).expect("scheduled");
+        multi.run_until(ms(100));
+        let report = multi.finish();
+        assert_eq!(report.counters[1].stall_deferrals, 1);
+        assert!(report.conserved());
+        assert_eq!(
+            report.cores[1].recorder.completions()[0].arrival,
+            ms(60) + Duration::from_micros(6)
+        );
+    }
+
+    #[test]
     fn in_flight_work_on_a_crashed_core_is_accounted() {
         let crash = CoreFault::Crash {
             at: ms(10),
@@ -1930,78 +1660,6 @@ mod tests {
             multi.schedule_irq(0, ms(40)),
             Err(PlatformScheduleError::Sealed)
         );
-    }
-
-    #[test]
-    fn step_choice_resolution_and_parse() {
-        assert_eq!(
-            StepChoice::Sequential.try_resolve(),
-            Ok(StepKind::Sequential)
-        );
-        assert_eq!(StepChoice::Parallel.try_resolve(), Ok(StepKind::Parallel));
-        for on in ["on", "1", "true", "parallel", "ON", "Parallel"] {
-            assert_eq!(StepKind::parse(on), Some(StepKind::Parallel), "{on}");
-        }
-        for off in ["off", "0", "false", "seq", "sequential", "OFF"] {
-            assert_eq!(StepKind::parse(off), Some(StepKind::Sequential), "{off}");
-        }
-        assert_eq!(StepKind::parse("sideways"), None);
-        let err = StepSelectError {
-            value: "sideways".into(),
-        };
-        assert!(err.to_string().contains("sideways"));
-        assert!(err.to_string().contains("RTHV_PARALLEL"));
-    }
-
-    #[test]
-    fn parallel_stepping_is_byte_identical_to_sequential() {
-        let faults = [
-            CoreFault::Crash {
-                at: ms(50),
-                core: 0,
-            },
-            CoreFault::RouteStall {
-                from: 0,
-                to: 1,
-                start: ms(15),
-                until: ms(60),
-            },
-        ];
-        let build = |step| {
-            let mut platform = two_core_platform();
-            platform.failover.retry_limit = 2;
-            platform.failover.retry_backoff = Duration::from_micros(100);
-            let mut m = MultiMachine::with_step(platform, &faults, step).expect("valid");
-            for k in 1..=10u64 {
-                m.schedule_irq(0, ms(11 * k)).expect("scheduled");
-                m.schedule_irq(1, ms(11 * k + 2)).expect("scheduled");
-            }
-            m
-        };
-        let mut seq = build(StepChoice::Sequential);
-        let mut par = build(StepChoice::Parallel);
-        assert_eq!(seq.step_kind(), StepKind::Sequential);
-        assert_eq!(par.step_kind(), StepKind::Parallel);
-        for k in 1..=20u64 {
-            seq.run_until(ms(10 * k));
-            par.run_until(ms(10 * k));
-            assert_eq!(seq.state_hash(), par.state_hash(), "at {}", ms(10 * k));
-        }
-        // A mid-scenario restore of the parallel machine replays to the
-        // same bytes.
-        let mut par2 = build(StepChoice::Parallel);
-        par2.run_until(ms(70));
-        let cut = par2.snapshot();
-        par2.run_until(ms(200));
-        let final_hash = par2.state_hash();
-        par2.restore(&cut);
-        par2.run_until(ms(200));
-        assert_eq!(par2.state_hash(), final_hash);
-        assert_eq!(final_hash, seq.state_hash());
-        let (seq, par) = (seq.finish(), par.finish());
-        assert!(seq.conserved() && par.conserved());
-        assert_eq!(seq.counters, par.counters);
-        assert_eq!(seq.sheds, par.sheds);
     }
 
     #[test]

@@ -141,12 +141,6 @@ pub struct PlatformObs {
     pub stall_deferrals: u64,
     /// Arrivals shed because this (home) core was unreachable.
     pub shed: u64,
-    /// Safe-horizon segments this core's machine actually stepped.
-    /// Identical across sequential and parallel stepping — both modes
-    /// walk the same horizon list.
-    pub steps: u64,
-    /// Horizon barriers the platform walked while this core was attached.
-    pub barriers: u64,
 }
 
 /// Last-observed per-tenant admission gauges, written by the admission
@@ -467,9 +461,7 @@ impl MetricsHub {
             let _ = writeln!(out, "    \"failover_in\": {},", p.failover_in);
             let _ = writeln!(out, "    \"failover_retries\": {},", p.failover_retries);
             let _ = writeln!(out, "    \"stall_deferrals\": {},", p.stall_deferrals);
-            let _ = writeln!(out, "    \"shed\": {},", p.shed);
-            let _ = writeln!(out, "    \"steps\": {},", p.steps);
-            let _ = writeln!(out, "    \"barriers\": {}", p.barriers);
+            let _ = writeln!(out, "    \"shed\": {}", p.shed);
             let _ = writeln!(out, "  }},");
         }
         if self.tenants.is_empty() {

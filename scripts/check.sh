@@ -137,24 +137,6 @@ grep -q '"identity_held":true' target/STORM_smp_heap.json \
 grep -q '"ablation_broken":true' target/STORM_smp_heap.json \
     || { echo "failover-disabled ablation failed to demonstrate an independence violation"; exit 1; }
 
-echo "==> parallel stepping byte-identity (RTHV_PARALLEL on vs off, both engines)"
-# Parallel intra-scenario stepping (scoped worker threads at the
-# safe-horizon barriers) must be byte-identical to the sequential walk:
-# the full smp report with RTHV_PARALLEL=on must cmp clean against the
-# RTHV_PARALLEL=off run on each engine. The off-run is also cmp'd
-# against the engine gate's unset-mode report above, pinning that "off"
-# and "unset" are the same sequential walk.
-for engine in heap wheel; do
-    RTHV_ENGINE=$engine RTHV_PARALLEL=off cargo run --release -q -p rthv-experiments \
-        --bin smp_storm "target/STORM_smp_${engine}_seq.json" 5 16392212 --smoke
-    RTHV_ENGINE=$engine RTHV_PARALLEL=on cargo run --release -q -p rthv-experiments \
-        --bin smp_storm "target/STORM_smp_${engine}_par.json" 5 16392212 --smoke
-    cmp "target/STORM_smp_${engine}_seq.json" "target/STORM_smp_${engine}_par.json" \
-        || { echo "parallel stepping diverged from sequential on the $engine engine"; exit 1; }
-    cmp "target/STORM_smp_${engine}.json" "target/STORM_smp_${engine}_seq.json" \
-        || { echo "RTHV_PARALLEL=off diverged from the unset default on the $engine engine"; exit 1; }
-done
-
 echo "==> smoke supervised campaign (nominal + 7 fault families, fixed seed)"
 # Fails on any oracle violation (quarantine soundness included), a
 # quarantine on the nominal ablation, a storm/flood scenario that never
