@@ -12,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rthv_faults::{FaultKind, FaultScenario, Violation};
+use rthv_faults::{FaultKind, FaultScenario, JournalError, LineFields, Violation};
 use rthv_obs::{MetricsHub, ObsConfig, SourceObs};
 use rthv_stats::LatencyHistogram;
 use rthv_time::{Duration, Instant};
@@ -613,43 +613,27 @@ impl ScenarioRecord {
         )
     }
 
-    /// Parses a journal line; `None` on any malformed field (torn tails
-    /// are dropped by the journal reader before this sees them).
-    #[must_use]
-    pub fn parse_journal_line(line: &str) -> Option<ScenarioRecord> {
-        let mut parts = line.splitn(10, ' ');
-        let label = parts.next()?.to_owned();
-        let seed = parts.next()?.parse().ok()?;
-        let crash_family = match parts.next()? {
-            "0" => false,
-            "1" => true,
-            _ => return None,
-        };
-        let flood_family = match parts.next()? {
-            "0" => false,
-            "1" => true,
-            _ => return None,
-        };
-        let failover_violations = parts.next()?.parse().ok()?;
-        let baseline_violations = parts.next()?.parse().ok()?;
-        let shed_permille = parts.next()?.parse().ok()?;
-        let failover_sheds = parts.next()?.parse().ok()?;
-        let failover_lost = parts.next()?.parse().ok()?;
-        let fragment = parts.next()?.to_owned();
-        if !fragment.starts_with('{') || !fragment.ends_with('}') {
-            return None;
-        }
-        Some(ScenarioRecord {
+    /// Decodes a [`to_journal_line`](ScenarioRecord::to_journal_line)
+    /// line.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Field`] naming the first missing or malformed field.
+    pub fn from_journal_line(line: &str) -> Result<ScenarioRecord, JournalError> {
+        let mut fields = LineFields::new(line);
+        let label = fields.text("label")?.to_owned();
+        let seed = fields.num("seed")?;
+        Ok(ScenarioRecord {
+            crash_family: fields.flag("crash_family")?,
+            flood_family: fields.flag("flood_family")?,
+            failover_violations: fields.num("failover_violations")?,
+            baseline_violations: fields.num("baseline_violations")?,
+            shed_permille: fields.num("shed_permille")?,
+            failover_sheds: fields.num("failover_sheds")?,
+            failover_lost: fields.num("failover_lost")?,
+            fragment: fields.fragment(&label, seed)?,
             label,
             seed,
-            crash_family,
-            flood_family,
-            failover_violations,
-            baseline_violations,
-            shed_permille,
-            failover_sheds,
-            failover_lost,
-            fragment,
         })
     }
 }
@@ -1180,47 +1164,29 @@ impl TenantRecord {
         )
     }
 
-    /// Parses a journal line; `None` on any malformed field.
-    #[must_use]
-    pub fn parse_journal_line(line: &str) -> Option<TenantRecord> {
-        fn flag(part: &str) -> Option<bool> {
-            match part {
-                "0" => Some(false),
-                "1" => Some(true),
-                _ => None,
-            }
-        }
-        let mut parts = line.splitn(13, ' ');
-        let label = parts.next()?.to_owned();
-        let seed = parts.next()?.parse().ok()?;
-        let identity_family = flag(parts.next()?)?;
-        let hier_isolated = flag(parts.next()?)?;
-        let flat_violates = flag(parts.next()?)?;
-        let hier_violations = parts.next()?.parse().ok()?;
-        let flat_violations = parts.next()?.parse().ok()?;
-        let group_budget_violations = parts.next()?.parse().ok()?;
-        let global_budget_violations = parts.next()?.parse().ok()?;
-        let victim_shed_permille = parts.next()?.parse().ok()?;
-        let victim_admitted_flat_calm = parts.next()?.parse().ok()?;
-        let victim_admitted_flat_storm = parts.next()?.parse().ok()?;
-        let fragment = parts.next()?.to_owned();
-        if !fragment.starts_with('{') || !fragment.ends_with('}') {
-            return None;
-        }
-        Some(TenantRecord {
+    /// Decodes a [`to_journal_line`](TenantRecord::to_journal_line) line.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Field`] naming the first missing or malformed field.
+    pub fn from_journal_line(line: &str) -> Result<TenantRecord, JournalError> {
+        let mut fields = LineFields::new(line);
+        let label = fields.text("label")?.to_owned();
+        let seed = fields.num("seed")?;
+        Ok(TenantRecord {
+            identity_family: fields.flag("identity_family")?,
+            hier_isolated: fields.flag("hier_isolated")?,
+            flat_violates: fields.flag("flat_violates")?,
+            hier_violations: fields.num("hier_violations")?,
+            flat_violations: fields.num("flat_violations")?,
+            group_budget_violations: fields.num("group_budget_violations")?,
+            global_budget_violations: fields.num("global_budget_violations")?,
+            victim_shed_permille: fields.num("victim_shed_permille")?,
+            victim_admitted_flat_calm: fields.num("victim_admitted_flat_calm")?,
+            victim_admitted_flat_storm: fields.num("victim_admitted_flat_storm")?,
+            fragment: fields.fragment(&label, seed)?,
             label,
             seed,
-            identity_family,
-            hier_isolated,
-            flat_violates,
-            hier_violations,
-            flat_violations,
-            group_budget_violations,
-            global_budget_violations,
-            victim_shed_permille,
-            victim_admitted_flat_calm,
-            victim_admitted_flat_storm,
-            fragment,
         })
     }
 }

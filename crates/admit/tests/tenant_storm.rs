@@ -90,12 +90,12 @@ fn record_round_trips_through_journal_line() {
     let (_, records) = smoke_records("heap");
     for record in &records {
         let line = record.to_journal_line();
-        let parsed = TenantRecord::parse_journal_line(&line).expect("line parses");
+        let parsed = TenantRecord::from_journal_line(&line).expect("line parses");
         assert_eq!(&parsed, record);
     }
-    assert!(TenantRecord::parse_journal_line("").is_none());
-    assert!(TenantRecord::parse_journal_line("a 1 2 0 1 0 0 0 0 0 0 0 {}").is_none());
-    assert!(TenantRecord::parse_journal_line("a 1 1 0 1 0 0 0 0 0 0 0 torn").is_none());
+    assert!(TenantRecord::from_journal_line("").is_err());
+    assert!(TenantRecord::from_journal_line("a 1 2 0 1 0 0 0 0 0 0 0 {}").is_err());
+    assert!(TenantRecord::from_journal_line("a 1 1 0 1 0 0 0 0 0 0 0 torn").is_err());
 }
 
 #[test]

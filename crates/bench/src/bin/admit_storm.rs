@@ -6,15 +6,14 @@
 //! results written as a deterministic JSON report.
 //!
 //! Usage: `cargo run --release -p rthv-experiments --bin admit_storm
-//! [output-path] [scenario-count] [base-seed] [--smoke] [--tenants]
-//! [--journal <jsonl>] [--resume <jsonl>] [--abort-after <n>]
-//! [--metrics <json>]`
-//! (defaults: `STORM_admit.json`, 7 scenarios, seed `0xAD2014`).
+//! [report-path] [scenario-count] [base-seed] [--smoke] [--tenants]`
+//! plus the shared driver flags ([`rthv_experiments::campaign`]; defaults:
+//! `STORM_admit.json`, 7 scenarios, seed `0xAD2014`). `--metrics` writes
+//! the first scenario's failover-arm (or hierarchy-storm-arm) hub snapshot.
 //!
 //! `--smoke` swaps the 8×64-source 1 s geometry for the CI-sized
 //! 4×16-source 250 ms one; families and verdict are unchanged. The event
-//! engine comes from `RTHV_ENGINE` (`heap`, the default, or `wheel`); an
-//! unknown value is a typed, loud failure before any scenario runs.
+//! engine comes from `RTHV_ENGINE` (`heap`, the default, or `wheel`).
 //!
 //! `--tenants` runs the tenant-isolation campaign instead: each scenario
 //! drives four arms (hierarchy calm/storm, flat-ablation calm/storm)
@@ -22,360 +21,150 @@
 //! hierarchy keep the victim tenant's admitted stream byte-identical
 //! while the flat ablation demonstrably does not, with zero group- and
 //! global-budget oracle violations. Defaults become `STORM_tenants.json`
-//! and 3 scenarios; `--journal`/`--resume`/`--abort-after`/`--metrics`
-//! compose the same way.
+//! and 3 scenarios.
 //!
-//! With `--journal`, each completed scenario is appended to a JSONL
-//! journal the moment it finishes; with `--resume`, scenarios already
-//! present in a journal (matched by label *and* seed) are loaded instead
-//! of re-executed. Every scenario is pure in `(config, seed)` and resumed
-//! report fragments are spliced verbatim, so a resumed report is
-//! byte-identical to an uninterrupted run. `--abort-after <n>` is the
-//! crash-test hook: the process dies via `abort()` right after the n-th
-//! journal append of this run is flushed.
-//!
-//! With `--metrics <json>`, the first scenario's failover arm is re-run
-//! with the flight-recorder observability hub attached and the snapshot is
-//! written to the given path. Metrics are pure observation, so the report
-//! is unchanged — the binary asserts the observed record equals the
-//! report's — and the snapshot file is deterministic.
-//!
-//! The process exits non-zero unless the report's three-part verdict
-//! passes: zero failover-arm oracle violations, every crash+flood baseline
-//! broken, and the worst flood-family shed rate inside the stated budget.
+//! The flat verdict passes on zero failover-arm oracle violations, every
+//! crash+flood baseline broken, and the worst flood-family shed rate
+//! inside the stated budget.
 
 use std::process::ExitCode;
 
 use rthv_admit::{
     assemble_report, assemble_tenant_report, report_passes, run_storm_scenario,
     run_tenant_scenario, storm_hub, storm_scenarios, tenant_scenarios, tenant_storm_hub,
-    AdmitFleet, ScenarioRecord, StormConfig, TenantRecord, TenantStormConfig,
+    AdmitFleet, ScenarioRecord, StormConfig, StormScenario, TenantRecord, TenantScenario,
+    TenantStormConfig,
 };
-use rthv_experiments::{
-    parse_journal_flags, read_complete_lines, Journal, JournalOptions, SweepRunner,
+use rthv_experiments::{drive, report_verdict, Campaign, Cli};
+
+const CLI: Cli = Cli {
+    name: "admit_storm",
+    count: true,
+    seed: true,
+    journal: true,
+    switches: &["--smoke", "--tenants"],
 };
 
-fn main() -> ExitCode {
-    let (options, positional) = match parse_journal_flags(std::env::args().skip(1)) {
-        Ok(parsed) => parsed,
-        Err(message) => {
-            eprintln!("admit_storm: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut smoke = false;
-    let mut tenants = false;
-    let positional: Vec<String> = positional
-        .into_iter()
-        .filter(|arg| {
-            let is_smoke = arg == "--smoke";
-            let is_tenants = arg == "--tenants";
-            smoke |= is_smoke;
-            tenants |= is_tenants;
-            !is_smoke && !is_tenants
-        })
-        .collect();
-    let mut positional = positional.into_iter();
-    let path = positional.next().unwrap_or_else(|| {
-        if tenants {
-            "STORM_tenants.json".to_string()
-        } else {
-            "STORM_admit.json".to_string()
-        }
-    });
-    let count: u32 = positional
-        .next()
-        .map(|s| s.parse().expect("scenario count must be a number"))
-        .unwrap_or(if tenants { 3 } else { 7 });
-    let base_seed: u64 = positional
-        .next()
-        .map(|s| s.parse().expect("base seed must be a number"))
-        .unwrap_or(0xAD_2014);
+const VALIDATED: &str = "fleet config was validated before the sweep";
 
-    let engine = std::env::var("RTHV_ENGINE").unwrap_or_else(|_| "heap".to_string());
-    if tenants {
-        return tenant_campaign(&options, smoke, &engine, &path, count, base_seed);
-    }
-    let config = if smoke {
-        StormConfig::smoke(&engine)
-    } else {
-        StormConfig::standard(&engine)
-    };
-    // Fail loudly on a bad fleet config — in particular an unknown
-    // RTHV_ENGINE value — before any scenario burns cycles.
-    if let Err(error) = AdmitFleet::new(config.base.clone()) {
-        eprintln!("admit_storm: {error}");
-        return ExitCode::FAILURE;
-    }
-    let scenarios = storm_scenarios(count, base_seed, config.horizon);
+struct Flat {
+    config: StormConfig,
+    seed: u64,
+    scenarios: Vec<StormScenario>,
+}
 
-    // Completed records from the resume journal, aligned to the scenario
-    // list by (label, seed) so a journal from a different seed or count
-    // silently resumes nothing rather than corrupting the report.
-    let resumed: Vec<Option<ScenarioRecord>> = match &options.resume {
-        Some(journal_path) => {
-            let lines = read_complete_lines(journal_path).expect("read resume journal");
-            let mut completed = Vec::new();
-            for line in &lines {
-                match ScenarioRecord::parse_journal_line(line) {
-                    Some(record) => completed.push(record),
-                    None => eprintln!("admit_storm: ignoring corrupt journal line"),
-                }
-            }
-            scenarios
-                .iter()
-                .map(|scenario| {
-                    completed
-                        .iter()
-                        .find(|r| r.label == scenario.label() && r.seed == scenario.fault.seed)
-                        .cloned()
-                })
-                .collect()
-        }
-        None => scenarios.iter().map(|_| None).collect(),
-    };
-    let journal = options
-        .journal
-        .as_deref()
-        .map(|p| Journal::open_append(p).expect("open journal"));
-    let abort_after = options.abort_after;
+impl Campaign for Flat {
+    type Scenario = StormScenario;
+    type Record = ScenarioRecord;
+    const REPORT: &'static str = "STORM_admit.json";
 
-    let runner = SweepRunner::available();
-    let records = runner.run(&scenarios, |index, scenario| {
-        if let Some(done) = &resumed[index] {
-            return done.clone();
-        }
-        let outcome = run_storm_scenario(&config, scenario, None)
-            .expect("fleet config was validated before the sweep");
-        let record = outcome.record();
-        if let Some(journal) = &journal {
-            let appended = journal
-                .append(&record.to_journal_line())
-                .expect("journal append");
-            if abort_after.is_some_and(|limit| appended >= limit) {
-                // Crash-test hook: die without unwinding or cleanup —
-                // exactly the failure the resume path must survive.
-                eprintln!("admit_storm: --abort-after {appended} reached, aborting");
-                std::process::abort();
-            }
-        }
-        record
-    });
-    let report = assemble_report(&config, base_seed, &records);
-
-    let resumed_count = resumed.iter().filter(|r| r.is_some()).count();
-    if (runner.threads() > 1 || resumed_count > 0) && count <= 8 {
-        // Cheap campaigns double as a determinism self-check: a fresh
-        // sequential re-execution must reproduce the assembled report,
-        // including every record taken from the resume journal.
-        let reference = SweepRunner::sequential().run(&scenarios, |_, scenario| {
-            run_storm_scenario(&config, scenario, None)
-                .expect("fleet config was validated before the sweep")
-                .record()
-        });
-        assert_eq!(
-            assemble_report(&config, base_seed, &reference),
-            report,
-            "parallel/resumed storm report diverged from sequential re-execution"
-        );
+    fn scenarios(&self) -> &[StormScenario] {
+        &self.scenarios
     }
 
-    std::fs::write(&path, &report).expect("write storm report");
-
-    if let Some(metrics_path) = &options.metrics {
-        // Observability snapshot of the first scenario's failover arm:
-        // re-run with the hub attached. Metrics never change outcomes, so
-        // the report above is untouched; the assert pins that.
-        let mut hub = storm_hub(&config);
-        let observed = run_storm_scenario(&config, &scenarios[0], Some(&mut hub))
-            .expect("fleet config was validated before the sweep");
-        assert_eq!(
-            observed.record(),
-            records[0],
-            "metrics instrumentation changed a scenario outcome"
-        );
-        std::fs::write(metrics_path, hub.snapshot_json()).expect("write metrics snapshot");
-        eprintln!(
-            "admit_storm: metrics snapshot -> {}",
-            metrics_path.display()
-        );
+    fn key(scenario: &StormScenario) -> (String, u64) {
+        (scenario.label(), scenario.fault.seed)
     }
 
-    let failover_violations: u64 = records.iter().map(|r| r.failover_violations).sum();
-    let baseline_violations: u64 = records.iter().map(|r| r.baseline_violations).sum();
-    let worst_flood_shed = records
-        .iter()
-        .filter(|r| r.flood_family)
-        .map(|r| r.shed_permille)
-        .max()
-        .unwrap_or(0);
-    eprintln!(
-        "admit_storm: {} scenarios ({} resumed) on {} thread(s), engine {engine} -> {path}",
-        records.len(),
-        resumed_count,
-        runner.threads(),
-    );
-    eprintln!("  failover violations:        {failover_violations}");
-    eprintln!("  baseline violations:        {baseline_violations}");
-    eprintln!(
-        "  worst flood shed:           {worst_flood_shed} permille (budget {})",
-        config.shed_budget_permille
-    );
+    fn run(&self, scenario: &StormScenario) -> ScenarioRecord {
+        run_storm_scenario(&self.config, scenario, None)
+            .expect(VALIDATED)
+            .record()
+    }
 
-    if report_passes(&report) {
-        eprintln!("PASS: failover holds the bound, the fresh-state baseline demonstrably does not");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("FAIL: see the verdict block in {path}");
-        ExitCode::FAILURE
+    fn assemble(&self, records: &[ScenarioRecord]) -> String {
+        assemble_report(&self.config, self.seed, records)
+    }
+
+    fn observe(&self, scenario: &StormScenario) -> (String, Option<ScenarioRecord>) {
+        let mut hub = storm_hub(&self.config);
+        let observed = run_storm_scenario(&self.config, scenario, Some(&mut hub)).expect(VALIDATED);
+        (hub.snapshot_json(), Some(observed.record()))
+    }
+
+    fn verdict(&self, _: &[ScenarioRecord], report: &str) -> Result<&'static str, Vec<String>> {
+        let why = "failover holds the bound, the fresh-state baseline demonstrably does not";
+        report_verdict(report, report_passes(report), why)
     }
 }
 
-/// The `--tenants` campaign: same sweep/journal/resume machinery as the
-/// flat campaign, over [`TenantRecord`]s and the tenant-isolation verdict.
-fn tenant_campaign(
-    options: &JournalOptions,
-    smoke: bool,
-    engine: &str,
-    path: &str,
-    count: u32,
-    base_seed: u64,
-) -> ExitCode {
-    let config = if smoke {
-        TenantStormConfig::smoke(engine)
-    } else {
-        TenantStormConfig::standard(engine)
-    };
-    // Fail loudly on a bad fleet or tenancy config — in particular an
-    // unknown RTHV_ENGINE value — before any scenario burns cycles.
-    if let Err(error) = AdmitFleet::new(config.base.clone()) {
-        eprintln!("admit_storm: {error}");
-        return ExitCode::FAILURE;
+struct Tenants {
+    config: TenantStormConfig,
+    seed: u64,
+    scenarios: Vec<TenantScenario>,
+}
+
+impl Campaign for Tenants {
+    type Scenario = TenantScenario;
+    type Record = TenantRecord;
+    const REPORT: &'static str = "STORM_tenants.json";
+
+    fn scenarios(&self) -> &[TenantScenario] {
+        &self.scenarios
     }
-    let scenarios = tenant_scenarios(count, base_seed, config.horizon);
 
-    let resumed: Vec<Option<TenantRecord>> = match &options.resume {
-        Some(journal_path) => {
-            let lines = read_complete_lines(journal_path).expect("read resume journal");
-            let mut completed = Vec::new();
-            for line in &lines {
-                match TenantRecord::parse_journal_line(line) {
-                    Some(record) => completed.push(record),
-                    None => eprintln!("admit_storm: ignoring corrupt journal line"),
-                }
-            }
-            scenarios
-                .iter()
-                .map(|scenario| {
-                    completed
-                        .iter()
-                        .find(|r| r.label == scenario.label() && r.seed == scenario.fault.seed)
-                        .cloned()
-                })
-                .collect()
-        }
-        None => scenarios.iter().map(|_| None).collect(),
-    };
-    let journal = options
-        .journal
-        .as_deref()
-        .map(|p| Journal::open_append(p).expect("open journal"));
-    let abort_after = options.abort_after;
+    fn key(scenario: &TenantScenario) -> (String, u64) {
+        (scenario.label(), scenario.fault.seed)
+    }
 
-    let runner = SweepRunner::available();
-    let records = runner.run(&scenarios, |index, scenario| {
-        if let Some(done) = &resumed[index] {
-            return done.clone();
-        }
-        let outcome = run_tenant_scenario(&config, scenario, None)
-            .expect("fleet config was validated before the sweep");
-        let record = outcome.record();
-        if let Some(journal) = &journal {
-            let appended = journal
-                .append(&record.to_journal_line())
-                .expect("journal append");
-            if abort_after.is_some_and(|limit| appended >= limit) {
-                eprintln!("admit_storm: --abort-after {appended} reached, aborting");
-                std::process::abort();
-            }
-        }
-        record
-    });
-    let report = assemble_tenant_report(&config, base_seed, &records);
+    fn run(&self, scenario: &TenantScenario) -> TenantRecord {
+        run_tenant_scenario(&self.config, scenario, None)
+            .expect(VALIDATED)
+            .record()
+    }
 
-    let resumed_count = resumed.iter().filter(|r| r.is_some()).count();
-    if (runner.threads() > 1 || resumed_count > 0) && count <= 8 {
-        // Cheap campaigns double as a determinism self-check, exactly as
-        // in the flat campaign.
-        let reference = SweepRunner::sequential().run(&scenarios, |_, scenario| {
-            run_tenant_scenario(&config, scenario, None)
-                .expect("fleet config was validated before the sweep")
-                .record()
+    fn assemble(&self, records: &[TenantRecord]) -> String {
+        assemble_tenant_report(&self.config, self.seed, records)
+    }
+
+    fn observe(&self, scenario: &TenantScenario) -> (String, Option<TenantRecord>) {
+        let mut hub = tenant_storm_hub(&self.config);
+        let observed =
+            run_tenant_scenario(&self.config, scenario, Some(&mut hub)).expect(VALIDATED);
+        (hub.snapshot_json(), Some(observed.record()))
+    }
+
+    fn verdict(&self, _: &[TenantRecord], report: &str) -> Result<&'static str, Vec<String>> {
+        let why =
+            "the hierarchy isolates the victim tenant, the flat ablation demonstrably does not";
+        report_verdict(report, report_passes(report), why)
+    }
+}
+
+/// Both campaigns build their fleet once up front, so a bad fleet or
+/// tenancy config fails before any scenario runs.
+fn main() -> ExitCode {
+    let args = CLI.args();
+    let smoke = args.switch("--smoke");
+    let seed = args.seed.unwrap_or(0xAD_2014);
+    if args.switch("--tenants") {
+        return drive(&CLI, &args, |engine| {
+            let config = if smoke {
+                TenantStormConfig::smoke(engine.name())
+            } else {
+                TenantStormConfig::standard(engine.name())
+            };
+            AdmitFleet::new(config.base.clone())?;
+            let scenarios = tenant_scenarios(args.count.unwrap_or(3), seed, config.horizon);
+            Ok(Tenants {
+                config,
+                seed,
+                scenarios,
+            })
         });
-        assert_eq!(
-            assemble_tenant_report(&config, base_seed, &reference),
-            report,
-            "parallel/resumed tenant report diverged from sequential re-execution"
-        );
     }
-
-    std::fs::write(path, &report).expect("write tenant storm report");
-
-    if let Some(metrics_path) = &options.metrics {
-        let mut hub = tenant_storm_hub(&config);
-        let observed = run_tenant_scenario(&config, &scenarios[0], Some(&mut hub))
-            .expect("fleet config was validated before the sweep");
-        assert_eq!(
-            observed.record(),
-            records[0],
-            "metrics instrumentation changed a tenant scenario outcome"
-        );
-        std::fs::write(metrics_path, hub.snapshot_json()).expect("write metrics snapshot");
-        eprintln!(
-            "admit_storm: metrics snapshot -> {}",
-            metrics_path.display()
-        );
-    }
-
-    let hier_violations: u64 = records.iter().map(|r| r.hier_violations).sum();
-    let budget_violations: u64 = records
-        .iter()
-        .map(|r| r.group_budget_violations + r.global_budget_violations)
-        .sum();
-    let isolated = records
-        .iter()
-        .filter(|r| r.identity_family && r.hier_isolated)
-        .count();
-    let identity = records.iter().filter(|r| r.identity_family).count();
-    let broken = records
-        .iter()
-        .filter(|r| r.identity_family && r.flat_violates)
-        .count();
-    let worst_victim_shed = records
-        .iter()
-        .map(|r| r.victim_shed_permille)
-        .max()
-        .unwrap_or(0);
-    eprintln!(
-        "admit_storm: {} tenant scenarios ({} resumed) on {} thread(s), engine {engine} -> {path}",
-        records.len(),
-        resumed_count,
-        runner.threads(),
-    );
-    eprintln!("  hierarchy oracle violations: {hier_violations}");
-    eprintln!("  group+global budget breaks:  {budget_violations}");
-    eprintln!("  victim isolated:             {isolated}/{identity} identity scenarios");
-    eprintln!("  flat ablation broken:        {broken}/{identity} identity scenarios");
-    eprintln!("  worst victim shed:           {worst_victim_shed} permille");
-
-    if report_passes(&report) {
-        eprintln!(
-            "PASS: the hierarchy isolates the victim tenant, the flat ablation demonstrably \
-             does not"
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("FAIL: see the verdict block in {path}");
-        ExitCode::FAILURE
-    }
+    drive(&CLI, &args, |engine| {
+        let config = if smoke {
+            StormConfig::smoke(engine.name())
+        } else {
+            StormConfig::standard(engine.name())
+        };
+        AdmitFleet::new(config.base.clone())?;
+        let scenarios = storm_scenarios(args.count.unwrap_or(7), seed, config.horizon);
+        Ok(Flat {
+            config,
+            seed,
+            scenarios,
+        })
+    })
 }

@@ -28,7 +28,7 @@ use rthv::{
     EngineChoice, EngineKind, IrqHandlingMode, IrqSourceId, Machine, PaperSetup, SupervisionPolicy,
 };
 use rthv_admit::{AdmitFleet, FleetConfig, FleetReport, TenantConfig, TenantSpec};
-use rthv_experiments::{parse_journal_flags, SweepRunner};
+use rthv_experiments::{Cli, SweepRunner};
 use rthv_workload::FloodEvent;
 
 /// IRQs per load level at each scale; the paper's Figure 6 uses 5000.
@@ -504,16 +504,19 @@ fn measure_queue_micro(kind: EngineKind, fill: usize) -> QueueMicro {
     }
 }
 
+/// `[output-path] [--metrics <path>]`; anything else is a usage error
+/// (exit 2).
+const CLI: Cli = Cli {
+    name: "bench_export",
+    count: false,
+    seed: false,
+    journal: false,
+    switches: &[],
+};
+
 fn main() {
-    let (options, positional) =
-        parse_journal_flags(std::env::args().skip(1)).unwrap_or_else(|message| {
-            eprintln!("bench_export: {message}");
-            std::process::exit(1);
-        });
-    let path = positional
-        .into_iter()
-        .next()
-        .unwrap_or_else(|| "BENCH_sim.json".to_string());
+    let options = CLI.args();
+    let path = options.path.as_deref().unwrap_or("BENCH_sim.json");
     let cores = host_cores();
     let parallel_runner = SweepRunner::available();
 
@@ -872,6 +875,6 @@ fn main() {
         csnap = checkpoint.snapshot_mean_seconds * 1e6,
         crestore = checkpoint.restore_mean_seconds * 1e6,
     );
-    std::fs::write(&path, json).expect("write benchmark export");
+    std::fs::write(path, json).expect("write benchmark export");
     eprintln!("wrote {path}");
 }

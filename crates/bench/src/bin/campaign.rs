@@ -4,191 +4,98 @@
 //! deterministic JSON report.
 //!
 //! Usage: `cargo run --release -p rthv-experiments --bin campaign
-//! [output-path] [scenario-count] [base-seed]
-//! [--journal <jsonl>] [--resume <jsonl>] [--abort-after <n>]
-//! [--metrics <json>]`
-//! (defaults: `CAMPAIGN_faults.json`, 21 scenarios, seed `0xFA2014`).
+//! [report-path] [scenario-count] [base-seed]` plus the shared driver
+//! flags ([`rthv_experiments::campaign`]; defaults: `CAMPAIGN_faults.json`,
+//! 21 scenarios, seed `0xFA2014`). `--metrics` writes the first scenario's
+//! monitored and unmonitored snapshots.
 //!
-//! With `--journal`, each completed scenario is appended to a JSONL journal
-//! the moment it finishes; with `--resume`, scenarios already present in a
-//! journal (matched by label *and* seed) are loaded instead of re-executed.
-//! Because every scenario is pure in `(config, seed)`, a resumed report is
-//! byte-identical to an uninterrupted run — `--resume` can never change a
-//! published number, only skip work. `--abort-after <n>` is the crash-test
-//! hook: the process dies via `abort()` right after the n-th journal append
-//! of this run is flushed.
-//!
-//! With `--metrics <json>`, the first scenario is re-run with the
-//! flight-recorder observability layer enabled and its metrics snapshots
-//! (monitored and unmonitored) are written to the given path. Metrics are
-//! pure observation, so the campaign report itself is unchanged and the
-//! snapshot file is deterministic — two runs with the same arguments
-//! produce byte-identical files.
-//!
-//! Scenarios fan across host cores with [`SweepRunner`]; the assembled
-//! report is verified byte-identical to a sequential re-execution (which
-//! also cross-checks any resumed outcomes) before it is written. The
-//! process exits non-zero if any *monitored* run trips the oracle, or if
-//! the unmonitored baseline fails to demonstrate at least one independence
-//! violation — both outcomes are the campaign's acceptance criteria,
-//! persisted in the report.
+//! The verdict fails if any *monitored* run trips the oracle, or if the
+//! unmonitored baseline never demonstrates an independence violation.
 
 use std::process::ExitCode;
 
-use rthv_experiments::{
-    parse_journal_flags, read_complete_lines, write_scenario_observation, Journal, SweepRunner,
-};
+use rthv_experiments::{drive, scenario_observation_json, Campaign, Cli};
 use rthv_faults::{
     idle_reference, run_scenario, run_scenario_with_metrics, standard_scenarios, CampaignConfig,
-    CampaignReport, ScenarioOutcome,
+    CampaignReport, FaultScenario, IdleReference, ScenarioOutcome,
 };
 
-fn main() -> ExitCode {
-    let (options, positional) = match parse_journal_flags(std::env::args().skip(1)) {
-        Ok(parsed) => parsed,
-        Err(message) => {
-            eprintln!("campaign: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut positional = positional.into_iter();
-    let path = positional
-        .next()
-        .unwrap_or_else(|| "CAMPAIGN_faults.json".to_string());
-    let count: usize = positional
-        .next()
-        .map(|s| s.parse().expect("scenario count must be a number"))
-        .unwrap_or(21);
-    let base_seed: u64 = positional
-        .next()
-        .map(|s| s.parse().expect("base seed must be a number"))
-        .unwrap_or(0xFA_2014);
+const CLI: Cli = Cli {
+    name: "campaign",
+    count: true,
+    seed: true,
+    journal: true,
+    switches: &[],
+};
 
-    let config = CampaignConfig {
-        scenarios: standard_scenarios(count, base_seed),
-        ..CampaignConfig::default()
-    };
-    let idle = match idle_reference(&config) {
-        Ok(idle) => idle,
-        Err(error) => {
-            eprintln!("campaign: {error}");
-            return ExitCode::FAILURE;
-        }
-    };
+struct Faults {
+    config: CampaignConfig,
+    idle: IdleReference,
+}
 
-    // Completed outcomes from the resume journal, aligned to the scenario
-    // list by (label, seed) so a journal from a different seed or count
-    // silently resumes nothing rather than corrupting the report.
-    let resumed: Vec<Option<ScenarioOutcome>> = match &options.resume {
-        Some(journal_path) => {
-            let lines = read_complete_lines(journal_path).expect("read resume journal");
-            let mut completed = Vec::new();
-            for line in &lines {
-                match ScenarioOutcome::from_journal_json(line) {
-                    Ok(outcome) => completed.push(outcome),
-                    Err(error) => eprintln!("campaign: ignoring corrupt journal line: {error}"),
-                }
-            }
-            config
-                .scenarios
-                .iter()
-                .map(|scenario| {
-                    completed
-                        .iter()
-                        .find(|o| o.label == scenario.label() && o.seed == scenario.seed)
-                        .cloned()
-                })
-                .collect()
-        }
-        None => config.scenarios.iter().map(|_| None).collect(),
-    };
-    let journal = options
-        .journal
-        .as_deref()
-        .map(|p| Journal::open_append(p).expect("open journal"));
-    let abort_after = options.abort_after;
+impl Campaign for Faults {
+    type Scenario = FaultScenario;
+    type Record = ScenarioOutcome;
+    const REPORT: &'static str = "CAMPAIGN_faults.json";
 
-    let runner = SweepRunner::available();
-    let outcomes = runner.run(&config.scenarios, |index, scenario| {
-        if let Some(done) = &resumed[index] {
-            return done.clone();
-        }
-        let outcome = run_scenario(&config, &idle, scenario).expect("validated campaign config");
-        if let Some(journal) = &journal {
-            let appended = journal
-                .append(&outcome.to_journal_json())
-                .expect("journal append");
-            if abort_after.is_some_and(|limit| appended >= limit) {
-                // Crash-test hook: die without unwinding or cleanup —
-                // exactly the failure the resume path must survive.
-                eprintln!("campaign: --abort-after {appended} reached, aborting");
-                std::process::abort();
-            }
-        }
-        outcome
-    });
-    let report = CampaignReport::from_outcomes(&config, outcomes);
-
-    let resumed_any = resumed.iter().any(Option::is_some);
-    if (runner.threads() > 1 || resumed_any) && count <= 8 {
-        // Cheap campaigns double as a determinism self-check: a fresh
-        // sequential re-execution must reproduce the assembled report,
-        // including every outcome taken from the resume journal.
-        let reference = SweepRunner::sequential().run(&config.scenarios, |_, scenario| {
-            run_scenario(&config, &idle, scenario).expect("validated campaign config")
-        });
-        assert_eq!(
-            CampaignReport::from_outcomes(&config, reference).to_json(),
-            report.to_json(),
-            "parallel/resumed campaign diverged from sequential re-execution"
-        );
+    fn scenarios(&self) -> &[FaultScenario] {
+        &self.config.scenarios
     }
 
-    let json = report.to_json();
-    std::fs::write(&path, &json).expect("write campaign report");
+    fn key(scenario: &FaultScenario) -> (String, u64) {
+        (scenario.label(), scenario.seed)
+    }
 
-    if let Some(metrics_path) = &options.metrics {
-        // Observability snapshot of the first scenario: re-run with the
-        // flight recorder on. Metrics never change outcomes, so the report
-        // above is untouched; the assert pins that.
-        let scenario = &config.scenarios[0];
-        let observation = run_scenario_with_metrics(&config, &idle, scenario, None)
+    fn run(&self, scenario: &FaultScenario) -> ScenarioOutcome {
+        run_scenario(&self.config, &self.idle, scenario).expect("validated campaign config")
+    }
+
+    fn assemble(&self, records: &[ScenarioOutcome]) -> String {
+        CampaignReport::from_outcomes(&self.config, records.to_vec()).to_json()
+    }
+
+    fn observe(&self, scenario: &FaultScenario) -> (String, Option<ScenarioOutcome>) {
+        let observation = run_scenario_with_metrics(&self.config, &self.idle, scenario, None)
             .expect("validated campaign config");
-        assert_eq!(
-            observation.outcome, report.scenarios[0],
-            "metrics instrumentation changed a scenario outcome"
+        (
+            scenario_observation_json(&observation),
+            Some(observation.outcome),
+        )
+    }
+
+    fn verdict(&self, records: &[ScenarioOutcome], _: &str) -> Result<&'static str, Vec<String>> {
+        let report = CampaignReport::from_outcomes(&self.config, records.to_vec());
+        let independence = report.unmonitored_independence_violations();
+        eprintln!(
+            "  monitored violations:                 {}",
+            report.monitored_violations()
         );
-        write_scenario_observation(metrics_path, &observation).expect("write metrics snapshot");
-        eprintln!("campaign: metrics snapshot -> {}", metrics_path.display());
+        eprintln!(
+            "  unmonitored violations:               {}",
+            report.unmonitored_violations()
+        );
+        eprintln!("  unmonitored independence violations:  {independence}");
+        if report.monitored_violations() != 0 {
+            return Err(vec!["the monitored system tripped the oracle".into()]);
+        }
+        if independence == 0 {
+            return Err(vec![
+                "the unmonitored baseline never broke independence — campaign too tame".into(),
+            ]);
+        }
+        Ok("monitoring holds, baseline demonstrably does not")
     }
+}
 
-    eprintln!(
-        "campaign: {} scenarios ({} resumed) on {} thread(s) -> {path}",
-        report.scenarios.len(),
-        resumed.iter().filter(|r| r.is_some()).count(),
-        runner.threads(),
-    );
-    eprintln!(
-        "  monitored violations:                 {}",
-        report.monitored_violations()
-    );
-    eprintln!(
-        "  unmonitored violations:               {}",
-        report.unmonitored_violations()
-    );
-    eprintln!(
-        "  unmonitored independence violations:  {}",
-        report.unmonitored_independence_violations()
-    );
-
-    if report.monitored_violations() != 0 {
-        eprintln!("FAIL: the monitored system tripped the oracle");
-        return ExitCode::FAILURE;
-    }
-    if report.unmonitored_independence_violations() == 0 {
-        eprintln!("FAIL: the unmonitored baseline never broke independence — campaign too tame");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("PASS: monitoring holds, baseline demonstrably does not");
-    ExitCode::SUCCESS
+fn main() -> ExitCode {
+    let args = CLI.args();
+    drive(&CLI, &args, |_| {
+        let count = args.count.unwrap_or(21) as usize;
+        let config = CampaignConfig {
+            scenarios: standard_scenarios(count, args.seed.unwrap_or(0xFA_2014)),
+            ..CampaignConfig::default()
+        };
+        let idle = idle_reference(&config)?;
+        Ok(Faults { config, idle })
+    })
 }

@@ -5,177 +5,104 @@
 //! oracle, results written as a deterministic JSON report.
 //!
 //! Usage: `cargo run --release -p rthv-experiments --bin supervised
-//! [output-path] [base-seed]
-//! [--journal <jsonl>] [--resume <jsonl>] [--abort-after <n>]
-//! [--metrics <json>]`
-//! (defaults: `CAMPAIGN_supervised.json`, seed `0xFA2014`).
+//! [report-path] [base-seed]` plus the shared driver flags
+//! ([`rthv_experiments::campaign`]; defaults: `CAMPAIGN_supervised.json`,
+//! seed `0xFA2014`). `--metrics` writes the first scenario's snapshots
+//! under supervision, health transitions included.
 //!
-//! With `--metrics <json>`, the first scenario is re-run with health
-//! supervision *and* the flight-recorder observability layer enabled, and
-//! its deterministic metrics snapshots (monitored and unmonitored) —
-//! including the recorded health transitions — are written to the given
-//! path. Metrics are pure observation; the campaign report is unchanged.
-//!
-//! With `--journal`, each completed scenario is appended to a JSONL journal
-//! the moment it finishes; with `--resume`, scenarios already present in a
-//! journal (matched by label *and* seed) are loaded instead of re-executed
-//! — byte-identical to an uninterrupted run, since every scenario is pure
-//! in `(config, seed)`. `--abort-after <n>` aborts the process right after
-//! the n-th journal append of this run is flushed (crash-test hook).
-//!
-//! Scenarios fan across host cores with [`SweepRunner`]; the assembled
-//! report is verified byte-identical to a sequential re-execution (which
-//! also cross-checks any resumed outcomes) before it is written. The
-//! process exits non-zero on any acceptance failure: an oracle violation
-//! in either arm, a quarantine on the nominal ablation, a storm/flood
-//! scenario that never quarantines or never recovers, or a storm/flood
-//! scenario where supervision fails to *strictly* reduce the well-behaved
-//! victims' worst-case service loss.
+//! The verdict fails on an oracle violation in either arm, a quarantine on
+//! the nominal ablation, a storm/flood scenario that never quarantines or
+//! never recovers, or a storm/flood scenario where supervision fails to
+//! *strictly* reduce the well-behaved victims' worst-case service loss.
 
 use std::process::ExitCode;
 
-use rthv_experiments::{
-    parse_journal_flags, read_complete_lines, write_scenario_observation, Journal, SweepRunner,
-};
+use rthv_experiments::{drive, scenario_observation_json, Campaign, Cli};
 use rthv_faults::{
     idle_reference, run_scenario_with_metrics, run_supervised_scenario, supervised_scenarios,
-    SupervisedCampaignConfig, SupervisedCampaignReport, SupervisedScenarioOutcome,
+    FaultScenario, IdleReference, SupervisedCampaignConfig, SupervisedCampaignReport,
+    SupervisedScenarioOutcome,
 };
 
-fn main() -> ExitCode {
-    let (options, positional) = match parse_journal_flags(std::env::args().skip(1)) {
-        Ok(parsed) => parsed,
-        Err(message) => {
-            eprintln!("supervised: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut positional = positional.into_iter();
-    let path = positional
-        .next()
-        .unwrap_or_else(|| "CAMPAIGN_supervised.json".to_string());
-    let base_seed: u64 = positional
-        .next()
-        .map(|s| s.parse().expect("base seed must be a number"))
-        .unwrap_or(0xFA_2014);
+const CLI: Cli = Cli {
+    name: "supervised",
+    count: false,
+    seed: true,
+    journal: true,
+    switches: &[],
+};
 
-    let mut config = SupervisedCampaignConfig::default();
-    config.base.scenarios = supervised_scenarios(base_seed);
-    let idle = match idle_reference(&config.base) {
-        Ok(idle) => idle,
-        Err(error) => {
-            eprintln!("supervised: {error}");
-            return ExitCode::FAILURE;
-        }
-    };
+struct Supervised {
+    config: SupervisedCampaignConfig,
+    idle: IdleReference,
+}
 
-    // Completed outcomes from the resume journal, aligned by (label, seed).
-    let resumed: Vec<Option<SupervisedScenarioOutcome>> = match &options.resume {
-        Some(journal_path) => {
-            let lines = read_complete_lines(journal_path).expect("read resume journal");
-            let mut completed = Vec::new();
-            for line in &lines {
-                match SupervisedScenarioOutcome::from_journal_json(line) {
-                    Ok(outcome) => completed.push(outcome),
-                    Err(error) => eprintln!("supervised: ignoring corrupt journal line: {error}"),
-                }
-            }
-            config
-                .base
-                .scenarios
-                .iter()
-                .map(|scenario| {
-                    completed
-                        .iter()
-                        .find(|o| o.label == scenario.label() && o.seed == scenario.seed)
-                        .cloned()
-                })
-                .collect()
-        }
-        None => config.base.scenarios.iter().map(|_| None).collect(),
-    };
-    let journal = options
-        .journal
-        .as_deref()
-        .map(|p| Journal::open_append(p).expect("open journal"));
-    let abort_after = options.abort_after;
+impl Campaign for Supervised {
+    type Scenario = FaultScenario;
+    type Record = SupervisedScenarioOutcome;
+    const REPORT: &'static str = "CAMPAIGN_supervised.json";
 
-    let runner = SweepRunner::available();
-    let outcomes = runner.run(&config.base.scenarios, |index, scenario| {
-        if let Some(done) = &resumed[index] {
-            return done.clone();
-        }
-        let outcome =
-            run_supervised_scenario(&config, &idle, scenario).expect("validated campaign config");
-        if let Some(journal) = &journal {
-            let appended = journal
-                .append(&outcome.to_journal_json())
-                .expect("journal append");
-            if abort_after.is_some_and(|limit| appended >= limit) {
-                eprintln!("supervised: --abort-after {appended} reached, aborting");
-                std::process::abort();
-            }
-        }
-        outcome
-    });
-    let report = SupervisedCampaignReport::from_outcomes(&config, outcomes);
-
-    if runner.threads() > 1 || resumed.iter().any(Option::is_some) {
-        // The campaign is small enough that a sequential re-execution is
-        // cheap — it doubles as the cross-thread determinism self-check and
-        // cross-checks every outcome taken from the resume journal.
-        let reference = SweepRunner::sequential().run(&config.base.scenarios, |_, scenario| {
-            run_supervised_scenario(&config, &idle, scenario).expect("validated campaign config")
-        });
-        assert_eq!(
-            SupervisedCampaignReport::from_outcomes(&config, reference).to_json(),
-            report.to_json(),
-            "parallel/resumed supervised campaign diverged from sequential re-execution"
-        );
+    fn scenarios(&self) -> &[FaultScenario] {
+        &self.config.base.scenarios
     }
 
-    let json = report.to_json();
-    std::fs::write(&path, &json).expect("write supervised campaign report");
+    fn key(scenario: &FaultScenario) -> (String, u64) {
+        (scenario.label(), scenario.seed)
+    }
 
-    if let Some(metrics_path) = &options.metrics {
-        // Observability snapshot of the first scenario under supervision:
-        // the recorder picks up quarantine/recovery health transitions
-        // alongside the admission stream.
-        let scenario = &config.base.scenarios[0];
+    fn run(&self, scenario: &FaultScenario) -> SupervisedScenarioOutcome {
+        run_supervised_scenario(&self.config, &self.idle, scenario)
+            .expect("validated campaign config")
+    }
+
+    fn assemble(&self, records: &[SupervisedScenarioOutcome]) -> String {
+        SupervisedCampaignReport::from_outcomes(&self.config, records.to_vec()).to_json()
+    }
+
+    /// The observed run is a plain monitored outcome, not comparable to a
+    /// supervised record.
+    fn observe(&self, scenario: &FaultScenario) -> (String, Option<SupervisedScenarioOutcome>) {
+        let policy = Some(self.config.policy);
         let observation =
-            run_scenario_with_metrics(&config.base, &idle, scenario, Some(config.policy))
+            run_scenario_with_metrics(&self.config.base, &self.idle, scenario, policy)
                 .expect("validated campaign config");
-        write_scenario_observation(metrics_path, &observation).expect("write metrics snapshot");
-        eprintln!("supervised: metrics snapshot -> {}", metrics_path.display());
+        (scenario_observation_json(&observation), None)
     }
 
-    eprintln!(
-        "supervised campaign: {} scenarios ({} resumed) on {} thread(s) -> {path}",
-        report.scenarios.len(),
-        resumed.iter().filter(|r| r.is_some()).count(),
-        runner.threads(),
-    );
-    eprintln!("  total violations:     {}", report.total_violations());
-    eprintln!("  nominal quarantines:  {}", report.nominal_quarantines());
-    for s in &report.scenarios {
-        eprintln!(
-            "  {:<22} quarantines {:>2}  recoveries {:>2}  demoted {:>5}  loss {:>9} ns (baseline {:>9} ns)",
-            s.label,
-            s.supervised.quarantines,
-            s.supervised.recoveries,
-            s.supervised.demoted_arrivals,
-            s.supervised.mode.worst_victim_loss.as_nanos(),
-            s.baseline.worst_victim_loss.as_nanos(),
-        );
-    }
-
-    let failures = report.acceptance_failures();
-    if !failures.is_empty() {
-        for failure in &failures {
-            eprintln!("FAIL: {failure}");
+    fn verdict(
+        &self,
+        records: &[SupervisedScenarioOutcome],
+        _: &str,
+    ) -> Result<&'static str, Vec<String>> {
+        let report = SupervisedCampaignReport::from_outcomes(&self.config, records.to_vec());
+        eprintln!("  total violations:     {}", report.total_violations());
+        eprintln!("  nominal quarantines:  {}", report.nominal_quarantines());
+        for s in &report.scenarios {
+            eprintln!(
+                "  {:<22} quarantines {:>2}  recoveries {:>2}  demoted {:>5}  loss {:>9} ns (baseline {:>9} ns)",
+                s.label,
+                s.supervised.quarantines,
+                s.supervised.recoveries,
+                s.supervised.demoted_arrivals,
+                s.supervised.mode.worst_victim_loss.as_nanos(),
+                s.baseline.worst_victim_loss.as_nanos(),
+            );
         }
-        return ExitCode::FAILURE;
+        let failures = report.acceptance_failures();
+        if failures.is_empty() {
+            Ok("supervision quarantines faults, recovers, and strictly improves victims")
+        } else {
+            Err(failures)
+        }
     }
-    eprintln!("PASS: supervision quarantines faults, recovers, and strictly improves victims");
-    ExitCode::SUCCESS
+}
+
+fn main() -> ExitCode {
+    let args = CLI.args();
+    drive(&CLI, &args, |_| {
+        let mut config = SupervisedCampaignConfig::default();
+        config.base.scenarios = supervised_scenarios(args.seed.unwrap_or(0xFA_2014));
+        let idle = idle_reference(&config.base)?;
+        Ok(Supervised { config, idle })
+    })
 }

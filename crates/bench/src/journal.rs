@@ -1,21 +1,28 @@
 //! Crash-safe scenario journals for resumable campaign runs.
 //!
-//! A journal is a JSONL file with one line per completed scenario, appended
+//! A journal is a text file with one line per completed scenario, appended
 //! atomically (single `write` + flush under a mutex) as each scenario
-//! finishes. If the process dies mid-campaign — panic, OOM kill, power cut
-//! — the journal holds every scenario completed so far, with at most one
-//! torn trailing line. A later run started with `--resume <journal>` loads
-//! the completed outcomes and re-executes only the missing scenarios;
-//! because every scenario is pure in `(config, seed)`, the resumed report
-//! is byte-identical to an uninterrupted run.
+//! finishes. Each line is `<payload>\t<checksum>`: the checksum is the
+//! payload's FNV-1a hash as 16 lowercase hex digits. If the process dies
+//! mid-campaign — panic, OOM kill, `abort()` — the journal holds every
+//! scenario completed so far, with at most one torn trailing line (a power
+//! cut can also lose lines the OS had not yet written; those scenarios
+//! simply re-run). A later run started with `--resume <journal>` loads the
+//! completed records and re-executes only the missing scenarios; because
+//! every scenario is pure in `(config, seed)`, the resumed report is
+//! byte-identical to an uninterrupted run.
 //!
-//! Line payloads are the lossless journal codecs from `rthv-faults`
-//! (`ScenarioOutcome::to_journal_json` and friends); this module only deals
-//! in whole lines and stays generic over what they encode.
+//! [`read_complete_lines`] returns only lines whose checksum and UTF-8
+//! verify, so a torn tail — even one a later append ran into — or a
+//! damaged byte drops that line and its scenario is re-run; it never
+//! resumes as a record. Payloads are the typed journal codecs from
+//! `rthv-faults` and `rthv-admit` (`ScenarioOutcome::to_journal_json`,
+//! `SmpRecord::to_journal_line` and friends); this module only deals in
+//! whole lines and stays generic over what they encode.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
-use std::path::{Path, PathBuf};
+use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
+use std::path::Path;
 use std::sync::Mutex;
 
 /// An append-only journal file shared by the sweep's worker threads.
@@ -33,7 +40,8 @@ struct JournalInner {
 impl Journal {
     /// Opens `path` for appending, creating it (and its parent directory)
     /// if missing. Existing content is preserved so a resumed run can keep
-    /// journaling into the same file.
+    /// journaling into the same file; a torn trailing line is closed with a
+    /// newline first, so the next append starts a line of its own.
     ///
     /// # Errors
     ///
@@ -44,129 +52,98 @@ impl Journal {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        let mut file = OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(path)?;
+        if file.metadata()?.len() > 0 {
+            let mut last = [0u8];
+            file.seek(SeekFrom::End(-1))?;
+            file.read_exact(&mut last)?;
+            if last != *b"\n" {
+                file.write_all(b"\n")?;
+            }
+        }
         Ok(Journal {
             inner: Mutex::new(JournalInner { file, appended: 0 }),
         })
     }
 
-    /// Appends one journal line (a newline is added) and flushes it, then
-    /// returns how many lines **this process** has appended so far. The
-    /// payload and its newline go down in a single `write` call, so a crash
-    /// can tear at most the line being written — never reorder or
+    /// Appends one journal line — the payload, its checksum and a newline
+    /// — and flushes it, then returns how many lines **this process** has
+    /// appended so far. The line goes down in a single `write` call, so a
+    /// crash can tear at most the line being written — never reorder or
     /// interleave lines.
     ///
     /// # Errors
     ///
     /// Any I/O error from the write or flush.
-    pub fn append(&self, line: &str) -> io::Result<u64> {
-        let mut buffer = String::with_capacity(line.len() + 1);
-        buffer.push_str(line);
-        buffer.push('\n');
+    pub fn append(&self, payload: &str) -> io::Result<u64> {
+        let line = format!("{payload}\t{:016x}\n", fnv1a(payload.as_bytes()));
         let mut inner = self
             .inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.file.write_all(buffer.as_bytes())?;
+        inner.file.write_all(line.as_bytes())?;
         inner.file.flush()?;
         inner.appended += 1;
         Ok(inner.appended)
     }
 }
 
-/// Reads every *complete* line of a journal, in order. A torn trailing
-/// line — the mark of a crash mid-append — is silently dropped: it belongs
-/// to a scenario that never finished, so the resume path re-runs it.
-/// Interior lines are returned verbatim; validating their payloads is the
-/// caller's (typed, per-line) job.
+/// Reads the payload of every *complete*, intact line of a journal, in
+/// order. A line counts only if it ends in a newline and both its
+/// checksum and its UTF-8 verify: a torn trailing line — the mark of a
+/// crash mid-append — and any damaged line are dropped, so the resume path
+/// re-runs their scenarios. Validating the payloads is the caller's
+/// (typed, per-line) job.
 ///
 /// # Errors
 ///
 /// Any I/O error from reading the file, including it not existing — a
 /// missing resume journal is a user error, not an empty campaign.
 pub fn read_complete_lines(path: &Path) -> io::Result<Vec<String>> {
-    let mut text = String::new();
-    File::open(path)?.read_to_string(&mut text)?;
-    let mut lines: Vec<String> = Vec::new();
-    let mut rest = text.as_str();
-    while let Some(newline) = rest.find('\n') {
-        lines.push(rest[..newline].to_string());
-        rest = &rest[newline + 1..];
-    }
-    // `rest` now holds any unterminated tail: drop it.
-    Ok(lines)
+    Ok(verified_lines(&std::fs::read(path)?))
 }
 
-/// Journal-related command-line options shared by the campaign binaries.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct JournalOptions {
-    /// `--journal <path>`: append each completed scenario to this file.
-    pub journal: Option<PathBuf>,
-    /// `--resume <path>`: load completed scenarios from this journal and
-    /// skip re-running them.
-    pub resume: Option<PathBuf>,
-    /// `--abort-after <n>`: crash-test hook — abort the process right after
-    /// the n-th journal append of this run has been flushed.
-    pub abort_after: Option<u64>,
-    /// `--metrics <path>`: run with the flight-recorder observability layer
-    /// enabled and write the deterministic metrics snapshot JSON here.
-    pub metrics: Option<PathBuf>,
-}
-
-/// Splits `--journal`, `--resume`, `--abort-after` and `--metrics` (each
-/// taking one value) out of an argument list, returning the options and the
-/// remaining positional arguments in their original order.
-///
-/// # Errors
-///
-/// A human-readable message when a flag is missing its value, repeated, or
-/// `--abort-after` is not a number.
-pub fn parse_journal_flags(
-    args: impl Iterator<Item = String>,
-) -> Result<(JournalOptions, Vec<String>), String> {
-    let mut options = JournalOptions::default();
-    let mut positional = Vec::new();
-    let mut args = args;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--journal" | "--resume" | "--abort-after" | "--metrics" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| format!("{arg} requires a value"))?;
-                let slot_taken = match arg.as_str() {
-                    "--journal" => options.journal.replace(PathBuf::from(value)).is_some(),
-                    "--resume" => options.resume.replace(PathBuf::from(value)).is_some(),
-                    "--metrics" => options.metrics.replace(PathBuf::from(value)).is_some(),
-                    _ => {
-                        let n = value
-                            .parse::<u64>()
-                            .map_err(|e| format!("--abort-after expects a number: {e}"))?;
-                        options.abort_after.replace(n).is_some()
-                    }
-                };
-                if slot_taken {
-                    return Err(format!("{arg} given twice"));
-                }
+/// The payloads [`read_complete_lines`] keeps from a journal's bytes.
+#[must_use]
+pub fn verified_lines(bytes: &[u8]) -> Vec<String> {
+    // Whatever follows the last newline is a torn tail (or nothing).
+    let Some(end) = bytes.iter().rposition(|&b| b == b'\n') else {
+        return Vec::new();
+    };
+    bytes[..end]
+        .split(|&b| b == b'\n')
+        .filter_map(|line| {
+            let tab = line.iter().rposition(|&b| b == b'\t')?;
+            let (payload, checksum) = (&line[..tab], &line[tab + 1..]);
+            if checksum != format!("{:016x}", fnv1a(payload)).as_bytes() {
+                return None;
             }
-            _ => positional.push(arg),
-        }
-    }
-    Ok((options, positional))
+            String::from_utf8(payload.to_vec()).ok()
+        })
+        .collect()
 }
 
-/// Writes a [`ScenarioObservation`] — one scenario's monitored and
-/// unmonitored metrics snapshots — as a single deterministic JSON file. The
-/// embedded snapshots come out of the observability hub byte-identical
-/// across runs, so two invocations with the same campaign arguments produce
-/// byte-identical files; the `check.sh` smoke pins this with `cmp`.
+/// 64-bit FNV-1a over bytes: any single changed byte changes the hash.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Renders a [`ScenarioObservation`] — one scenario's monitored and
+/// unmonitored metrics snapshots — as a single deterministic JSON file.
+/// The embedded snapshots come out of the observability hub
+/// byte-identical across runs, so two invocations with the same campaign
+/// arguments produce byte-identical files; the `check.sh` smoke pins this
+/// with `cmp`.
 ///
-/// # Errors
-///
-/// Any I/O error from writing the file.
-pub fn write_scenario_observation(
-    path: &Path,
-    observation: &rthv_faults::ScenarioObservation,
-) -> io::Result<()> {
+/// [`ScenarioObservation`]: rthv_faults::ScenarioObservation
+#[must_use]
+pub fn scenario_observation_json(observation: &rthv_faults::ScenarioObservation) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!(
@@ -179,12 +156,13 @@ pub fn write_scenario_observation(
     out.push_str(",\n  \"unmonitored\": ");
     out.push_str(observation.unmonitored_obs.trim_end());
     out.push_str("\n}\n");
-    std::fs::write(path, out)
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
         let mut path = std::env::temp_dir();
@@ -210,7 +188,14 @@ mod tests {
     #[test]
     fn torn_trailing_line_is_dropped_but_interior_lines_survive() {
         let path = temp_path("torn");
-        std::fs::write(&path, "{\"a\":1}\n{\"b\":2}\n{\"torn\":").expect("write");
+        let _ = std::fs::remove_file(&path);
+        let journal = Journal::open_append(&path).expect("open");
+        journal.append("{\"a\":1}").expect("append");
+        journal.append("{\"b\":2}").expect("append");
+        drop(journal);
+        let mut raw = std::fs::read(&path).expect("read back");
+        raw.extend_from_slice(b"{\"torn\":");
+        std::fs::write(&path, raw).expect("write torn tail");
         assert_eq!(
             read_complete_lines(&path).expect("read"),
             vec!["{\"a\":1}".to_string(), "{\"b\":2}".to_string()]
@@ -236,47 +221,60 @@ mod tests {
         std::fs::remove_file(&path).expect("cleanup");
     }
 
+    /// A crash tears the last line; the next run appends after it. The
+    /// torn line must not swallow the fresh one, nor pass for a record.
+    #[test]
+    fn reopening_after_a_torn_tail_starts_a_fresh_line() {
+        let path = temp_path("reopen-torn");
+        let _ = std::fs::remove_file(&path);
+        Journal::open_append(&path)
+            .expect("open")
+            .append("first")
+            .expect("append");
+        let mut raw = std::fs::read(&path).expect("read back");
+        raw.extend_from_slice(b"second, torn");
+        std::fs::write(&path, raw).expect("write torn tail");
+        Journal::open_append(&path)
+            .expect("reopen")
+            .append("third")
+            .expect("append");
+        assert_eq!(
+            read_complete_lines(&path).expect("read"),
+            vec!["first".to_string(), "third".to_string()]
+        );
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn damaged_and_non_utf8_lines_are_dropped() {
+        let path = temp_path("damaged");
+        let _ = std::fs::remove_file(&path);
+        let journal = Journal::open_append(&path).expect("open");
+        for payload in ["one", "two", "three", "four"] {
+            journal.append(payload).expect("append");
+        }
+        drop(journal);
+        let mut raw = std::fs::read(&path).expect("read back");
+        let second = raw.iter().position(|&b| b == b't').expect("line two");
+        raw[second] = 0xFF; // not UTF-8, checksum now wrong too
+        let third = raw.iter().position(|&b| b == b'h').expect("line three");
+        raw[third] = b'H';
+        raw.extend_from_slice(b"\xFF\xFE\tnot-a-checksum\nno checksum\n");
+        std::fs::write(&path, &raw).expect("write damage");
+        assert_eq!(
+            read_complete_lines(&path).expect("read"),
+            vec!["one".to_string(), "four".to_string()]
+        );
+        // A well-checksummed line that is not UTF-8 is dropped as well.
+        let payload = [b'o', 0xFF, b'k'];
+        let mut line = payload.to_vec();
+        line.extend_from_slice(format!("\t{:016x}\n", fnv1a(&payload)).as_bytes());
+        assert!(verified_lines(&line).is_empty());
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
     #[test]
     fn missing_journal_is_an_error() {
         assert!(read_complete_lines(&temp_path("missing-never-created")).is_err());
-    }
-
-    #[test]
-    fn flag_parsing_extracts_options_and_keeps_positionals() {
-        let args = [
-            "out.json",
-            "--journal",
-            "j.jsonl",
-            "7",
-            "--resume",
-            "old.jsonl",
-            "--abort-after",
-            "3",
-            "42",
-            "--metrics",
-            "obs.json",
-        ]
-        .into_iter()
-        .map(String::from);
-        let (options, positional) = parse_journal_flags(args).expect("valid");
-        assert_eq!(options.journal, Some(PathBuf::from("j.jsonl")));
-        assert_eq!(options.resume, Some(PathBuf::from("old.jsonl")));
-        assert_eq!(options.abort_after, Some(3));
-        assert_eq!(options.metrics, Some(PathBuf::from("obs.json")));
-        assert_eq!(positional, vec!["out.json", "7", "42"]);
-    }
-
-    #[test]
-    fn flag_parsing_rejects_malformed_input() {
-        for bad in [
-            vec!["--journal"],
-            vec!["--abort-after", "three"],
-            vec!["--resume", "a", "--resume", "b"],
-            vec!["--metrics"],
-            vec!["--metrics", "a.json", "--metrics", "b.json"],
-        ] {
-            let args = bad.iter().map(|s| (*s).to_string());
-            assert!(parse_journal_flags(args).is_err(), "accepted {bad:?}");
-        }
     }
 }

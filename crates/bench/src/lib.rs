@@ -5,18 +5,19 @@
 //! consistent and testable, holds the paper-setup simulation scaffolding
 //! they previously each copy-pasted, and provides the [`SweepRunner`] that
 //! fans independent sweep scenarios across host cores without changing any
-//! result.
+//! result. The fault-campaign binaries all run on one driver,
+//! [`campaign::drive`], over crash-safe [`journal`]s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod journal;
 pub mod runner;
 pub mod sweep;
 
-pub use journal::{
-    parse_journal_flags, read_complete_lines, write_scenario_observation, Journal, JournalOptions,
-};
+pub use campaign::{drive, report_verdict, Args, Campaign, Cli, Record};
+pub use journal::{read_complete_lines, scenario_observation_json, verified_lines, Journal};
 pub use runner::{merge_histograms, ScenarioOutcome, SweepError, SweepRunner};
 
 use rthv::monitor::DeltaFunction;

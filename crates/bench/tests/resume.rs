@@ -183,3 +183,48 @@ fn killed_campaign_process_resumes_byte_identical() {
         let _ = std::fs::remove_file(p);
     }
 }
+
+/// A byte that is not UTF-8 anywhere in a resume journal drops that one
+/// line — its scenario re-runs — instead of failing the whole resume.
+#[test]
+fn non_utf8_journal_line_is_rerun_not_fatal() {
+    let bin = env!("CARGO_BIN_EXE_campaign");
+    let clean_report = temp_path("utf8-clean.json");
+    let report = temp_path("utf8-report.json");
+    let journal = temp_path("utf8-journal.jsonl");
+    for p in [&clean_report, &report, &journal] {
+        let _ = std::fs::remove_file(p);
+    }
+    let journal_arg = journal.to_str().expect("utf-8 path");
+    let run = |report: &PathBuf, extra: &[&str]| {
+        Command::new(bin)
+            .args([report.to_str().expect("utf-8 path"), "4", "16392212"])
+            .args(extra)
+            .output()
+            .expect("run campaign")
+    };
+
+    let clean = run(&clean_report, &[]);
+    assert!(run(&report, &["--journal", journal_arg]).status.success());
+    let mut bytes = std::fs::read(&journal).expect("journal");
+    let line_two = bytes.iter().position(|&b| b == b'\n').expect("a line") + 10;
+    bytes[line_two] = 0xFF;
+    std::fs::write(&journal, &bytes).expect("damage line two");
+    assert_eq!(read_complete_lines(&journal).expect("read").len(), 3);
+
+    let resumed = run(&report, &["--resume", journal_arg]);
+    assert_eq!(
+        clean.status.code(),
+        resumed.status.code(),
+        "resumed stderr:\n{}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert_eq!(
+        std::fs::read(&clean_report).expect("clean report"),
+        std::fs::read(&report).expect("resumed report"),
+    );
+
+    for p in [&clean_report, &report, &journal] {
+        let _ = std::fs::remove_file(p);
+    }
+}

@@ -212,3 +212,61 @@ fn unknown_engine_is_a_typed_loud_failure() {
         "no report may be written on a config error"
     );
 }
+
+/// A crash tears the last journal line; the next run appends after it.
+/// Cut the ninth line right after its first inner `}` (no newline), then
+/// resume-and-journal, then resume again: the torn line must never resume
+/// as a record, so the final report equals a clean run's. Nine scenarios
+/// keep the driver's sequential self-check (eight at most) out of the way.
+#[test]
+fn torn_tail_run_into_the_next_append_never_resumes() {
+    let clean_report = temp_path("torn-clean.json");
+    let report = temp_path("torn-report.json");
+    let journal = temp_path("torn-journal.jsonl");
+    for p in [&clean_report, &report, &journal] {
+        let _ = std::fs::remove_file(p);
+    }
+    let journal_arg = journal.to_str().expect("utf-8 path");
+    let run = |report: &Path, extra: &[&str]| {
+        let report = report.to_str().expect("utf-8 path");
+        Command::new(env!("CARGO_BIN_EXE_smp_storm"))
+            .args([report, "9", "16392212", "--smoke"])
+            .args(extra)
+            .env_remove("RTHV_ENGINE")
+            .output()
+            .expect("run smp_storm")
+    };
+
+    let clean = run(&clean_report, &[]);
+    assert!(run(&report, &["--journal", journal_arg]).status.success());
+    let bytes = std::fs::read(&journal).expect("journal");
+    let body = &bytes[..bytes.len() - 1];
+    let last = body.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let brace = last
+        + body[last..]
+            .iter()
+            .position(|&b| b == b'}')
+            .expect("inner }");
+    std::fs::write(&journal, &bytes[..=brace]).expect("tear the last line");
+
+    run(
+        &report,
+        &["--resume", journal_arg, "--journal", journal_arg],
+    );
+    let resumed = run(&report, &["--resume", journal_arg]);
+    assert_eq!(
+        clean.status.code(),
+        resumed.status.code(),
+        "resumed stderr:\n{}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert_eq!(
+        std::fs::read(&clean_report).expect("clean report"),
+        std::fs::read(&report).expect("resumed report"),
+        "a torn journal line resumed as a record"
+    );
+
+    for p in [&clean_report, &report, &journal] {
+        let _ = std::fs::remove_file(p);
+    }
+}

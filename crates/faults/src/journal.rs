@@ -10,6 +10,10 @@
 //! the parsed outcomes replace re-execution and the assembled report is
 //! byte-identical to an uninterrupted run.
 //!
+//! The fleet and platform campaigns journal a different line shape —
+//! `label seed <numbers and flags…> <report fragment>` — decoded through
+//! [`LineFields`], so every journal codec fails the same typed way.
+//!
 //! [`CampaignReport::to_json`]: crate::campaign::CampaignReport::to_json
 
 use std::fmt;
@@ -158,6 +162,86 @@ fn violation_from_json(v: &Json) -> Result<Violation, JournalError> {
         },
         _ => return Err(JournalError::UnknownViolation(kind)),
     })
+}
+
+/// Reads a record journal line field by field — the one decoder behind
+/// every `label seed <numbers and 0/1 flags…> <fragment>` line
+/// (`ScenarioRecord`, `TenantRecord`, [`SmpRecord`]). Fields are single
+/// spaces apart; the fragment is the rest of the line, the record's report
+/// JSON spliced verbatim into the assembled report. Every error names the
+/// field that failed.
+///
+/// [`SmpRecord`]: crate::smp::SmpRecord
+#[derive(Debug, Clone)]
+pub struct LineFields<'a> {
+    rest: &'a str,
+}
+
+impl<'a> LineFields<'a> {
+    /// Starts reading `line` at its first field.
+    #[must_use]
+    pub fn new(line: &'a str) -> Self {
+        LineFields { rest: line }
+    }
+
+    /// The next non-empty space-terminated field.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Field`] naming `field` when the line ends first.
+    pub fn text(&mut self, field: &'static str) -> Result<&'a str, JournalError> {
+        match self.rest.split_once(' ') {
+            Some((text, rest)) if !text.is_empty() => {
+                self.rest = rest;
+                Ok(text)
+            }
+            _ => Err(JournalError::Field(field)),
+        }
+    }
+
+    /// The next field as a decimal `u64` (digits only).
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Field`] naming `field` when it is missing, not all
+    /// digits, or out of range.
+    pub fn num(&mut self, field: &'static str) -> Result<u64, JournalError> {
+        let text = self.text(field)?;
+        if !text.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(JournalError::Field(field));
+        }
+        text.parse().map_err(|_| JournalError::Field(field))
+    }
+
+    /// The next field as a `0`/`1` flag.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Field`] naming `field` for anything but `0` or `1`.
+    pub fn flag(&mut self, field: &'static str) -> Result<bool, JournalError> {
+        match self.text(field)? {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            _ => Err(JournalError::Field(field)),
+        }
+    }
+
+    /// The rest of the line as the record's report fragment: one JSON
+    /// object whose `label` and `seed` are the line's own, so a torn line
+    /// run into the next can never pass for a record.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Field`]`("fragment")` otherwise.
+    pub fn fragment(self, label: &str, seed: u64) -> Result<String, JournalError> {
+        let json = Json::parse_fragment(self.rest).map_err(|_| JournalError::Field("fragment"))?;
+        if json.get("label").and_then(Json::as_str) != Some(label)
+            || json.get("seed").and_then(Json::as_u64) != Some(seed)
+        {
+            return Err(JournalError::Field("fragment"));
+        }
+        Ok(self.rest.to_owned())
+    }
 }
 
 fn mode_to_json(mode: &ModeOutcome) -> String {
@@ -441,6 +525,57 @@ mod tests {
                 "{}",
                 violation.slug()
             );
+        }
+    }
+
+    #[test]
+    fn record_line_errors_name_the_failing_field() {
+        let read = |line: &str| {
+            let mut fields = LineFields::new(line);
+            let label = fields.text("label")?.to_owned();
+            let seed = fields.num("seed")?;
+            let flag = fields.flag("flag")?;
+            let count = fields.num("count")?;
+            Ok((flag, count, fields.fragment(&label, seed)?))
+        };
+        let fragment = r#"{"label":"x-1","seed":7,"p50":-1,"runs":[{"n":2}]}"#;
+        assert_eq!(
+            read(&format!("x-1 7 1 42 {fragment}")),
+            Ok((true, 42, fragment.to_string()))
+        );
+        for (line, field) in [
+            ("", "label"),
+            ("x-1", "label"),
+            (" 7 1 42 {}", "label"),
+            ("x-1 +7 1 42 {}", "seed"),
+            ("x-1 7 2 42 {}", "flag"),
+            ("x-1 7 1 4x2 {}", "count"),
+            ("x-1 7 1 42", "count"),
+            ("x-1 7 1 42 torn", "fragment"),
+            ("x-1 7 1 42 {}", "fragment"),
+            ("x-1 7 1 42 [1]", "fragment"),
+            (r#"x-1 7 1 42 {"label":"x-1","seed":8}"#, "fragment"),
+            (r#"x-1 7 1 42 {"label":"y","seed":7}"#, "fragment"),
+            // A torn line that the next append ran into.
+            (
+                r#"x-1 7 1 42 {"label":"x-1","seed":7,"a":{"b":1}x-2 8 0 1 {"label":"x-2","seed":8}}"#,
+                "fragment",
+            ),
+        ] {
+            assert_eq!(read(line), Err(JournalError::Field(field)), "{line:?}");
+        }
+    }
+
+    /// The reader recurses per bracket; a million of them used to
+    /// overflow the stack and abort the resuming process.
+    #[test]
+    fn deeply_nested_line_is_a_parse_error() {
+        let line = "[".repeat(1_000_000);
+        for decoded in [
+            ScenarioOutcome::from_journal_json(&line).err(),
+            SupervisedScenarioOutcome::from_journal_json(&line).err(),
+        ] {
+            assert!(matches!(decoded, Some(JournalError::Parse(_))));
         }
     }
 

@@ -4,7 +4,17 @@
 //! reader are both ours: the grammar is exactly what [`crate::journal`]
 //! emits — objects, arrays, strings with `\\` and `\"` escapes, and
 //! unsigned integers. Anything else is a parse error, which the journal
-//! loader treats as a torn line.
+//! loader treats as a torn line. [`Json::parse_fragment`] also accepts
+//! negative integers, for the report fragments record journal lines carry
+//! (the fleet arms write `-1` latencies when nothing completed).
+//!
+//! The reader recurses once per `[`/`{`, so nesting is bounded by
+//! [`MAX_DEPTH`]: a line of a million brackets is an error, not a stack
+//! overflow.
+
+/// Deepest array/object nesting the reader accepts — far above the four
+/// levels any journal line or fragment uses.
+pub(crate) const MAX_DEPTH: usize = 32;
 
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -14,19 +24,19 @@ pub(crate) enum Json {
     Array(Vec<Json>),
     Str(String),
     Num(u64),
+    /// A negative integer (only from [`Json::parse_fragment`]).
+    Neg(i64),
 }
 
 impl Json {
     /// Parses one complete JSON document; trailing garbage is an error.
     pub(crate) fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing bytes at offset {pos}"));
-        }
-        Ok(value)
+        parse_document(text, false)
+    }
+
+    /// [`Json::parse`], also accepting negative integers.
+    pub(crate) fn parse_fragment(text: &str) -> Result<Json, String> {
+        parse_document(text, true)
     }
 
     /// Object member lookup.
@@ -59,6 +69,17 @@ impl Json {
     }
 }
 
+fn parse_document(text: &str, signed: bool) -> Result<Json, String> {
+    let bytes = text.as_bytes();
+    let mut pos = 0usize;
+    let value = parse_value(bytes, &mut pos, 0, signed)?;
+    skip_ws(bytes, &mut pos);
+    if pos != bytes.len() {
+        return Err(format!("trailing bytes at offset {pos}"));
+    }
+    Ok(value)
+}
+
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
@@ -78,13 +99,20 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// One value nested in `depth` arrays and objects; `signed` admits
+/// negative integers.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize, signed: bool) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at offset {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1, signed),
+        Some(b'[') => parse_array(bytes, pos, depth + 1, signed),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b'0'..=b'9') => parse_number(bytes, pos),
+        Some(b'-') if signed => parse_number(bytes, pos),
         Some(other) => Err(format!(
             "unexpected byte '{}' at offset {pos}",
             char::from(*other),
@@ -94,7 +122,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize, signed: bool) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -107,7 +135,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth, signed)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -121,7 +149,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize, signed: bool) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -130,7 +158,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth, signed)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -173,15 +201,21 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
+/// An unsigned integer, or a negative one when it starts with `-`.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
+    let negative = bytes.get(*pos) == Some(&b'-');
+    *pos += usize::from(negative);
     while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("digits are ASCII");
-    text.parse::<u64>()
-        .map(Json::Num)
-        .map_err(|e| format!("bad number '{text}': {e}"))
+    let number = if negative {
+        text.parse().map(Json::Neg)
+    } else {
+        text.parse().map(Json::Num)
+    };
+    number.map_err(|e| format!("bad number '{text}': {e}"))
 }
 
 #[cfg(test)]
@@ -217,6 +251,28 @@ mod tests {
             r#"{"a": -3}"#,                   // journal never emits negatives
         ] {
             assert!(Json::parse(torn).is_err(), "accepted torn input {torn:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let brackets = "[".repeat(1_000_000);
+        assert!(Json::parse(&brackets).is_err());
+        assert!(Json::parse_fragment(&brackets).is_err());
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn only_fragments_accept_negative_integers() {
+        let doc = r#"{"p50":-1,"max":-9223372036854775808,"n":[3]}"#;
+        assert!(Json::parse(doc).is_err());
+        let v = Json::parse_fragment(doc).expect("fragment parses");
+        assert_eq!(v.get("p50"), Some(&Json::Neg(-1)));
+        assert_eq!(v.get("max"), Some(&Json::Neg(i64::MIN)));
+        for bad in ["-", "-x", "--1", "-9223372036854775809", "{\"a\":-}"] {
+            assert!(Json::parse_fragment(bad).is_err(), "accepted {bad:?}");
         }
     }
 }

@@ -44,7 +44,9 @@
 //!   a [`Violation::ReplayDivergence`] with a repro seed.
 //! * [`journal`] — complete, hand-rolled JSON round-trips for scenario
 //!   outcomes, so a killed campaign's journal reloads bit-identically and
-//!   a `--resume` run assembles the same report as an uninterrupted one.
+//!   a `--resume` run assembles the same report as an uninterrupted one,
+//!   plus [`LineFields`], the typed field reader of every space-separated
+//!   record line.
 //! * [`smp`] — the multi-core platform campaign: both placement arms
 //!   across core counts {1, 2, 4}, seeded core-crash/route-stall plans,
 //!   the per-victim-core oracle sweep, victim-stream identity digests and
@@ -72,7 +74,7 @@ pub use campaign::{
     ScenarioObservation, ScenarioOutcome,
 };
 pub use inject::{standard_scenarios, FaultKind, FaultPlan, FaultScenario, InjectedArrival};
-pub use journal::JournalError;
+pub use journal::{JournalError, LineFields};
 pub use oracle::{
     check_admitted_stream, check_global_budget, check_group_budget, check_report,
     check_supervision, OracleConfig, Violation,

@@ -47,6 +47,7 @@ use rthv::{
 };
 
 use crate::inject::{FaultKind, FaultScenario};
+use crate::journal::{JournalError, LineFields};
 use crate::oracle::check_admitted_stream;
 
 /// Golden-ratio stride shared with [`crate::inject::standard_scenarios`]
@@ -850,44 +851,27 @@ impl SmpRecord {
         )
     }
 
-    /// Parses a journal line; `None` on any malformed field (torn tails
-    /// are dropped by the journal reader before this sees them).
-    #[must_use]
-    pub fn parse_journal_line(line: &str) -> Option<SmpRecord> {
-        fn flag(text: &str) -> Option<bool> {
-            match text {
-                "0" => Some(false),
-                "1" => Some(true),
-                _ => None,
-            }
-        }
-        let mut parts = line.splitn(11, ' ');
-        let label = parts.next()?.to_owned();
-        let seed = parts.next()?.parse().ok()?;
-        let identity_family = flag(parts.next()?)?;
-        let breakage_family = flag(parts.next()?)?;
-        let enabled_violations = parts.next()?.parse().ok()?;
-        let ablation_violations = parts.next()?.parse().ok()?;
-        let identity_ok = flag(parts.next()?)?;
-        let ledger_ok = flag(parts.next()?)?;
-        let sheds = parts.next()?.parse().ok()?;
-        let lost = parts.next()?.parse().ok()?;
-        let fragment = parts.next()?.to_owned();
-        if !fragment.starts_with('{') || !fragment.ends_with('}') {
-            return None;
-        }
-        Some(SmpRecord {
+    /// Decodes a [`to_journal_line`](SmpRecord::to_journal_line) line.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Field`] naming the first missing or malformed field.
+    pub fn from_journal_line(line: &str) -> Result<SmpRecord, JournalError> {
+        let mut fields = LineFields::new(line);
+        let label = fields.text("label")?.to_owned();
+        let seed = fields.num("seed")?;
+        Ok(SmpRecord {
+            identity_family: fields.flag("identity_family")?,
+            breakage_family: fields.flag("breakage_family")?,
+            enabled_violations: fields.num("enabled_violations")?,
+            ablation_violations: fields.num("ablation_violations")?,
+            identity_ok: fields.flag("identity_ok")?,
+            ledger_ok: fields.flag("ledger_ok")?,
+            sheds: fields.num("sheds")?,
+            lost: fields.num("lost")?,
+            fragment: fields.fragment(&label, seed)?,
             label,
             seed,
-            identity_family,
-            breakage_family,
-            enabled_violations,
-            ablation_violations,
-            identity_ok,
-            ledger_ok,
-            sheds,
-            lost,
-            fragment,
         })
     }
 }
@@ -1090,9 +1074,15 @@ mod tests {
             run_smp_scenario(&config, &scenario_by_family(1), None).expect("valid config");
         let record = outcome.record();
         let line = record.to_journal_line();
-        assert_eq!(SmpRecord::parse_journal_line(&line), Some(record));
-        assert_eq!(SmpRecord::parse_journal_line("garbage"), None);
-        assert_eq!(SmpRecord::parse_journal_line("a 1 2 0 0 0 1 1 0 0 x"), None);
+        assert_eq!(SmpRecord::from_journal_line(&line), Ok(record));
+        assert_eq!(
+            SmpRecord::from_journal_line("garbage"),
+            Err(JournalError::Field("label"))
+        );
+        assert_eq!(
+            SmpRecord::from_journal_line("a 1 2 0 0 0 1 1 0 0 x"),
+            Err(JournalError::Field("identity_family"))
+        );
     }
 
     #[test]

@@ -145,4 +145,19 @@ echo "==> smoke supervised campaign (nominal + 7 fault families, fixed seed)"
 cargo run --release -q -p rthv-experiments --bin supervised \
     target/CAMPAIGN_supervised_smoke.json 16392212
 
+echo "==> usage errors (non-numeric count or seed: exit 2, no report)"
+# Every campaign binary parses its command line in the shared driver: a
+# malformed count (or, for supervised, seed) is a usage error, exit 2,
+# before any scenario runs or any file is written.
+for bin in campaign supervised admit_storm smp_storm; do
+    rm -f "target/USAGE_$bin.json"
+    status=0
+    cargo run --release -q -p rthv-experiments --bin "$bin" \
+        "target/USAGE_$bin.json" seven 2>/dev/null || status=$?
+    test "$status" -eq 2 \
+        || { echo "$bin: a non-numeric count or seed exited $status, expected 2"; exit 1; }
+    test ! -f "target/USAGE_$bin.json" \
+        || { echo "$bin: a usage error wrote a report"; exit 1; }
+done
+
 echo "All checks passed."
