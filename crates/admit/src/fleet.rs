@@ -243,7 +243,7 @@ impl FleetConfig {
             supervision: SupervisionPolicy::default(),
             checkpoint_every: 32,
             failover: FailoverMode::Checkpoint,
-            engine: "heap".to_owned(),
+            engine: "wheel".to_owned(),
             latency_bin_width: Duration::from_micros(50),
             latency_range: Duration::from_millis(20),
             tenancy: None,
@@ -297,8 +297,10 @@ enum FleetEvent {
     Arrival { source: u32 },
     /// Shard crash.
     Crash { shard: u32 },
-    /// Shard stall starting now, ending at `until`.
-    Stall { shard: u32, until: Instant },
+    /// Shard stall `faults[fault]` strikes now; it ends at the fault's `at`
+    /// plus its duration. An index instead of the end instant keeps the
+    /// event at 12 bytes.
+    Stall { fault: u32 },
     /// Service completion at the head of one lane of `shard`'s in-flight
     /// queues.
     Drain { shard: u32, lane: u32 },
@@ -401,6 +403,7 @@ impl AdmitFleet {
         let mut tenancy = cfg.tenancy.as_ref().map(TenancyRuntime::new);
         let tick_hint = cfg.delta.dmin().max(Duration::from_micros(64));
         let mut queue: EngineQueue<FleetEvent> = EngineQueue::new(self.engine, tick_hint);
+        queue.reserve(arrivals.len() + faults.len());
 
         // Arrivals before faults: at equal instants the FIFO tie-break
         // lets same-tick ingress beat the crash that would shed it, which
@@ -411,12 +414,11 @@ impl AdmitFleet {
                 .schedule_at(ev.at, FleetEvent::Arrival { source: ev.source })
                 .expect("arrival streams start at the epoch");
         }
-        for fault in faults {
+        for (index, fault) in faults.iter().enumerate() {
             let event = match fault.kind {
                 ShardFaultKind::Crash => FleetEvent::Crash { shard: fault.shard },
-                ShardFaultKind::Stall { duration } => FleetEvent::Stall {
-                    shard: fault.shard,
-                    until: fault.at + duration,
+                ShardFaultKind::Stall { .. } => FleetEvent::Stall {
+                    fault: u32::try_from(index).expect("fault plans hold fewer than 2^32 faults"),
                 },
             };
             queue
@@ -631,7 +633,16 @@ impl AdmitFleet {
                         }
                     }
                 }
-                FleetEvent::Stall { shard, until } => {
+                FleetEvent::Stall { fault } => {
+                    let ShardFault {
+                        at,
+                        shard,
+                        kind: ShardFaultKind::Stall { duration },
+                    } = faults[fault as usize]
+                    else {
+                        continue; // only stall faults schedule stall events
+                    };
+                    let until = at + duration;
                     shards[shard as usize].with_state(|s| {
                         s.counters.stalls += 1;
                         s.stalled_until = Some(s.stalled_until.map_or(until, |u| u.max(until)));
@@ -1169,5 +1180,17 @@ impl FleetReport {
             out.extend(check_global_budget(&union, tc.global_budget, tc.window));
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fleet_event_fits_in_twelve_bytes() {
+        // Beside the 16-byte packed key, a 12-byte event keeps the wheel's
+        // slab node at 32 bytes, the size of the heap engine's entry.
+        assert!(std::mem::size_of::<FleetEvent>() <= 12);
     }
 }

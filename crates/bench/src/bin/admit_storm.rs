@@ -13,7 +13,8 @@
 //!
 //! `--smoke` swaps the 8×64-source 1 s geometry for the CI-sized
 //! 4×16-source 250 ms one; families and verdict are unchanged. The event
-//! engine comes from `RTHV_ENGINE` (`heap`, the default, or `wheel`).
+//! engine comes from `RTHV_ENGINE` (`wheel`, the default, or the `heap`
+//! reference) and never leaks into the report bytes.
 //!
 //! `--tenants` runs the tenant-isolation campaign instead: each scenario
 //! drives four arms (hierarchy calm/storm, flat-ablation calm/storm)

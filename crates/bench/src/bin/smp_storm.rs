@@ -15,7 +15,8 @@
 //!
 //! `--smoke` swaps the 1 s horizon for the CI-sized 250 ms one; families
 //! and verdict are unchanged. The event engine comes from `RTHV_ENGINE`
-//! and never leaks into the report bytes.
+//! (`wheel`, the default, or the `heap` reference) and never leaks into
+//! the report bytes.
 //!
 //! The verdict passes on zero monitored per-victim-core violations (with
 //! conservation), victim streams byte-identical across core counts on

@@ -292,12 +292,14 @@ pub enum OverflowPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum EngineChoice {
     /// Resolve from the `RTHV_ENGINE` environment variable (`"heap"` or
-    /// `"wheel"`), falling back to the heap engine. This is the default so
-    /// the CI harness can sweep the whole tier-1 suite and every benchmark
-    /// binary across engines without per-call-site plumbing.
+    /// `"wheel"`), falling back to the timing wheel — the production
+    /// engine, faster than the heap on every benchmark workload. This is
+    /// the default so the CI harness can sweep the whole tier-1 suite and
+    /// every campaign binary across engines without per-call-site plumbing.
     #[default]
     Auto,
-    /// Binary-heap reference engine (`O(log n)`, trivially correct).
+    /// Binary-heap reference engine (`O(log n)`, trivially correct): what
+    /// the cross-engine differential suites compare the wheel against.
     Heap,
     /// Hierarchical timing wheel (`O(1)` amortised, closed-form
     /// fast-forward; levels sized from the TDMA cycle).
@@ -320,7 +322,7 @@ impl EngineChoice {
             EngineChoice::Wheel => Ok(EngineKind::Wheel),
             EngineChoice::Auto => ENV_ENGINE
                 .get_or_init(|| match std::env::var("RTHV_ENGINE") {
-                    Err(_) => Ok(EngineKind::Heap),
+                    Err(_) => Ok(EngineKind::default()),
                     Ok(name) => EngineKind::parse(&name).ok_or(EngineSelectError { value: name }),
                 })
                 .clone(),

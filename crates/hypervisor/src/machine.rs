@@ -1265,8 +1265,8 @@ impl Machine {
 
     fn on_boundary(&mut self, index: u64) {
         let boundary_now = self.now();
-        let engine = self.queue.stats();
         if let Some(metrics) = &mut self.metrics {
+            let engine = self.queue.stats();
             metrics.record_slot_boundary(boundary_now, index as usize);
             metrics.record_engine(rthv_obs::EngineObs {
                 live: engine.live as u64,

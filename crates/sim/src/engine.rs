@@ -6,11 +6,12 @@
 //! canonical-state walk and a content digest. Two implementations satisfy
 //! it:
 //!
+//! * [`WheelEngine`](crate::WheelEngine) — the **hierarchical timing
+//!   wheel**, the production default: `O(1)` amortised per operation with
+//!   closed-form fast-forward over empty stretches of virtual time.
 //! * [`EventQueue`] — the reference **heap engine**: a binary heap with
 //!   packed `(time, seq)` keys, `O(log n)` per operation, trivially correct.
-//! * [`WheelEngine`](crate::WheelEngine) — the **hierarchical timing
-//!   wheel**: `O(1)` amortised per operation with closed-form fast-forward
-//!   over empty stretches of virtual time.
+//!   The cross-engine differential suites compare the wheel against it.
 //!
 //! The contract both must honour, bit for bit:
 //!
@@ -39,9 +40,10 @@ use crate::wheel::WheelEngine;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
     /// Binary-heap reference engine ([`EventQueue`]).
-    #[default]
     Heap,
-    /// Hierarchical timing wheel ([`WheelEngine`](crate::WheelEngine)).
+    /// Hierarchical timing wheel ([`WheelEngine`](crate::WheelEngine)), the
+    /// production default.
+    #[default]
     Wheel,
 }
 
@@ -467,7 +469,7 @@ impl<E> EngineQueue<E> {
 
 impl<E> Default for EngineQueue<E> {
     fn default() -> Self {
-        EngineQueue::Heap(EventQueue::new())
+        EngineQueue::Wheel(WheelEngine::new())
     }
 }
 

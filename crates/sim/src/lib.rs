@@ -12,10 +12,11 @@
 //!   tombstone that is drained (and, past 2× the live population, compacted)
 //!   later, so ids never dangle.
 //!
-//! Two engines satisfy the contract: [`EventQueue`], the `O(log n)`
-//! binary-heap reference, and [`WheelEngine`], a hierarchical timing wheel
-//! with `O(1)` amortised operations and closed-form fast-forward across
-//! empty virtual time. [`EngineQueue`] selects between them at runtime; the
+//! Two engines satisfy the contract: [`WheelEngine`], a hierarchical
+//! timing wheel with `O(1)` amortised operations and closed-form
+//! fast-forward across empty virtual time (the production default), and
+//! [`EventQueue`], the `O(log n)` binary-heap reference the cross-engine
+//! tests compare it against. [`EngineQueue`] selects between them at runtime; the
 //! two are observation-equivalent bit for bit (see [`engine`] for the exact
 //! obligations). The [`digest`] module holds the streaming hashes that
 //! checkpoint state-hashing builds on.

@@ -142,7 +142,7 @@ pub(crate) fn key_seq(key: u128) -> u64 {
 /// One heap entry. Ordered by the packed `(time, seq)` key so the
 /// [`BinaryHeap`] (a max-heap with a reversed `Ord`) pops the earliest event
 /// first and breaks ties in scheduling order with a single `u128` compare.
-struct Entry<E> {
+pub(crate) struct Entry<E> {
     key: u128,
     event: E,
 }

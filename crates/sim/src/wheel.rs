@@ -1,4 +1,13 @@
-//! Hierarchical timing-wheel engine with closed-form fast-forward.
+//! Hierarchical timing-wheel engine with closed-form fast-forward — the
+//! production engine.
+//!
+//! Every machine, platform core and admission fleet runs on this wheel
+//! unless `RTHV_ENGINE=heap` or a configuration pins the binary-heap
+//! [`EventQueue`](crate::EventQueue), which stays as the reference the
+//! cross-engine differential suites compare against. On the repo
+//! benchmark the wheel takes 36 % less wall time than the heap on `fig6c`,
+//! and less on every other workload too (see EXPERIMENTS.md
+//! § *Event-engine throughput*).
 //!
 //! # Geometry
 //!
@@ -19,14 +28,39 @@
 //! the level-1 rotation: slot-boundary and handler events — the simulation
 //! hot set — always live on the two cheapest levels.
 //!
+//! # Storage: one node slab
+//!
+//! Every event filed in a bucket is a `Node` of one slab
+//! (`nodes: Vec<Node<E>>`): its packed `(time, seq)` key, a `u32` link and
+//! the payload. A bucket is a singly linked chain through those links,
+//! rooted in a dense `[[u32; 64]; 4]` head table beside the occupancy
+//! bitmaps; freed nodes are threaded onto a free list through the same
+//! link, so the slab only grows when every node is filed, and a warmed-up
+//! wheel schedules without allocating. For the hypervisor's 24-byte event
+//! a node is 48 bytes, the size of the heap engine's entry.
+//!
+//! A cascade re-links nodes into finer chains without moving payloads;
+//! only the level-0 drain moves payloads out, into the sorted `staging`
+//! array the pops are served from. [`Clone`] copies the filed nodes alone,
+//! chain by chain into a dense slab, so a checkpoint never carries the
+//! free high-water mark.
+//!
 //! # Placement and the cursor
 //!
 //! `cursor` is the absolute granule index the wheel is positioned at. An
 //! event with granule index `i` lives at the lowest level `l` whose
 //! rotation currently contains it — the first `l` with
-//! `i >> 6·(l+1) == cursor >> 6·(l+1)` — in slot `(i >> 6·l) & 63`.
-//! Events at or before the cursor's granule go to a small sorted `staging`
-//! array the pops are served from.
+//! `i >> 6·(l+1) == cursor >> 6·(l+1)`, i.e. the level of the highest bit
+//! in which `i` and `cursor` differ — in slot `(i >> 6·l) & 63`. Events at
+//! or before the cursor's granule go to `staging`.
+//!
+//! The cursor only moves forward, within the rotations it shares with
+//! every filed event, and a cascade re-files each node of the bucket it
+//! explodes. So a filed node always sits in the bucket its key names for
+//! the current cursor. Compaction relies on this: it rebuilds the chains
+//! and the free list in one linear pass over the slab, linking each
+//! surviving node by its key, instead of walking chains that jump across
+//! the slab wherever events were scheduled out of time order.
 //!
 //! # Closed-form fast-forward
 //!
@@ -79,8 +113,20 @@ const LEVEL_BITS: u32 = 6;
 const SLOTS: usize = 1 << LEVEL_BITS;
 /// log2(granules per full level-3 rotation).
 const SPAN_BITS: u32 = LEVEL_BITS * LEVELS as u32;
+/// The null link: an empty bucket, the end of a chain or of the free list.
+const NIL: u32 = u32::MAX;
 
-/// One stored event: packed `(time, seq)` key plus the payload.
+/// One slab node: an event filed in a bucket, or a free node.
+struct Node<E> {
+    /// Packed `(time, seq)` key.
+    key: u128,
+    /// Next node of the same bucket chain, or of the free list.
+    next: u32,
+    /// The payload; `None` while the node is on the free list.
+    event: Option<E>,
+}
+
+/// One staged event: packed `(time, seq)` key plus the payload.
 struct WheelEntry<E> {
     key: u128,
     event: E,
@@ -95,28 +141,26 @@ impl<E: Clone> Clone for WheelEntry<E> {
     }
 }
 
-/// One wheel level: 64 buckets and their occupancy bitmap.
-struct Level<E> {
-    occupied: u64,
-    slots: Vec<Vec<WheelEntry<E>>>,
+/// Where an event with a given granule belongs right now.
+enum Home {
+    /// At or before the cursor's granule.
+    Staging,
+    /// Bucket `slot` of wheel level `level`.
+    Bucket { level: usize, slot: usize },
+    /// Beyond the level-3 rotation.
+    Overflow,
 }
 
-impl<E> Level<E> {
-    fn new() -> Self {
-        Level {
-            occupied: 0,
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-        }
+/// Consumes the id of a stored entry if it was cancelled, accounting the
+/// entry as gone from storage; `true` if so (the caller then drops it).
+fn drain_cancelled(ids: &mut IdTable, stored: &mut usize, key: u128) -> bool {
+    let seq = key_seq(key);
+    if ids.state(seq) != IdState::Cancelled {
+        return false;
     }
-}
-
-impl<E: Clone> Clone for Level<E> {
-    fn clone(&self) -> Self {
-        Level {
-            occupied: self.occupied,
-            slots: self.slots.clone(),
-        }
-    }
+    ids.consume(seq);
+    *stored -= 1;
+    true
 }
 
 /// Bits strictly above `pos` in a 64-bit occupancy word.
@@ -130,7 +174,8 @@ fn above_mask(pos: u32) -> u64 {
 }
 
 /// A deterministic, time-ordered event queue backed by a hierarchical
-/// timing wheel (see the [module docs](self) for geometry and invariants).
+/// timing wheel (see the [module docs](self) for geometry, storage and
+/// invariants).
 ///
 /// Drop-in equivalent of [`EventQueue`](crate::EventQueue): same API, same
 /// observable behaviour, `O(1)` amortised operations and closed-form
@@ -140,13 +185,23 @@ pub struct WheelEngine<E> {
     tick_shift: u32,
     now: Instant,
     /// Absolute granule index the wheel is positioned at. Every event in
-    /// `levels`/`overflow` has a strictly later granule; events at or
+    /// the buckets or `overflow` has a strictly later granule; events at or
     /// before it live in `staging`.
     cursor: u64,
     /// Events due at or before the cursor's granule, sorted by key
     /// **descending** so the earliest is popped from the back.
     staging: Vec<WheelEntry<E>>,
-    levels: [Level<E>; LEVELS],
+    /// The node slab behind every bucket chain and the free list.
+    nodes: Vec<Node<E>>,
+    /// Head of the free-node list threaded through [`Node::next`].
+    free: u32,
+    /// `heads[level][slot]`: first node of that bucket's chain, or [`NIL`].
+    /// Boxed so the engine stays small beside the heap engine inside
+    /// `EngineQueue`.
+    heads: Box<[[u32; SLOTS]; LEVELS]>,
+    /// Per-level occupancy bitmaps: bit `slot` is set iff the chain at
+    /// `heads[level][slot]` is non-empty.
+    occupied: [u64; LEVELS],
     /// Far-future events outside the level-3 rotation, keyed by packed
     /// `(time, seq)`.
     overflow: BTreeMap<u128, E>,
@@ -191,7 +246,10 @@ impl<E> WheelEngine<E> {
             now: Instant::ZERO,
             cursor: 0,
             staging: Vec::new(),
-            levels: std::array::from_fn(|_| Level::new()),
+            nodes: Vec::new(),
+            free: NIL,
+            heads: Box::new([[NIL; SLOTS]; LEVELS]),
+            occupied: [0; LEVELS],
             overflow: BTreeMap::new(),
             ids: IdTable::default(),
             next_seq: 0,
@@ -227,24 +285,24 @@ impl<E> WheelEngine<E> {
         self.len() == 0
     }
 
-    /// Pre-sizes the id ring and staging array for `additional` more live
+    /// Pre-sizes the id ring and the node slab for `additional` more live
     /// events.
     pub fn reserve(&mut self, additional: usize) {
         self.ids.reserve(additional);
+        self.nodes.reserve(additional);
     }
 
     /// Resets the wheel to time zero under a fresh id generation, keeping
-    /// bucket capacity (mirrors [`EventQueue::clear`](crate::EventQueue::clear)).
+    /// the slab's and staging's capacity (mirrors
+    /// [`EventQueue::clear`](crate::EventQueue::clear)).
     pub fn clear(&mut self) {
         self.now = Instant::ZERO;
         self.cursor = 0;
         self.staging.clear();
-        for level in &mut self.levels {
-            level.occupied = 0;
-            for slot in &mut level.slots {
-                slot.clear();
-            }
-        }
+        self.nodes.clear();
+        self.free = NIL;
+        *self.heads = [[NIL; SLOTS]; LEVELS];
+        self.occupied = [0; LEVELS];
         self.overflow.clear();
         self.ids.clear();
         self.next_seq = 0;
@@ -257,38 +315,108 @@ impl<E> WheelEngine<E> {
         self.compactions = 0;
     }
 
+    /// Entries filed in bucket chains (the rest are staged or parked).
+    fn filed(&self) -> usize {
+        self.stored - self.staging.len() - self.overflow.len()
+    }
+
     /// Granule index of an absolute time.
     #[inline]
     fn granule(&self, at_nanos: u64) -> u64 {
         at_nanos >> self.tick_shift
     }
 
-    /// Inserts into `staging`, keeping the descending key order.
-    fn stage(&mut self, entry: WheelEntry<E>) {
-        let key = entry.key;
-        let pos = self.staging.partition_point(|e| e.key > key);
-        self.staging.insert(pos, entry);
+    /// Where an event with packed `key` belongs at the current cursor.
+    #[inline]
+    fn home(&self, key: u128) -> Home {
+        let i = self.granule(key_time(key).as_nanos());
+        if i <= self.cursor {
+            return Home::Staging;
+        }
+        // The lowest level whose rotation holds both `i` and the cursor is
+        // the one containing the highest bit in which they differ.
+        let level = ((63 - (i ^ self.cursor).leading_zeros()) / LEVEL_BITS) as usize;
+        if level >= LEVELS {
+            return Home::Overflow;
+        }
+        let slot = ((i >> (LEVEL_BITS * level as u32)) & 63) as usize;
+        Home::Bucket { level, slot }
     }
 
-    /// Files an entry at the lowest wheel level whose rotation currently
-    /// contains its granule; at-or-before-cursor granules go to staging,
-    /// beyond-span granules to the overflow map.
-    fn place(&mut self, entry: WheelEntry<E>) {
-        let i = self.granule(key_time(entry.key).as_nanos());
-        if i <= self.cursor {
-            self.stage(entry);
-            return;
+    /// Inserts into `staging`, keeping the descending key order.
+    fn stage(&mut self, key: u128, event: E) {
+        let pos = self.staging.partition_point(|e| e.key > key);
+        self.staging.insert(pos, WheelEntry { key, event });
+    }
+
+    /// Pushes node `n` onto the front of bucket `slot` of `level`.
+    #[inline]
+    fn link(&mut self, n: u32, level: usize, slot: usize) {
+        self.nodes[n as usize].next = self.heads[level][slot];
+        self.heads[level][slot] = n;
+        self.occupied[level] |= 1u64 << slot;
+    }
+
+    /// Takes a node off the free list (or grows the slab) to hold `event`.
+    fn alloc(&mut self, key: u128, event: E) -> u32 {
+        if self.free == NIL {
+            let n = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&n| n != NIL)
+                .expect("the wheel's node slab holds fewer than 2^32 - 1 events");
+            self.nodes.push(Node {
+                key,
+                next: NIL,
+                event: Some(event),
+            });
+            return n;
         }
-        for (l, level) in self.levels.iter_mut().enumerate() {
-            let shift = LEVEL_BITS * (l as u32 + 1);
-            if (i >> shift) == (self.cursor >> shift) {
-                let slot = ((i >> (LEVEL_BITS * l as u32)) & 63) as usize;
-                level.slots[slot].push(entry);
-                level.occupied |= 1u64 << slot;
-                return;
+        let n = self.free;
+        let node = &mut self.nodes[n as usize];
+        self.free = node.next;
+        node.key = key;
+        node.event = Some(event);
+        n
+    }
+
+    /// Returns node `n` to the free list, handing back its key and payload.
+    fn release(&mut self, n: u32) -> (u128, Option<E>) {
+        let node = &mut self.nodes[n as usize];
+        node.next = self.free;
+        self.free = n;
+        (node.key, node.event.take())
+    }
+
+    /// Files a new entry where it belongs: a bucket chain, `staging`, or
+    /// the overflow map.
+    fn place(&mut self, key: u128, event: E) {
+        match self.home(key) {
+            Home::Staging => self.stage(key, event),
+            Home::Bucket { level, slot } => {
+                let n = self.alloc(key, event);
+                self.link(n, level, slot);
+            }
+            Home::Overflow => {
+                self.overflow.insert(key, event);
             }
         }
-        self.overflow.insert(entry.key, entry.event);
+    }
+
+    /// Re-files node `n` of an exploded bucket after the cursor moved to the
+    /// bucket's start: a finer bucket keeps the node, or `staging` takes its
+    /// payload and frees it.
+    fn refile(&mut self, n: u32) {
+        match self.home(self.nodes[n as usize].key) {
+            Home::Bucket { level, slot } => self.link(n, level, slot),
+            home => {
+                // The bucket's events lie inside its span, which now starts
+                // at the cursor: none of them can be beyond the wheel.
+                debug_assert!(matches!(home, Home::Staging));
+                if let (key, Some(event)) = self.release(n) {
+                    self.stage(key, event);
+                }
+            }
+        }
     }
 
     /// Allocates the next id and stores the entry; `at` is pre-validated.
@@ -298,7 +426,7 @@ impl<E> WheelEngine<E> {
         self.ids.push_pending();
         self.next_seq += 1;
         self.stored += 1;
-        self.place(WheelEntry { key, event });
+        self.place(key, event);
         id
     }
 
@@ -364,7 +492,7 @@ impl<E> WheelEngine<E> {
             // Level 0: the occupancy bitmap names the next armed granule in
             // the current level-1 bucket — a single trailing_zeros.
             let pos = (self.cursor & 63) as u32;
-            let armed = self.levels[0].occupied & above_mask(pos);
+            let armed = self.occupied[0] & above_mask(pos);
             if armed != 0 {
                 let slot = armed.trailing_zeros() as usize;
                 let next = (self.cursor & !63) | slot as u64;
@@ -372,10 +500,17 @@ impl<E> WheelEngine<E> {
                     self.fast_forward_jumps += 1;
                 }
                 self.cursor = next;
-                self.levels[0].occupied &= !(1u64 << slot);
-                let staging = &mut self.staging;
-                staging.append(&mut self.levels[0].slots[slot]);
-                staging.sort_unstable_by_key(|entry| std::cmp::Reverse(entry.key));
+                self.occupied[0] &= !(1u64 << slot);
+                let mut n = std::mem::replace(&mut self.heads[0][slot], NIL);
+                while n != NIL {
+                    let chained = self.nodes[n as usize].next;
+                    if let (key, Some(event)) = self.release(n) {
+                        self.staging.push(WheelEntry { key, event });
+                    }
+                    n = chained;
+                }
+                self.staging
+                    .sort_unstable_by_key(|entry| std::cmp::Reverse(entry.key));
                 return;
             }
             if !self.cascade() {
@@ -393,7 +528,7 @@ impl<E> WheelEngine<E> {
         for l in 1..LEVELS {
             let shift = LEVEL_BITS * l as u32;
             let pos = ((self.cursor >> shift) & 63) as u32;
-            let armed = self.levels[l].occupied & above_mask(pos);
+            let armed = self.occupied[l] & above_mask(pos);
             if armed == 0 {
                 continue;
             }
@@ -405,10 +540,12 @@ impl<E> WheelEngine<E> {
             }
             self.cursor = next;
             self.cascades += 1;
-            self.levels[l].occupied &= !(1u64 << slot);
-            let bucket = std::mem::take(&mut self.levels[l].slots[slot]);
-            for entry in bucket {
-                self.place(entry);
+            self.occupied[l] &= !(1u64 << slot);
+            let mut n = std::mem::replace(&mut self.heads[l][slot], NIL);
+            while n != NIL {
+                let chained = self.nodes[n as usize].next;
+                self.refile(n);
+                n = chained;
             }
             return true;
         }
@@ -440,7 +577,7 @@ impl<E> WheelEngine<E> {
         };
         let pulled = std::mem::replace(&mut self.overflow, rest);
         for (key, event) in pulled {
-            self.place(WheelEntry { key, event });
+            self.place(key, event);
         }
     }
 
@@ -493,73 +630,63 @@ impl<E> WheelEngine<E> {
         }
     }
 
-    /// Visits every live event once, in storage order (staging, then each
-    /// level's buckets, then the overflow map), without allocating or
-    /// disturbing the wheel.
+    /// Visits every live event once, in storage order (staging, then the
+    /// node slab, then the overflow map), without allocating or disturbing
+    /// the wheel.
     ///
     /// The set of `(time, seq, event)` triples visited is the one
     /// [`EventQueue::for_each_live`](crate::EventQueue::for_each_live)
     /// visits for the same timeline; only the order differs, so consumers
     /// must be order-independent, as checkpoint state-hashing is.
     pub fn for_each_live<'a>(&'a self, mut f: impl FnMut(Instant, u64, &'a E)) {
-        let is_live = |seq: u64| self.ids.state(seq) != IdState::Cancelled;
-        let stored = self.staging.iter().chain(
-            self.levels
-                .iter()
-                .flat_map(|level| level.slots.iter().flatten()),
-        );
-        for entry in stored {
-            let seq = key_seq(entry.key);
-            if is_live(seq) {
-                f(key_time(entry.key), seq, &entry.event);
+        let mut visit = |key: u128, event: &'a E| {
+            let seq = key_seq(key);
+            if self.ids.state(seq) != IdState::Cancelled {
+                f(key_time(key), seq, event);
+            }
+        };
+        for entry in &self.staging {
+            visit(entry.key, &entry.event);
+        }
+        // A linear pass over the slab, not a walk along the bucket chains:
+        // free nodes carry no payload, and there are no dependent loads.
+        for node in &self.nodes {
+            if let Some(event) = &node.event {
+                visit(node.key, event);
             }
         }
         for (&key, event) in &self.overflow {
-            if is_live(key_seq(key)) {
-                f(key_time(key), key_seq(key), event);
-            }
+            visit(key, event);
         }
     }
 
-    /// Drops every cancelled entry from staging, buckets and overflow,
-    /// consuming their ids. Invoked automatically by the compaction guard.
+    /// Drops every cancelled entry from staging, bucket chains and
+    /// overflow, consuming their ids. Invoked automatically by the
+    /// compaction guard.
     pub fn compact(&mut self) {
         if self.ids.cancelled() == 0 {
             return;
         }
-        let ids = &mut self.ids;
-        let stored = &mut self.stored;
-        let mut sweep = |entries: &mut Vec<WheelEntry<E>>| {
-            entries.retain(|entry| {
-                let seq = key_seq(entry.key);
-                if ids.state(seq) == IdState::Cancelled {
-                    ids.consume(seq);
-                    *stored -= 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        };
-        sweep(&mut self.staging);
-        for level in &mut self.levels {
-            for (slot, entries) in level.slots.iter_mut().enumerate() {
-                sweep(entries);
-                if entries.is_empty() {
-                    level.occupied &= !(1u64 << slot);
-                }
+        let (ids, stored) = (&mut self.ids, &mut self.stored);
+        self.staging
+            .retain(|entry| !drain_cancelled(ids, stored, entry.key));
+        self.overflow
+            .retain(|&key, _| !drain_cancelled(ids, stored, key));
+        // Rebuild every chain and the free list in one pass over the slab
+        // (see § Placement and the cursor).
+        *self.heads = [[NIL; SLOTS]; LEVELS];
+        self.occupied = [0; LEVELS];
+        self.free = NIL;
+        for n in 0..self.nodes.len() as u32 {
+            let node = &self.nodes[n as usize];
+            let live =
+                node.event.is_some() && !drain_cancelled(&mut self.ids, &mut self.stored, node.key);
+            if live {
+                self.refile(n);
+            } else {
+                self.release(n);
             }
         }
-        self.overflow.retain(|&key, _| {
-            let seq = key_seq(key);
-            if ids.state(seq) == IdState::Cancelled {
-                ids.consume(seq);
-                *stored -= 1;
-                false
-            } else {
-                true
-            }
-        });
         self.compactions += 1;
     }
 
@@ -573,11 +700,7 @@ impl<E> WheelEngine<E> {
             compactions: self.compactions,
             fast_forward_jumps: self.fast_forward_jumps,
             cascades: self.cascades,
-            occupied_buckets: self
-                .levels
-                .iter()
-                .map(|level| level.occupied.count_ones())
-                .sum(),
+            occupied_buckets: self.occupied.iter().map(|bits| bits.count_ones()).sum(),
             overflow_len: self.overflow.len(),
         }
     }
@@ -593,13 +716,46 @@ impl<E: Clone> Clone for WheelEngine<E> {
     /// Deep copy preserving ids, generations and lazy-cancellation state —
     /// the clone pops exactly the stream the original would (the machine
     /// checkpointing contract).
+    ///
+    /// Only filed nodes are copied: each bucket chain lands contiguously,
+    /// in chain order, in a slab sized to fit, with an empty free list.
     fn clone(&self) -> Self {
+        let mut nodes = Vec::with_capacity(self.filed());
+        let mut heads = Box::new([[NIL; SLOTS]; LEVELS]);
+        for (level, chains) in self.heads.iter().enumerate() {
+            let mut armed = self.occupied[level];
+            while armed != 0 {
+                let slot = armed.trailing_zeros() as usize;
+                armed &= armed - 1;
+                // Slab indices stay below NIL (`alloc`), and the copy holds
+                // no more nodes than the original.
+                heads[level][slot] = nodes.len() as u32;
+                let mut n = chains[slot];
+                while n != NIL {
+                    let node = &self.nodes[n as usize];
+                    n = node.next;
+                    let next = if n == NIL {
+                        NIL
+                    } else {
+                        nodes.len() as u32 + 1
+                    };
+                    nodes.push(Node {
+                        key: node.key,
+                        next,
+                        event: node.event.clone(),
+                    });
+                }
+            }
+        }
         WheelEngine {
             tick_shift: self.tick_shift,
             now: self.now,
             cursor: self.cursor,
             staging: self.staging.clone(),
-            levels: self.levels.clone(),
+            nodes,
+            free: NIL,
+            heads,
+            occupied: self.occupied,
             overflow: self.overflow.clone(),
             ids: self.ids.clone(),
             next_seq: self.next_seq,
@@ -619,5 +775,141 @@ impl<E> fmt::Debug for WheelEngine<E> {
             .field("pending", &self.len())
             .field("tick_nanos", &self.tick_nanos())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::queue::Entry;
+    use crate::EventQueue;
+
+    /// Small deterministic generator for interleaving decisions (SplitMix64).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// One randomized operation, applied to a wheel and a heap alike. The
+    /// payload of each event is its own sequence number, so `live` — the
+    /// ids still scheduled, at most `cap` of them — forgets popped ones.
+    fn churn_step(
+        rng: &mut Rng,
+        wheel: &mut WheelEngine<u64>,
+        heap: &mut EventQueue<u64>,
+        live: &mut Vec<EventId>,
+        cap: usize,
+    ) {
+        let roll = rng.next() % 100;
+        if roll < 45 && live.len() < cap {
+            // Gaps from one granule to far past the level-3 rotation.
+            let gap = 1u64 << (rng.next() % 34);
+            let at = heap.now() + Duration::from_nanos(gap + rng.next() % 97);
+            let seq = wheel.next_seq;
+            let id = wheel.schedule_at(at, seq).expect("future");
+            assert_eq!(heap.schedule_at(at, seq), Ok(id));
+            live.push(id);
+        } else if roll < 65 && !live.is_empty() {
+            let id = live.swap_remove((rng.next() as usize) % live.len());
+            assert_eq!(wheel.cancel(id), heap.cancel(id));
+        } else {
+            let popped = wheel.pop();
+            assert_eq!(popped, heap.pop());
+            if let Some((_, seq)) = popped {
+                live.retain(|id| id.seq() != seq);
+            }
+        }
+    }
+
+    #[test]
+    fn slab_reuses_free_nodes_under_churn() {
+        let mut rng = Rng(0x51ab);
+        let mut wheel = WheelEngine::with_tick_shift(6);
+        let mut heap = EventQueue::new();
+        let mut live = Vec::new();
+        let mut peak_filed = 0;
+        for step in 0..50_000 {
+            churn_step(&mut rng, &mut wheel, &mut heap, &mut live, 48);
+            peak_filed = peak_filed.max(wheel.filed());
+            // The slab grows only when every node is filed, so it never
+            // outgrows the peak number of filed entries.
+            assert!(
+                wheel.nodes.len() <= peak_filed,
+                "slab of {} nodes outgrew the filed peak {peak_filed} at step {step}",
+                wheel.nodes.len()
+            );
+        }
+        assert!(
+            wheel.nodes.len() < 200,
+            "a live set capped at 48 must recycle its nodes, slab holds {}",
+            wheel.nodes.len()
+        );
+        assert!(wheel.stats().cascades > 0);
+    }
+
+    #[test]
+    fn clone_after_churn_holds_exactly_the_filed_nodes() {
+        let mut rng = Rng(0xc10e);
+        let mut wheel = WheelEngine::with_tick_shift(5);
+        let mut heap = EventQueue::new();
+        let mut live = Vec::new();
+        for _ in 0..20_000 {
+            churn_step(&mut rng, &mut wheel, &mut heap, &mut live, 400);
+        }
+        // Grow the slab's free high-water, then drain part of it.
+        for k in 0..1_000 {
+            let at = heap.now() + Duration::from_nanos(1 + k * 4_999 % 5_000);
+            let id = wheel.schedule_at(at, k).expect("future");
+            assert_eq!(heap.schedule_at(at, k), Ok(id));
+        }
+        for _ in 0..900 {
+            assert_eq!(wheel.pop(), heap.pop());
+        }
+        assert!(wheel.free != NIL, "the churn must leave free nodes behind");
+
+        let mut copy = wheel.clone();
+        assert_eq!(
+            copy.nodes.len(),
+            wheel.filed(),
+            "clone copies filed nodes only"
+        );
+        assert!(copy.nodes.len() < wheel.nodes.len());
+        assert_eq!(copy.free, NIL, "a clone carries no free list");
+        assert!(copy.nodes.iter().all(|node| node.event.is_some()));
+        assert_eq!(copy.stats(), wheel.stats());
+
+        let mut streams = [Vec::new(), Vec::new(), Vec::new()];
+        while let Some(popped) = wheel.pop() {
+            streams[0].push(popped);
+        }
+        while let Some(popped) = copy.pop() {
+            streams[1].push(popped);
+        }
+        while let Some(popped) = heap.pop() {
+            streams[2].push(popped);
+        }
+        assert!(!streams[0].is_empty());
+        assert_eq!(streams[1], streams[0], "clone diverged from the original");
+        assert_eq!(streams[2], streams[0], "wheel diverged from the heap");
+    }
+
+    #[test]
+    fn node_is_the_size_of_a_heap_entry() {
+        // A 24-byte payload with a niche, like the hypervisor's tagged
+        // event, so `Option` adds no byte to the node.
+        type Event = (u64, u64, std::num::NonZeroU64);
+        assert_eq!(std::mem::size_of::<Event>(), 24);
+        assert_eq!(
+            std::mem::size_of::<Node<Event>>(),
+            std::mem::size_of::<Entry<Event>>()
+        );
+        assert_eq!(std::mem::size_of::<Node<Event>>(), 48);
     }
 }

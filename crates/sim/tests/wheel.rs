@@ -131,10 +131,14 @@ fn fast_forward_never_skips_an_armed_event() {
     // Random schedule/pop/cancel interleaving with huge time gaps, checked
     // move-for-move against the reference heap engine. Any fast-forward
     // jump over an armed granule would pop out of order or drop an event.
+    // At random cuts both engines are replaced by their clones, so the run
+    // also continues from copies of a churned slab (free list, chains
+    // re-linked by cascades, tombstones) that must stay equivalent.
     let mut rng = Rng(0x5eed_cafe);
     let mut wheel: WheelEngine<u64> = WheelEngine::with_tick_shift(6);
     let mut heap: EventQueue<u64> = EventQueue::new();
     let mut live_ids = Vec::new();
+    let mut cuts = 0;
     for step in 0..20_000u64 {
         match rng.next() % 100 {
             // Mostly schedule: gaps spanning every level (1 ns .. ~1 s).
@@ -155,13 +159,28 @@ fn fast_forward_never_skips_an_armed_event() {
             70..=79 => {
                 assert_eq!(wheel.peek_time(), heap.peek_time());
             }
-            _ => {
+            80..=98 => {
                 assert_eq!(wheel.pop(), heap.pop(), "pop diverged at step {step}");
                 assert_eq!(wheel.now(), heap.now());
+            }
+            _ => {
+                let (wheel_copy, heap_copy) = (wheel.clone(), heap.clone());
+                assert_eq!(wheel_copy.stats(), wheel.stats());
+                assert_eq!(
+                    Engine::<u64>::state_hash(&wheel_copy),
+                    Engine::<u64>::state_hash(&heap_copy),
+                    "clones diverged at step {step}"
+                );
+                (wheel, heap) = (wheel_copy, heap_copy);
+                cuts += 1;
             }
         }
         assert_eq!(wheel.len(), heap.len());
     }
+    assert!(
+        cuts > 100,
+        "the run must continue from clones, cut {cuts} times"
+    );
     // Drain both to the end: the full residual streams must agree.
     loop {
         let (a, b) = (wheel.pop(), heap.pop());

@@ -9,12 +9,14 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test -q (RTHV_ENGINE=heap)"
+# The whole tier-1 suite on the binary-heap reference engine: every machine
+# built with EngineChoice::Auto honours RTHV_ENGINE, so any test passing
+# on the default wheel but failing here is a cross-engine divergence.
 RTHV_ENGINE=heap cargo test --workspace -q
 
 echo "==> cargo test -q (RTHV_ENGINE=wheel)"
-# The whole tier-1 suite again on the timing-wheel engine: every machine
-# built with EngineChoice::Auto honours RTHV_ENGINE, so any test passing
-# on the heap but failing here is a cross-engine divergence.
+# The whole tier-1 suite again, pinned to the timing wheel: the production
+# engine EngineChoice::Auto falls back to when RTHV_ENGINE is unset.
 RTHV_ENGINE=wheel cargo test --workspace -q
 
 echo "==> cargo test --release (benchmark package)"
@@ -82,7 +84,18 @@ RTHV_ENGINE=wheel cargo run --release -q -p rthv-experiments --bin campaign \
 cmp target/CAMPAIGN_smoke_heap.json target/CAMPAIGN_smoke_wheel.json \
     || { echo "cross-engine divergence: heap and wheel campaign reports differ"; exit 1; }
 cmp target/CAMPAIGN_smoke.json target/CAMPAIGN_smoke_heap.json \
-    || { echo "default-engine report differs from pinned heap report"; exit 1; }
+    || { echo "default-engine (wheel) report differs from pinned heap reference report"; exit 1; }
+
+echo "==> default-engine smoke (the default is the wheel: pinned-wheel metrics match)"
+# The metrics snapshot carries the engine gauges. The heap reports zero
+# cascades, fast-forward jumps and occupied buckets, so if the default
+# ever fell back to the heap, this pinned-wheel snapshot would differ from
+# the default run's target/OBS_smoke.json.
+RTHV_ENGINE=wheel cargo run --release -q -p rthv-experiments --bin campaign \
+    target/CAMPAIGN_smoke_wheel_metrics.json 7 16392212 \
+    --metrics target/OBS_smoke_wheel.json
+cmp target/OBS_smoke.json target/OBS_smoke_wheel.json \
+    || { echo "default engine is not the wheel: its metrics differ from RTHV_ENGINE=wheel"; exit 1; }
 
 echo "==> smoke admission-fleet storm (both engines, byte-identical reports)"
 # The sharded δ⁻ admission fleet under seeded crash/stall storms: exits
