@@ -22,7 +22,7 @@ use rthv_workload::FloodEvent;
 
 use rthv_faults::{check_admitted_stream, check_global_budget, check_group_budget, Violation};
 
-use crate::shard::{InFlight, Shard, ShardCounters};
+use crate::shard::{InFlight, ShardCounters, ShardState};
 use crate::tenant::{
     BrownoutController, BrownoutLevel, GroupBudget, TenantBudgetError, TenantConfig,
     TenantCounters, TenantLedger, WindowBudget,
@@ -395,10 +395,10 @@ impl AdmitFleet {
         // A flat fleet serves one lane; a tenanted fleet reserves one lane
         // per tenant plus a shared best-effort lane for demoted tenants.
         let lanes = cfg.tenancy.as_ref().map_or(1, |tc| tc.tenants.len() + 1);
-        let shards: Vec<Shard> = self
+        let mut shards: Vec<ShardState> = self
             .locals
             .iter()
-            .map(|&n| Shard::new(n as usize, lanes, &cfg.delta, cfg.supervision))
+            .map(|&n| ShardState::new(n as usize, lanes, &cfg.delta, cfg.supervision))
             .collect();
         let mut tenancy = cfg.tenancy.as_ref().map(TenancyRuntime::new);
         let tick_hint = cfg.delta.dmin().max(Duration::from_micros(64));
@@ -445,7 +445,7 @@ impl AdmitFleet {
                     if let Some(rt) = tenancy.as_mut() {
                         self.tenant_ingress(
                             rt,
-                            &shards,
+                            &mut shards,
                             &mut queue,
                             &mut admitted,
                             &mut hub,
@@ -455,8 +455,8 @@ impl AdmitFleet {
                         );
                         continue;
                     }
-                    let shard = &shards[shard_id as usize];
-                    let outcome = shard.with_state(|s| {
+                    let s = &mut shards[shard_id as usize];
+                    let outcome = 'ingress: {
                         s.counters.scheduled += 1;
                         // Fail-closed stall handling: a bounded number of
                         // deterministic backoff retries may outlast the
@@ -469,7 +469,7 @@ impl AdmitFleet {
                                 let needed = wait.as_nanos().div_ceil(backoff);
                                 if needed > u64::from(cfg.max_retries) {
                                     s.counters.shed_stalled += 1;
-                                    return AdmitOutcome::Shed {
+                                    break 'ingress AdmitOutcome::Shed {
                                         reason: ShedReason::ShardStalled,
                                     };
                                 }
@@ -492,7 +492,7 @@ impl AdmitFleet {
                                     );
                                 }
                             }
-                            return AdmitOutcome::Shed {
+                            break 'ingress AdmitOutcome::Shed {
                                 reason: ShedReason::QueueFull,
                             };
                         }
@@ -505,7 +505,7 @@ impl AdmitFleet {
                         let state = s.trackers[local as usize].state();
                         if occupancy >= watermark && state.shed_rank() >= 2 {
                             s.counters.shed_demoted += 1;
-                            return AdmitOutcome::Shed {
+                            break 'ingress AdmitOutcome::Shed {
                                 reason: ShedReason::Demoted { state },
                             };
                         }
@@ -546,7 +546,7 @@ impl AdmitFleet {
                                 AdmitOutcome::Denied { violated_distance }
                             }
                         }
-                    });
+                    };
                     match outcome {
                         AdmitOutcome::Admitted => {
                             admitted[source as usize].push(now);
@@ -555,24 +555,22 @@ impl AdmitFleet {
                             }
                             // Single-server shard: the admission completes
                             // after everything already in service.
-                            shard.with_state(|s| {
-                                let start = s.busy_until[0].max(now);
-                                let completion = start + cfg.service_cost;
-                                s.busy_until[0] = completion;
-                                let id = queue
-                                    .schedule_at(
-                                        completion,
-                                        FleetEvent::Drain {
-                                            shard: shard_id,
-                                            lane: 0,
-                                        },
-                                    )
-                                    .expect("completions are in the future");
-                                s.in_flight[0].push_back(InFlight {
-                                    id,
-                                    source,
-                                    arrival: now,
-                                });
+                            let start = s.busy_until[0].max(now);
+                            let completion = start + cfg.service_cost;
+                            s.busy_until[0] = completion;
+                            let id = queue
+                                .schedule_at(
+                                    completion,
+                                    FleetEvent::Drain {
+                                        shard: shard_id,
+                                        lane: 0,
+                                    },
+                                )
+                                .expect("completions are in the future");
+                            s.in_flight[0].push_back(InFlight {
+                                id,
+                                source,
+                                arrival: now,
                             });
                         }
                         AdmitOutcome::Denied { violated_distance } => {
@@ -584,7 +582,7 @@ impl AdmitFleet {
                                 );
                             }
                         }
-                        // The flat ingress closure has no tenant levels;
+                        // The flat ingress has no tenant levels;
                         // kept for match completeness.
                         AdmitOutcome::DeniedGroup { .. } | AdmitOutcome::DeniedGlobal => {
                             if let Some(h) = hub.as_deref_mut() {
@@ -599,14 +597,9 @@ impl AdmitFleet {
                     }
                 }
                 FleetEvent::Drain { shard, lane } => {
-                    let done = shards[shard as usize].with_state(|s| {
-                        let head = s.in_flight[lane as usize].pop_front();
-                        if head.is_some() {
-                            s.counters.completed += 1;
-                        }
-                        head
-                    });
-                    if let Some(flight) = done {
+                    let s = &mut shards[shard as usize];
+                    if let Some(flight) = s.in_flight[lane as usize].pop_front() {
+                        s.counters.completed += 1;
                         let lat = now - flight.arrival;
                         latency.add(lat);
                         max_latency = max_latency.max(lat);
@@ -620,8 +613,8 @@ impl AdmitFleet {
                     }
                 }
                 FleetEvent::Crash { shard } => {
-                    let dropped = shards[shard as usize]
-                        .with_state(|s| s.crash(now, cfg.failover, &cfg.delta, cfg.supervision));
+                    let s = &mut shards[shard as usize];
+                    let dropped = s.crash(now, cfg.failover, &cfg.delta, cfg.supervision);
                     for flight in dropped {
                         queue.cancel(flight.id);
                         if let Some(rt) = tenancy.as_mut() {
@@ -643,13 +636,12 @@ impl AdmitFleet {
                         continue; // only stall faults schedule stall events
                     };
                     let until = at + duration;
-                    shards[shard as usize].with_state(|s| {
-                        s.counters.stalls += 1;
-                        s.stalled_until = Some(s.stalled_until.map_or(until, |u| u.max(until)));
-                        for busy in &mut s.busy_until {
-                            *busy = (*busy).max(until);
-                        }
-                    });
+                    let s = &mut shards[shard as usize];
+                    s.counters.stalls += 1;
+                    s.stalled_until = Some(s.stalled_until.map_or(until, |u| u.max(until)));
+                    for busy in &mut s.busy_until {
+                        *busy = (*busy).max(until);
+                    }
                 }
                 FleetEvent::Retry { source, attempt } => {
                     // Retry events exist only in tenanted fleets with the
@@ -657,7 +649,7 @@ impl AdmitFleet {
                     if let Some(rt) = tenancy.as_mut() {
                         self.tenant_ingress(
                             rt,
-                            &shards,
+                            &mut shards,
                             &mut queue,
                             &mut admitted,
                             &mut hub,
@@ -670,7 +662,7 @@ impl AdmitFleet {
             }
         }
 
-        let shard_counters: Vec<ShardCounters> = shards.iter().map(Shard::counters).collect();
+        let shard_counters: Vec<ShardCounters> = shards.iter().map(|s| s.counters).collect();
         let mut counters = ShardCounters::default();
         for c in &shard_counters {
             counters.add(c);
@@ -706,7 +698,7 @@ impl AdmitFleet {
     fn tenant_ingress(
         &self,
         rt: &mut TenancyRuntime,
-        shards: &[Shard],
+        shards: &mut [ShardState],
         queue: &mut EngineQueue<FleetEvent>,
         admitted: &mut [Vec<Instant>],
         hub: &mut Option<&mut MetricsHub>,
@@ -719,16 +711,16 @@ impl AdmitFleet {
             return;
         };
         let tenant = rt.tenant_of[source as usize] as usize;
-        let shard = &shards[shard_id as usize];
+        let s = &mut shards[shard_id as usize];
         let retry_ladder = rt.retry_ladder;
         if attempt == 0 {
-            shard.with_state(|s| s.counters.scheduled += 1);
+            s.counters.scheduled += 1;
             rt.tenants[tenant].counters.scheduled += 1;
         }
         rt.tenants[tenant].brownout.roll(now);
         let level = rt.tenants[tenant].brownout.level();
         if level == BrownoutLevel::Quarantined {
-            shard.with_state(|s| s.counters.shed_quarantined += 1);
+            s.counters.shed_quarantined += 1;
             let tn = &mut rt.tenants[tenant];
             tn.counters.shed_quarantined += 1;
             tn.brownout.record(true);
@@ -755,7 +747,7 @@ impl AdmitFleet {
             Denied { violated_distance: usize },
             Cleared,
         }
-        let gate = shard.with_state(|s| {
+        let gate = 'gate: {
             if let Some(until) = s.stalled_until {
                 if now < until {
                     if retry_ladder {
@@ -764,17 +756,17 @@ impl AdmitFleet {
                         // fail closed after it.
                         if attempt < cfg.max_retries {
                             s.counters.retries += 1;
-                            return Gate::RetryLater;
+                            break 'gate Gate::RetryLater;
                         }
                         s.counters.shed_stalled += 1;
-                        return Gate::Shed(ShedReason::ShardStalled);
+                        break 'gate Gate::Shed(ShedReason::ShardStalled);
                     }
                     // Flat-style arithmetic fail-closed check.
                     let wait = until - now;
                     let needed = wait.as_nanos().div_ceil(cfg.retry_backoff.as_nanos());
                     if needed > u64::from(cfg.max_retries) {
                         s.counters.shed_stalled += 1;
-                        return Gate::Shed(ShedReason::ShardStalled);
+                        break 'gate Gate::Shed(ShedReason::ShardStalled);
                     }
                     s.counters.retries += needed;
                 } else {
@@ -788,7 +780,7 @@ impl AdmitFleet {
                         h.record_health(now, source as usize, tr.from.slug(), tr.to.slug());
                     }
                 }
-                return Gate::Shed(ShedReason::QueueFull);
+                break 'gate Gate::Shed(ShedReason::QueueFull);
             }
             // The watermark ladder judges the tenant's own lane, so one
             // tenant's backlog can never demote another's sources.
@@ -797,7 +789,7 @@ impl AdmitFleet {
             let state = s.trackers[local as usize].state();
             if occupancy >= watermark && state.shed_rank() >= 2 {
                 s.counters.shed_demoted += 1;
-                return Gate::Shed(ShedReason::Demoted { state });
+                break 'gate Gate::Shed(ShedReason::Demoted { state });
             }
             // Level one: the source's own δ⁻ monitor — check only, so a
             // refusal at a higher level leaves no phantom trace entry.
@@ -813,7 +805,7 @@ impl AdmitFleet {
                     Gate::Denied { violated_distance }
                 }
             }
-        });
+        };
         match gate {
             Gate::RetryLater => {
                 rt.tenants[tenant].counters.retries += 1;
@@ -854,7 +846,7 @@ impl AdmitFleet {
                 let tn = &mut rt.tenants[tenant];
                 let effective = tn.brownout.effective_budget();
                 if !tn.group.admits(now, effective) {
-                    shard.with_state(|s| s.counters.denied += 1);
+                    s.counters.denied += 1;
                     tn.counters.denied_group += 1;
                     tn.brownout.record(false);
                     if let Some(h) = hub.as_deref_mut() {
@@ -867,7 +859,7 @@ impl AdmitFleet {
                 // inside its group budget — it is the defense-in-depth
                 // backstop the oracle re-checks.
                 if !rt.global.admits(now, u64::MAX) {
-                    shard.with_state(|s| s.counters.denied += 1);
+                    s.counters.denied += 1;
                     let tn = &mut rt.tenants[tenant];
                     tn.counters.denied_global += 1;
                     tn.brownout.record(false);
@@ -876,32 +868,30 @@ impl AdmitFleet {
                     }
                     return;
                 }
-                shard.with_state(|s| {
-                    s.counters.admitted += 1;
-                    s.monitors[local as usize].record_admitted(now);
-                    if let Some(tr) = s.trackers[local as usize].conformant(now) {
-                        if let Some(h) = hub.as_deref_mut() {
-                            h.record_health(now, source as usize, tr.from.slug(), tr.to.slug());
-                        }
+                s.counters.admitted += 1;
+                s.monitors[local as usize].record_admitted(now);
+                if let Some(tr) = s.trackers[local as usize].conformant(now) {
+                    if let Some(h) = hub.as_deref_mut() {
+                        h.record_health(now, source as usize, tr.from.slug(), tr.to.slug());
                     }
-                    s.note_admitted(local, now, cfg.checkpoint_every);
-                    let start = s.busy_until[lane].max(now);
-                    let completion = start + cfg.service_cost;
-                    s.busy_until[lane] = completion;
-                    let id = queue
-                        .schedule_at(
-                            completion,
-                            FleetEvent::Drain {
-                                shard: shard_id,
-                                lane: lane as u32,
-                            },
-                        )
-                        .expect("completions are in the future");
-                    s.in_flight[lane].push_back(InFlight {
-                        id,
-                        source,
-                        arrival: now,
-                    });
+                }
+                s.note_admitted(local, now, cfg.checkpoint_every);
+                let start = s.busy_until[lane].max(now);
+                let completion = start + cfg.service_cost;
+                s.busy_until[lane] = completion;
+                let id = queue
+                    .schedule_at(
+                        completion,
+                        FleetEvent::Drain {
+                            shard: shard_id,
+                            lane: lane as u32,
+                        },
+                    )
+                    .expect("completions are in the future");
+                s.in_flight[lane].push_back(InFlight {
+                    id,
+                    source,
+                    arrival: now,
                 });
                 let tn = &mut rt.tenants[tenant];
                 tn.group.record(now);
@@ -974,19 +964,15 @@ impl TenancyRuntime {
     /// gauges into the hub.
     fn finish(
         mut self,
-        shards: &[Shard],
+        shards: &[ShardState],
         end: Instant,
         hub: Option<&mut MetricsHub>,
     ) -> (Vec<TenantLedger>, Vec<u32>) {
         let mut in_flight = vec![0u64; self.tenants.len()];
-        for shard in shards {
-            shard.with_state(|s| {
-                for lane in &s.in_flight {
-                    for flight in lane {
-                        in_flight[self.tenant_of[flight.source as usize] as usize] += 1;
-                    }
-                }
-            });
+        for lane in shards.iter().flat_map(|s| &s.in_flight) {
+            for flight in lane {
+                in_flight[self.tenant_of[flight.source as usize] as usize] += 1;
+            }
         }
         let ledgers: Vec<TenantLedger> = self
             .tenants

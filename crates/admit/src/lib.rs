@@ -3,9 +3,8 @@
 //! The paper's admission test ([`ActivationMonitor`], Eq. 6) protects one
 //! interrupt line on one machine. This crate scales the same test to a
 //! *fleet*: dense source ids hash-routed across N shards, each shard an
-//! arena of monitors behind a poison-immune lock, driven open-loop by
-//! Poisson floods, CAN-style ECU fleets and adversarial fault plans. Three
-//! robustness layers ride on top:
+//! arena of monitors, driven open-loop by Poisson floods, CAN-style ECU
+//! fleets and adversarial fault plans. Three robustness layers ride on top:
 //!
 //! * **Failover** ([`FailoverMode`]) — shards crash (seeded
 //!   [`ShardFault`]s); checkpointed monitor state plus a journal-tail
@@ -48,7 +47,7 @@ pub use fleet::{
     route, AdmitFleet, AdmitOutcome, FailoverMode, FleetConfig, FleetError, FleetReport,
     ShardFault, ShardFaultKind, ShedReason,
 };
-pub use shard::{Shard, ShardCounters};
+pub use shard::ShardCounters;
 pub use storm::{
     assemble_report, assemble_tenant_report, fleet_faults, report_passes, run_storm_scenario,
     run_tenant_scenario, storm_hub, storm_scenarios, tenant_scenarios, tenant_storm_hub,

@@ -1,6 +1,7 @@
 //! One shard of the admission fleet: an arena of δ⁻ monitors plus health
-//! trackers behind a poison-immune per-shard lock, with checkpoint-based
-//! crash recovery.
+//! trackers, with checkpoint-based crash recovery. A fleet run owns its
+//! shards outright and steps them from one thread, so a shard is plain
+//! data behind no lock.
 //!
 //! A shard owns the [`ActivationMonitor`]s of every source routed to it,
 //! one [`HealthTracker`] per source for the load-shedding ladder, a bounded
@@ -12,7 +13,6 @@
 //! break the independence bound).
 
 use std::collections::VecDeque;
-use std::sync::{Mutex, PoisonError};
 
 use rthv_hypervisor::{HealthTracker, SupervisionPolicy};
 use rthv_monitor::{ActivationMonitor, DeltaFunction};
@@ -106,7 +106,7 @@ struct ShardCheckpoint {
     trackers: Vec<HealthTracker>,
 }
 
-/// The mutable state behind a shard's lock.
+/// One shard's state.
 #[derive(Debug)]
 pub(crate) struct ShardState {
     /// δ⁻ monitor arena, one per local source.
@@ -131,6 +131,37 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
+    /// Builds a shard for `locals` sources sharing one δ⁻ condition and
+    /// one supervision policy, with `lanes` independent service lanes,
+    /// checkpointed at its (empty) initial state.
+    pub fn new(
+        locals: usize,
+        lanes: usize,
+        delta: &DeltaFunction,
+        policy: SupervisionPolicy,
+    ) -> Self {
+        let (monitors, trackers) = Self::fresh_arena(locals, delta, policy);
+        let checkpoint = ShardCheckpoint {
+            monitors: monitors.clone(),
+            trackers: trackers.clone(),
+        };
+        ShardState {
+            monitors,
+            trackers,
+            checkpoint,
+            journal: Vec::new(),
+            stalled_until: None,
+            busy_until: vec![Instant::ZERO; lanes],
+            in_flight: vec![VecDeque::new(); lanes],
+            counters: ShardCounters::default(),
+        }
+    }
+
+    /// Admissions currently in service across all lanes.
+    pub fn in_flight_len(&self) -> usize {
+        self.in_flight.iter().map(VecDeque::len).sum()
+    }
+
     fn fresh_arena(
         locals: usize,
         delta: &DeltaFunction,
@@ -214,63 +245,5 @@ impl ShardState {
             }
         }
         dropped
-    }
-}
-
-/// One shard: [`ShardState`] behind a poison-immune lock, the "arena of
-/// `ActivationMonitor`s behind a per-shard lock" of the fleet design.
-#[derive(Debug)]
-pub struct Shard {
-    state: Mutex<ShardState>,
-}
-
-impl Shard {
-    /// Builds a shard for `locals` sources sharing one δ⁻ condition and
-    /// one supervision policy, with `lanes` independent service lanes,
-    /// checkpointed at its (empty) initial state.
-    pub(crate) fn new(
-        locals: usize,
-        lanes: usize,
-        delta: &DeltaFunction,
-        policy: SupervisionPolicy,
-    ) -> Self {
-        let (monitors, trackers) = ShardState::fresh_arena(locals, delta, policy);
-        let checkpoint = ShardCheckpoint {
-            monitors: monitors.clone(),
-            trackers: trackers.clone(),
-        };
-        Shard {
-            state: Mutex::new(ShardState {
-                monitors,
-                trackers,
-                checkpoint,
-                journal: Vec::new(),
-                stalled_until: None,
-                busy_until: vec![Instant::ZERO; lanes],
-                in_flight: vec![VecDeque::new(); lanes],
-                counters: ShardCounters::default(),
-            }),
-        }
-    }
-
-    /// Admissions currently in service across all lanes.
-    #[must_use]
-    pub fn in_flight_len(&self) -> usize {
-        self.with_state(|s| s.in_flight.iter().map(VecDeque::len).sum())
-    }
-
-    /// Runs `f` under the shard lock. A poisoned lock is recovered, not
-    /// propagated: shard state is plain data and every mutation completes
-    /// before the lock drops, so the state is consistent even if another
-    /// holder panicked.
-    pub(crate) fn with_state<R>(&self, f: impl FnOnce(&mut ShardState) -> R) -> R {
-        let mut guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        f(&mut guard)
-    }
-
-    /// Snapshot of this shard's ledger.
-    #[must_use]
-    pub fn counters(&self) -> ShardCounters {
-        self.with_state(|s| s.counters)
     }
 }

@@ -1,81 +1,147 @@
-//! Perf-trajectory exporter: runs the Figure-6c conformant scenario at
-//! three scales, sequentially and fanned over all cores, and writes
-//! `BENCH_sim.json` with events/sec, IRQs/sec and wall-clock per sweep
-//! point — the numbers to track across commits for engine-performance
-//! regressions.
+//! Timing exporter for what the repo benchmark (`benchmark/`) cannot
+//! measure inside its workloads: the [`SweepRunner`] fan-out of the
+//! Figure-6c conformant scenario, sequential against parallel, at three
+//! scales on the default event engine, and three on/off overhead ratios
+//! (health supervision, the observability layer and the tenant hierarchy).
+//! Writes `BENCH_sim.json`.
 //!
 //! Usage: `cargo run --release -p rthv-experiments --bin bench_export
 //! [output-path] [--metrics <json>]` (default `BENCH_sim.json` in the
 //! working directory). With `--metrics`, the observability probe's metrics
 //! snapshot is also written to the given path — deterministic across runs.
 //!
-//! The parallel pass fans the scenario's independent load levels over host
-//! cores with [`SweepRunner`] and cross-checks that the merged result is
-//! identical to the sequential one before reporting its timing. A
-//! single-core host cannot demonstrate parallel speedup, so each sweep
-//! point records how many workers actually ran and whether its speedup
-//! number is meaningful at all. Every single-threaded probe records
-//! `"threads": 1` so the export is explicit about what ran where.
-
-use std::fmt::Write as _;
-use std::time::Instant as HostInstant;
+//! Every probe is timed by [`measure`]: [`WARMUP`] discarded repetitions,
+//! then [`REPS`] timed ones, each running both arms of the probe back to
+//! back. Each arm's wall time is reported as median, min and max over the
+//! repetitions, and each ratio as the median, min and max of the
+//! per-repetition ratios. The parallel pass is asserted identical to the
+//! sequential one, and each on/off pair to make identical admission
+//! decisions. A single-core host cannot demonstrate parallel speedup, so
+//! each point records how many workers ran and whether its speedup means
+//! anything.
 
 use rthv::monitor::DeltaFunction;
 use rthv::scenarios::{merge_fig6_loads, run_fig6_load, Fig6Config, Fig6Run, Fig6Variant};
-use rthv::sim::EngineQueue;
 use rthv::time::{Duration as SimDuration, Instant as SimInstant};
-use rthv::{
-    EngineChoice, EngineKind, IrqHandlingMode, IrqSourceId, Machine, PaperSetup, SupervisionPolicy,
-};
-use rthv_admit::{AdmitFleet, FleetConfig, FleetReport, TenantConfig, TenantSpec};
+use rthv::{IrqHandlingMode, IrqSourceId, Machine, PaperSetup, RunReport, SupervisionPolicy};
+use rthv_admit::{AdmitFleet, FleetConfig, TenantConfig, TenantSpec};
 use rthv_experiments::{Cli, SweepRunner};
 use rthv_workload::FloodEvent;
 
 /// IRQs per load level at each scale; the paper's Figure 6 uses 5000.
 const SCALES: [usize; 3] = [1_000, 5_000, 20_000];
 
-/// Both engines, heap first (the reference).
-const ENGINES: [EngineKind; 2] = [EngineKind::Heap, EngineKind::Wheel];
+/// Repetitions run first and discarded: they fill caches and the
+/// allocator's free lists before any timing counts.
+const WARMUP: usize = 1;
 
-struct Measured {
-    wall_seconds: f64,
-    events: u64,
-    irqs: u64,
-    run: Fig6Run,
+/// Timed repetitions behind every median, min and max. Odd, so each
+/// median is one measured run.
+const REPS: usize = 9;
+
+/// Median, min and max of a probe's samples.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Stats {
+    median: f64,
+    min: f64,
+    max: f64,
 }
 
-impl Measured {
-    fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_seconds
+impl Stats {
+    /// Summarises `samples`; an even count's median is the mean of the two
+    /// middle samples.
+    fn of(samples: &[f64]) -> Stats {
+        assert!(!samples.is_empty(), "no samples to summarise");
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let mid = sorted.len() / 2;
+        let median = if sorted.len() % 2 == 1 {
+            sorted[mid]
+        } else {
+            (sorted[mid - 1] + sorted[mid]) / 2.0
+        };
+        Stats {
+            median,
+            min: sorted[0],
+            max: sorted[sorted.len() - 1],
+        }
     }
 
-    fn irqs_per_sec(&self) -> f64 {
-        self.irqs as f64 / self.wall_seconds
+    /// Summarises the per-repetition ratios `num[i] / den[i]`. Both arms of
+    /// a repetition ran back to back, so host drift between repetitions
+    /// cancels in each ratio, where a ratio of two medians would keep it.
+    fn of_ratios(num: &[f64], den: &[f64]) -> Stats {
+        let ratios: Vec<f64> = num.iter().zip(den).map(|(n, d)| n / d).collect();
+        Stats::of(&ratios)
+    }
+
+    fn json(self, decimals: usize) -> String {
+        format!(
+            "{{\"median\": {:.decimals$}, \"min\": {:.decimals$}, \"max\": {:.decimals$}}}",
+            self.median, self.min, self.max
+        )
     }
 }
 
-fn choice(kind: EngineKind) -> EngineChoice {
-    match kind {
-        EngineKind::Heap => EngineChoice::Heap,
-        EngineKind::Wheel => EngineChoice::Wheel,
+/// What [`measure`] returns: both arms' wall seconds per timed repetition,
+/// and each arm's output from the last repetition.
+struct Timed<T> {
+    seconds: [Vec<f64>; 2],
+    last: [T; 2],
+}
+
+/// The one timing path of this binary. Each of `warmup + reps`
+/// repetitions calls `setup(false)`, then `setup(true)`, and times only the
+/// closure each call returns, so building a run's inputs stays untimed.
+/// The first `warmup` repetitions are discarded.
+fn measure<T, F: FnOnce() -> T>(
+    warmup: usize,
+    reps: usize,
+    mut setup: impl FnMut(bool) -> F,
+) -> Timed<T> {
+    assert!(reps > 0, "measure needs a timed repetition");
+    let mut seconds = [Vec::with_capacity(reps), Vec::with_capacity(reps)];
+    let mut last = [None, None];
+    for rep in 0..warmup + reps {
+        for (arm, on) in [false, true].into_iter().enumerate() {
+            let run = setup(on);
+            let start = std::time::Instant::now();
+            let output = run();
+            let elapsed = start.elapsed().as_secs_f64();
+            if rep >= warmup {
+                seconds[arm].push(elapsed);
+            }
+            last[arm] = Some(output);
+        }
+    }
+    Timed {
+        seconds,
+        last: last.map(|output| output.expect("every arm ran")),
     }
 }
 
-fn measure(config: &Fig6Config, runner: &SweepRunner) -> Measured {
-    let indices: Vec<usize> = (0..config.loads.len()).collect();
-    let start = HostInstant::now();
-    let outcomes = runner.run(&indices, |_, &index| {
-        run_fig6_load(config, Fig6Variant::MonitoredNoViolations, index)
-    });
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let events = outcomes.iter().map(|o| o.events_processed).sum();
-    let run = merge_fig6_loads(Fig6Variant::MonitoredNoViolations, outcomes);
-    Measured {
-        wall_seconds,
-        events,
-        irqs: run.total() as u64,
-        run,
-    }
+/// Renders `members` (pre-rendered JSON values) as a JSON object, one
+/// member per line, nested `indent` levels deep.
+fn object(indent: usize, members: &[(&str, String)]) -> String {
+    let pad = "  ".repeat(indent + 1);
+    let body: Vec<String> = members
+        .iter()
+        .map(|(key, value)| format!("{pad}\"{key}\": {value}"))
+        .collect();
+    format!("{{\n{}\n{}}}", body.join(",\n"), "  ".repeat(indent))
+}
+
+/// One arm of a timed pair: its wall seconds, and `work` units per second
+/// under `rate`.
+fn arm_json(indent: usize, seconds: &[f64], work: u64, rate: &str) -> String {
+    let rates: Vec<f64> = seconds.iter().map(|s| work as f64 / s).collect();
+    object(
+        indent,
+        &[
+            ("wall_seconds", Stats::of(seconds).json(6)),
+            (rate, Stats::of(&rates).json(1)),
+        ],
+    )
 }
 
 fn assert_identical(sequential: &Fig6Run, parallel: &Fig6Run) {
@@ -89,102 +155,165 @@ fn assert_identical(sequential: &Fig6Run, parallel: &Fig6Run) {
     );
 }
 
-/// Arrivals in the supervision-overhead probe. All are δ⁻-conformant, so
-/// both runs make the identical admission decisions and the timing delta is
-/// purely the supervision bookkeeping on the admission hot path.
+/// Times the Fig. 6c conformant scenario at `scale` IRQs per load,
+/// sequentially against fanned over `parallel`'s workers, asserts both
+/// passes identical, and returns the point's JSON object.
+fn fig6c_point(scale: usize, cores: usize, parallel: &SweepRunner) -> String {
+    let config = Fig6Config {
+        irqs_per_load: scale,
+        ..Fig6Config::default()
+    };
+    let indices: Vec<usize> = (0..config.loads.len()).collect();
+    let sequential = SweepRunner::sequential();
+    let timed = measure(WARMUP, REPS, |fanned| {
+        let runner = if fanned { parallel } else { &sequential };
+        let (config, indices) = (&config, &indices);
+        move || {
+            runner.run(indices, |_, &index| {
+                run_fig6_load(config, Fig6Variant::MonitoredNoViolations, index)
+            })
+        }
+    });
+    let [(events, run), (_, fanned_run)] = timed.last.map(|outcomes| {
+        let events: u64 = outcomes.iter().map(|o| o.events_processed).sum();
+        (
+            events,
+            merge_fig6_loads(Fig6Variant::MonitoredNoViolations, outcomes),
+        )
+    });
+    assert_identical(&run, &fanned_run);
+
+    let [seq_s, par_s] = &timed.seconds;
+    let speedup = Stats::of_ratios(seq_s, par_s);
+    // On a single-core host (or a single-load sweep) the "parallel" pass is
+    // the sequential pass with extra bookkeeping; its speedup says nothing.
+    let threads_used = parallel.effective_threads(config.loads.len());
+    let meaningful = cores > 1 && threads_used > 1;
+    eprintln!(
+        "scale {scale}: sequential {:.3} s, parallel {:.3} s, speedup {:.2}x [{:.2}, {:.2}] on \
+         {threads_used} worker(s), {cores} core(s){}",
+        Stats::of(seq_s).median,
+        Stats::of(par_s).median,
+        speedup.median,
+        speedup.min,
+        speedup.max,
+        if meaningful {
+            ""
+        } else {
+            " [speedup not meaningful]"
+        },
+    );
+    object(
+        2,
+        &[
+            ("irqs_per_load", scale.to_string()),
+            ("total_irqs", run.total().to_string()),
+            ("total_events", events.to_string()),
+            ("mean_latency_us", run.mean_latency.as_micros().to_string()),
+            ("max_latency_us", run.max_latency.as_micros().to_string()),
+            ("warmup", WARMUP.to_string()),
+            ("reps", REPS.to_string()),
+            ("sequential", arm_json(3, seq_s, events, "events_per_sec")),
+            ("parallel_threads", parallel.threads().to_string()),
+            ("parallel_threads_used", threads_used.to_string()),
+            ("parallel", arm_json(3, par_s, events, "events_per_sec")),
+            ("parallel_speedup", speedup.json(3)),
+            ("parallel_speedup_meaningful", meaningful.to_string()),
+        ],
+    )
+}
+
+/// An on/off probe: `arms` name its off and on runs, which make
+/// `decisions` identical admission decisions over `arrivals` arrivals, and
+/// the on run may take at most `budget` times the off run's wall time.
+struct OnOff {
+    key: &'static str,
+    description: &'static str,
+    arms: [&'static str; 2],
+    arrivals: u64,
+    decisions: u64,
+    budget: Option<f64>,
+}
+
+/// Prints one on/off probe's summary and returns its key and JSON object:
+/// each arm's wall time and decisions per second, then the median pairwise
+/// on/off ratio against the budget.
+fn on_off_json(probe: &OnOff, seconds: &[Vec<f64>; 2]) -> (&'static str, String) {
+    let ratio = Stats::of_ratios(&seconds[1], &seconds[0]);
+    eprintln!(
+        "{}: {} decisions, {} {:.3} s, {} {:.3} s, ratio {:.3}x [{:.3}, {:.3}] over {REPS} reps",
+        probe.key,
+        probe.decisions,
+        probe.arms[0],
+        Stats::of(&seconds[0]).median,
+        probe.arms[1],
+        Stats::of(&seconds[1]).median,
+        ratio.median,
+        ratio.min,
+        ratio.max,
+    );
+    let mut members = vec![
+        ("description", format!("\"{}\"", probe.description)),
+        ("threads", "1".to_string()),
+        ("arrivals", probe.arrivals.to_string()),
+        ("admission_decisions", probe.decisions.to_string()),
+        ("warmup", WARMUP.to_string()),
+        ("reps", REPS.to_string()),
+        (
+            probe.arms[0],
+            arm_json(2, &seconds[0], probe.decisions, "decisions_per_sec"),
+        ),
+        (
+            probe.arms[1],
+            arm_json(2, &seconds[1], probe.decisions, "decisions_per_sec"),
+        ),
+        ("overhead_ratio", ratio.json(4)),
+    ];
+    if let Some(budget) = probe.budget {
+        let within = ratio.median <= budget;
+        if !within {
+            eprintln!(
+                "WARNING: {} {:.3}x exceeds the {budget:.2}x budget on this host",
+                probe.key, ratio.median
+            );
+        }
+        members.push(("overhead_budget_ratio", format!("{budget:.2}")));
+        members.push(("within_budget", within.to_string()));
+    }
+    (probe.key, object(1, &members))
+}
+
+/// Arrivals in the supervision probe.
 const SUPERVISION_ARRIVALS: u64 = 50_000;
 
-struct SupervisionMeasured {
-    wall_seconds: f64,
-    decisions: u64,
-}
-
-impl SupervisionMeasured {
-    fn decisions_per_sec(&self) -> f64 {
-        self.decisions as f64 / self.wall_seconds
-    }
-}
-
-/// Runs a fully conformant monitored workload (arrivals at exactly `d_min`)
-/// with supervision on or off and times the whole run. Conformant streams
-/// never quarantine, so the two runs traverse the same admission decisions.
-fn measure_supervision(supervised: bool) -> SupervisionMeasured {
-    let setup = PaperSetup::default();
-    let dmin = SimDuration::from_millis(3);
-    let delta = DeltaFunction::from_dmin(dmin).expect("positive d_min");
-    let mut hv = setup.config(IrqHandlingMode::Interposed, Some(delta));
-    if supervised {
-        hv.policies.supervision = Some(SupervisionPolicy::default());
-    }
-    let mut machine = Machine::new(hv).expect("paper setup is valid");
-    for i in 1..=SUPERVISION_ARRIVALS {
-        machine
-            .schedule_irq(
-                IrqSourceId::new(0),
-                SimInstant::ZERO + dmin.saturating_mul(i),
-            )
-            .expect("conformant arrival schedules");
-    }
-    let horizon = SimInstant::ZERO + dmin.saturating_mul(SUPERVISION_ARRIVALS + 2);
-
-    let start = HostInstant::now();
-    machine.run_until(horizon);
-    let report = machine.finish();
-    let wall_seconds = start.elapsed().as_secs_f64();
-
-    assert_eq!(
-        report.counters.quarantine_entries, 0,
-        "a conformant stream must never quarantine"
-    );
-    SupervisionMeasured {
-        wall_seconds,
-        decisions: report.counters.monitor_admitted + report.counters.monitor_denied,
-    }
-}
-
-/// Arrivals in the observability-overhead probe: same conformant shape as
-/// the supervision probe (but longer, to lift the signal above scheduler
-/// noise), so the timing delta is purely the flight-recorder hooks on the
-/// hot path.
+/// Arrivals in the observability probe: longer than the supervision
+/// probe, to lift its smaller signal above scheduler noise.
 const OBS_ARRIVALS: u64 = 120_000;
 
 /// The instrumented hot path must stay within this factor of the bare one.
 const OBS_OVERHEAD_BUDGET: f64 = 1.05;
 
-/// Bare/instrumented run pairs; the reported overhead is the *median* of
-/// the pairwise ratios. A single ~100 ms run is hostage to scheduler noise
-/// on a busy host; pairing the two modes back to back cancels slow drift,
-/// and the median discards the outlier pairs a noisy neighbour produces.
-const OBS_REPS: usize = 9;
-
-struct ObsMeasured {
-    wall_seconds: f64,
-    decisions: u64,
-    snapshot: Option<String>,
-}
-
-impl ObsMeasured {
-    fn decisions_per_sec(&self) -> f64 {
-        self.decisions as f64 / self.wall_seconds
-    }
-}
-
-/// Runs a fully conformant monitored workload (arrivals at exactly `d_min`)
-/// with the observability layer off or on and times the whole run. Metrics
-/// are pure observation, so both runs make identical admission decisions —
-/// asserted by the caller — and the delta is the cost of the counter,
-/// histogram, gauge and flight-recorder hooks.
-fn measure_obs(instrumented: bool) -> ObsMeasured {
-    let setup = PaperSetup::default();
+/// A monitored paper machine with `arrivals` conformant arrivals (exactly
+/// `d_min` apart) scheduled, and a horizon past the last of them.
+/// Conformant streams never quarantine and metrics are pure observation,
+/// so every variant makes the same admission decisions.
+fn conformant_machine(
+    arrivals: u64,
+    supervised: bool,
+    instrumented: bool,
+) -> (Machine, SimInstant) {
     let dmin = SimDuration::from_millis(3);
     let delta = DeltaFunction::from_dmin(dmin).expect("positive d_min");
-    let hv = setup.config(IrqHandlingMode::Interposed, Some(delta));
+    let mut hv = PaperSetup::default().config(IrqHandlingMode::Interposed, Some(delta));
+    if supervised {
+        hv.policies.supervision = Some(SupervisionPolicy::default());
+    }
     let mut machine = Machine::new(hv).expect("paper setup is valid");
     if instrumented {
         let obs_config = machine.default_obs_config();
         machine.enable_metrics(obs_config);
     }
-    for i in 1..=OBS_ARRIVALS {
+    for i in 1..=arrivals {
         machine
             .schedule_irq(
                 IrqSourceId::new(0),
@@ -192,31 +321,21 @@ fn measure_obs(instrumented: bool) -> ObsMeasured {
             )
             .expect("conformant arrival schedules");
     }
-    let horizon = SimInstant::ZERO + dmin.saturating_mul(OBS_ARRIVALS + 2);
-
-    let start = HostInstant::now();
-    machine.run_until(horizon);
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let snapshot = machine.metrics_snapshot_json();
-    let report = machine.finish();
-
-    ObsMeasured {
-        wall_seconds,
-        decisions: report.counters.monitor_admitted + report.counters.monitor_denied,
-        snapshot,
-    }
+    (
+        machine,
+        SimInstant::ZERO + dmin.saturating_mul(arrivals + 2),
+    )
 }
 
-/// Conformant arrivals per source in the tenant-hierarchy overhead probe.
+fn decisions(report: &RunReport) -> u64 {
+    report.counters.monitor_admitted + report.counters.monitor_denied
+}
+
+/// Conformant arrivals per source in the tenant-hierarchy probe.
 const TENANT_ARRIVALS_PER_SOURCE: u64 = 4_000;
 
 /// Sources in the tenant probe fleet (split across two tenants).
 const TENANT_SOURCES: u32 = 16;
-
-/// Flat/hierarchical run pairs; the reported overhead is the median of the
-/// pairwise ratios, for the same noise-cancelling reasons as the
-/// observability probe.
-const TENANT_REPS: usize = 9;
 
 /// The hierarchical admission path (tenant table, brownout roll, group
 /// window + aggregate monitor, global window) must stay within this factor
@@ -273,237 +392,6 @@ fn tenant_probe_fleet(hierarchical: bool) -> AdmitFleet {
     AdmitFleet::new(config).expect("tenant probe config is valid")
 }
 
-struct TenantMeasured {
-    wall_seconds: f64,
-    decisions: u64,
-    report: FleetReport,
-}
-
-impl TenantMeasured {
-    fn decisions_per_sec(&self) -> f64 {
-        self.decisions as f64 / self.wall_seconds
-    }
-}
-
-/// Times one full fleet run over the conformant trace, flat or
-/// hierarchical. The caller asserts both shapes admit byte-identically —
-/// the hierarchy must be pure bookkeeping on a stream it never refuses.
-fn measure_tenant(hierarchical: bool, arrivals: &[FloodEvent]) -> TenantMeasured {
-    let fleet = tenant_probe_fleet(hierarchical);
-    let start = HostInstant::now();
-    let report = fleet.run(arrivals, &[], None);
-    let wall_seconds = start.elapsed().as_secs_f64();
-    TenantMeasured {
-        wall_seconds,
-        decisions: report.counters.scheduled,
-        report,
-    }
-}
-
-/// Arrivals in the checkpoint-overhead probe. Smaller than the supervision
-/// probe because the hashed pass steps the machine slot by slot.
-const CHECKPOINT_ARRIVALS: u64 = 20_000;
-
-/// Snapshot/restore repetitions for a stable mean.
-const CHECKPOINT_REPS: u32 = 100;
-
-struct CheckpointMeasured {
-    plain_seconds: f64,
-    hashed_seconds: f64,
-    boundaries: u64,
-    snapshot_mean_seconds: f64,
-    restore_mean_seconds: f64,
-}
-
-impl CheckpointMeasured {
-    /// Relative cost of hashing every slot boundary, in percent.
-    fn overhead_percent(&self) -> f64 {
-        (self.hashed_seconds / self.plain_seconds - 1.0) * 100.0
-    }
-}
-
-/// The conformant monitored machine the checkpoint probe runs (the same
-/// shape as the supervision probe), without any arrivals scheduled yet.
-fn checkpoint_machine() -> Machine {
-    let setup = PaperSetup::default();
-    let dmin = SimDuration::from_millis(3);
-    let delta = DeltaFunction::from_dmin(dmin).expect("positive d_min");
-    let hv = setup.config(IrqHandlingMode::Interposed, Some(delta));
-    Machine::new(hv).expect("paper setup is valid")
-}
-
-/// Runs the probe's conformant scenario slot by slot, injecting arrivals
-/// online — each slot's arrivals are scheduled just before the slot runs,
-/// the way a real system receives IRQs, so the pending event queue stays
-/// small and the per-boundary `observe` hook measures exactly what it
-/// costs, not the size of a pre-loaded future. Both checkpoint passes use
-/// this driver; their only difference is the hook.
-fn drive_checkpoint_run(mut observe: impl FnMut(&Machine)) -> (u64, rthv::RunReport) {
-    let dmin = SimDuration::from_millis(3);
-    let horizon = SimInstant::ZERO + dmin.saturating_mul(CHECKPOINT_ARRIVALS + 2);
-    let mut machine = checkpoint_machine();
-    let schedule = machine.schedule().clone();
-    let mut next_arrival = 1u64;
-    let mut boundaries = 0u64;
-    while schedule.boundary_time(boundaries + 1) <= horizon {
-        boundaries += 1;
-        let boundary = schedule.boundary_time(boundaries);
-        while next_arrival <= CHECKPOINT_ARRIVALS
-            && SimInstant::ZERO + dmin.saturating_mul(next_arrival) <= boundary
-        {
-            machine
-                .schedule_irq(
-                    IrqSourceId::new(0),
-                    SimInstant::ZERO + dmin.saturating_mul(next_arrival),
-                )
-                .expect("conformant arrival schedules");
-            next_arrival += 1;
-        }
-        machine.run_until(boundary);
-        observe(&machine);
-    }
-    machine.run_until(horizon);
-    (boundaries, machine.finish())
-}
-
-/// Times the Fig. 6c-style conformant scenario three ways: stepped slot by
-/// slot without hashing (the reference), the identical stepping with
-/// `state_hash()` at every boundary (the cost of continuous divergence
-/// checking), and repeated `snapshot()`/`restore()` of a mid-run machine.
-/// The hashed run is verified to produce the identical report — hashing is
-/// observation, not perturbation.
-fn measure_checkpoint() -> CheckpointMeasured {
-    let start = HostInstant::now();
-    let (boundaries, plain_report) = drive_checkpoint_run(|_| {});
-    let plain_seconds = start.elapsed().as_secs_f64();
-
-    let mut digest = 0u64;
-    let start = HostInstant::now();
-    let (_, hashed_report) = drive_checkpoint_run(|machine| digest ^= machine.state_hash());
-    let hashed_seconds = start.elapsed().as_secs_f64();
-    std::hint::black_box(digest);
-    assert_eq!(
-        plain_report, hashed_report,
-        "per-slot state hashing must not perturb the run"
-    );
-
-    let dmin = SimDuration::from_millis(3);
-    let mut machine = checkpoint_machine();
-    machine.run_until(SimInstant::ZERO + dmin.saturating_mul(4));
-    let start = HostInstant::now();
-    for _ in 0..CHECKPOINT_REPS {
-        std::hint::black_box(machine.snapshot());
-    }
-    let snapshot_mean_seconds = start.elapsed().as_secs_f64() / f64::from(CHECKPOINT_REPS);
-    let snapshot = machine.snapshot();
-    let mut target = checkpoint_machine();
-    let start = HostInstant::now();
-    for _ in 0..CHECKPOINT_REPS {
-        target.restore(&snapshot);
-    }
-    let restore_mean_seconds = start.elapsed().as_secs_f64() / f64::from(CHECKPOINT_REPS);
-    assert_eq!(
-        target.state_hash(),
-        machine.state_hash(),
-        "a restored machine must hash identically to its source"
-    );
-
-    CheckpointMeasured {
-        plain_seconds,
-        hashed_seconds,
-        boundaries,
-        snapshot_mean_seconds,
-        restore_mean_seconds,
-    }
-}
-
-/// Physical host core count — the single source of truth for every
-/// probe's `host_cores` field and speedup-meaningful flag; computing it
-/// in one place means the flags can never disagree between probes.
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// A measured speedup says something only when the host can actually run
-/// more than one worker *and* the probe used more than one.
-fn speedup_meaningful(host_cores: usize, threads_used: usize) -> bool {
-    host_cores > 1 && threads_used > 1
-}
-
-/// Live-population levels for the `queue_micro` probe: small (a single
-/// scenario's working set), medium (a pre-scheduled campaign), large (the
-/// scaling-cliff regime the heap degraded in).
-const QUEUE_FILLS: [usize; 3] = [1_000, 32_000, 256_000];
-
-/// Timed operations per phase at each fill level.
-const QUEUE_OPS: usize = 200_000;
-
-struct QueueMicro {
-    engine: EngineKind,
-    fill: usize,
-    schedule_per_sec: f64,
-    cancel_per_sec: f64,
-    pop_per_sec: f64,
-}
-
-/// SplitMix64 step — a deterministic offset stream with no external deps.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Times raw engine operations against a queue held at `fill` live events:
-/// `QUEUE_OPS` schedules at seeded offsets spread over ~100 TDMA cycles
-/// (so the wheel populates several levels), then cancellation of exactly
-/// those events (compaction-guard cost included — that is the amortized
-/// price of lazy deletion), then `QUEUE_OPS` pops against the same fill.
-fn measure_queue_micro(kind: EngineKind, fill: usize) -> QueueMicro {
-    let cycle = PaperSetup::default().tdma_cycle();
-    let span = cycle.as_nanos().saturating_mul(100).max(1);
-    let mut state = 0x5EED_0BAD_u64 ^ ((fill as u64) << 1) ^ kind as u64;
-    let mut offset = || SimDuration::from_nanos(1 + splitmix(&mut state) % span);
-
-    let mut queue: EngineQueue<u64> = EngineQueue::new(kind, cycle);
-    queue.reserve(fill + QUEUE_OPS);
-    for i in 0..fill {
-        queue.schedule_in(offset(), i as u64);
-    }
-
-    let start = HostInstant::now();
-    let mut ids = Vec::with_capacity(QUEUE_OPS);
-    for i in 0..QUEUE_OPS {
-        ids.push(queue.schedule_in(offset(), i as u64));
-    }
-    let schedule_per_sec = QUEUE_OPS as f64 / start.elapsed().as_secs_f64();
-
-    let start = HostInstant::now();
-    for id in ids {
-        queue.cancel(id);
-    }
-    let cancel_per_sec = QUEUE_OPS as f64 / start.elapsed().as_secs_f64();
-
-    for i in 0..QUEUE_OPS {
-        queue.schedule_in(offset(), i as u64);
-    }
-    let start = HostInstant::now();
-    for _ in 0..QUEUE_OPS {
-        std::hint::black_box(queue.pop());
-    }
-    let pop_per_sec = QUEUE_OPS as f64 / start.elapsed().as_secs_f64();
-    assert_eq!(queue.len(), fill, "pop phase must leave the fill intact");
-
-    QueueMicro {
-        engine: kind,
-        fill,
-        schedule_per_sec,
-        cancel_per_sec,
-        pop_per_sec,
-    }
-}
-
 /// `[output-path] [--metrics <path>]`; anything else is a usage error
 /// (exit 2).
 const CLI: Cli = Cli {
@@ -517,202 +405,53 @@ const CLI: Cli = Cli {
 fn main() {
     let options = CLI.args();
     let path = options.path.as_deref().unwrap_or("BENCH_sim.json");
-    let cores = host_cores();
-    let parallel_runner = SweepRunner::available();
-
-    let mut points = String::new();
-    let total_points = ENGINES.len() * SCALES.len();
-    let mut point_index = 0usize;
-    let mut reference_runs: Vec<Fig6Run> = Vec::new();
-    for engine in ENGINES {
-        for &scale in &SCALES {
-            let config = Fig6Config {
-                irqs_per_load: scale,
-                engine: choice(engine),
-                ..Fig6Config::default()
-            };
-            let sequential = measure(&config, &SweepRunner::sequential());
-            let parallel = measure(&config, &parallel_runner);
-            assert_identical(&sequential.run, &parallel.run);
-            // The wheel points must be observationally identical to the
-            // heap points measured first — the benchmark doubles as a
-            // cross-engine differential check on the exported numbers.
-            match engine {
-                EngineKind::Heap => reference_runs.push(sequential.run.clone()),
-                EngineKind::Wheel => {
-                    assert_identical(&reference_runs[point_index % SCALES.len()], &sequential.run);
-                }
-            }
-            let speedup = parallel.events_per_sec() / sequential.events_per_sec();
-            // On a single-core host (or a single-load sweep) the "parallel"
-            // pass is just the sequential pass with extra bookkeeping; its
-            // speedup says nothing about the engine and is flagged as such.
-            let threads_used = parallel_runner.effective_threads(config.loads.len());
-            let speedup_meaningful = speedup_meaningful(cores, threads_used);
-
-            eprintln!(
-                "{engine} @ scale {scale}: sequential {:.0} events/s ({:.3} s), parallel {:.0} \
-                 events/s ({:.3} s), speedup {speedup:.2}x on {threads_used} worker(s), {cores} \
-                 core(s){}",
-                sequential.events_per_sec(),
-                sequential.wall_seconds,
-                parallel.events_per_sec(),
-                parallel.wall_seconds,
-                if speedup_meaningful {
-                    ""
-                } else {
-                    " [speedup not meaningful]"
-                },
-            );
-
-            let _ = write!(
-                points,
-                r#"    {{
-      "engine": "{engine}",
-      "host_cores": {cores},
-      "irqs_per_load": {scale},
-      "total_irqs": {irqs},
-      "total_events": {events},
-      "sequential": {{
-        "wall_seconds": {sw:.6},
-        "events_per_sec": {se:.1},
-        "irqs_per_sec": {si:.1}
-      }},
-      "parallel": {{
-        "threads": {threads},
-        "threads_used": {threads_used},
-        "wall_seconds": {pw:.6},
-        "events_per_sec": {pe:.1},
-        "irqs_per_sec": {pi:.1}
-      }},
-      "parallel_speedup": {speedup:.3},
-      "parallel_speedup_meaningful": {speedup_meaningful},
-      "mean_latency_us": {mean},
-      "max_latency_us": {max}
-    }}"#,
-                irqs = sequential.irqs,
-                events = sequential.events,
-                sw = sequential.wall_seconds,
-                se = sequential.events_per_sec(),
-                si = sequential.irqs_per_sec(),
-                threads = parallel_runner.threads(),
-                pw = parallel.wall_seconds,
-                pe = parallel.events_per_sec(),
-                pi = parallel.irqs_per_sec(),
-                mean = sequential.run.mean_latency.as_micros(),
-                max = sequential.run.max_latency.as_micros(),
-            );
-            point_index += 1;
-            if point_index < total_points {
-                points.push_str(",\n");
-            } else {
-                points.push('\n');
-            }
-        }
-    }
-
-    let mut queue_micro = String::new();
-    for (i, point) in ENGINES
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let parallel = SweepRunner::available();
+    let points: Vec<String> = SCALES
         .iter()
-        .flat_map(|&engine| QUEUE_FILLS.iter().map(move |&fill| (engine, fill)))
-        .map(|(engine, fill)| measure_queue_micro(engine, fill))
-        .enumerate()
-    {
-        eprintln!(
-            "queue_micro {} @ fill {}: schedule {:.1}M ops/s, cancel {:.1}M ops/s, pop {:.1}M \
-             ops/s",
-            point.engine,
-            point.fill,
-            point.schedule_per_sec / 1e6,
-            point.cancel_per_sec / 1e6,
-            point.pop_per_sec / 1e6,
-        );
-        let _ = write!(
-            queue_micro,
-            r#"    {{
-      "engine": "{engine}",
-      "host_cores": {cores},
-      "fill": {fill},
-      "timed_ops": {ops},
-      "threads": 1,
-      "schedule_ops_per_sec": {s:.1},
-      "cancel_ops_per_sec": {c:.1},
-      "pop_ops_per_sec": {p:.1}
-    }}"#,
-            engine = point.engine,
-            fill = point.fill,
-            ops = QUEUE_OPS,
-            s = point.schedule_per_sec,
-            c = point.cancel_per_sec,
-            p = point.pop_per_sec,
-        );
-        if i + 1 < ENGINES.len() * QUEUE_FILLS.len() {
-            queue_micro.push_str(",\n");
-        } else {
-            queue_micro.push('\n');
-        }
-    }
+        .map(|&scale| format!("    {}", fig6c_point(scale, cores, &parallel)))
+        .collect();
 
-    let off = measure_supervision(false);
-    let on = measure_supervision(true);
+    let supervision = measure(WARMUP, REPS, |supervised| {
+        let (mut machine, horizon) = conformant_machine(SUPERVISION_ARRIVALS, supervised, false);
+        move || {
+            machine.run_until(horizon);
+            machine.finish()
+        }
+    });
+    let [off, on] = &supervision.last;
     assert_eq!(
-        off.decisions, on.decisions,
+        decisions(off),
+        decisions(on),
         "supervision must not change a conformant stream's admission decisions"
     );
-    let overhead_ratio = on.wall_seconds / off.wall_seconds;
-    eprintln!(
-        "supervision overhead: {} decisions — off {:.0} decisions/s ({:.3} s), on {:.0} \
-         decisions/s ({:.3} s), ratio {overhead_ratio:.3}x",
-        off.decisions,
-        off.decisions_per_sec(),
-        off.wall_seconds,
-        on.decisions_per_sec(),
-        on.wall_seconds,
+    assert_eq!(
+        on.counters.quarantine_entries, 0,
+        "a conformant stream must never quarantine"
+    );
+    let supervision = on_off_json(
+        &OnOff {
+            key: "supervision_overhead",
+            description: "conformant monitored workload timed with health supervision off vs on; both runs make identical admission decisions, so the delta is pure supervision bookkeeping",
+            arms: ["off", "on"],
+            arrivals: SUPERVISION_ARRIVALS,
+            decisions: decisions(off),
+            budget: None,
+        },
+        &supervision.seconds,
     );
 
-    // Run the two modes back to back OBS_REPS times; keep each mode's best
-    // run for the throughput numbers and the median pairwise ratio as the
-    // overhead estimate.
-    let mut ratios = Vec::with_capacity(OBS_REPS);
-    let mut bare = measure_obs(false);
-    let mut instrumented = measure_obs(true);
-    ratios.push(instrumented.wall_seconds / bare.wall_seconds);
-    for _ in 1..OBS_REPS {
-        let b = measure_obs(false);
-        let i = measure_obs(true);
-        ratios.push(i.wall_seconds / b.wall_seconds);
-        if b.wall_seconds < bare.wall_seconds {
-            bare = b;
+    let obs = measure(WARMUP, REPS, |instrumented| {
+        let (mut machine, horizon) = conformant_machine(OBS_ARRIVALS, false, instrumented);
+        move || {
+            machine.run_until(horizon);
+            machine
         }
-        if i.wall_seconds < instrumented.wall_seconds {
-            instrumented = i;
-        }
-    }
-    assert_eq!(
-        bare.decisions, instrumented.decisions,
-        "observability must not change a conformant stream's admission decisions"
-    );
-    ratios.sort_by(f64::total_cmp);
-    let obs_ratio = ratios[ratios.len() / 2];
-    eprintln!(
-        "observability overhead: {} decisions — bare {:.0} decisions/s ({:.3} s), instrumented \
-         {:.0} decisions/s ({:.3} s), ratio {obs_ratio:.3}x (budget {OBS_OVERHEAD_BUDGET:.2}x)",
-        bare.decisions,
-        bare.decisions_per_sec(),
-        bare.wall_seconds,
-        instrumented.decisions_per_sec(),
-        instrumented.wall_seconds,
-    );
-    if obs_ratio > OBS_OVERHEAD_BUDGET {
-        eprintln!(
-            "WARNING: observability overhead {obs_ratio:.3}x exceeds the \
-             {OBS_OVERHEAD_BUDGET:.2}x budget on this host"
-        );
-    }
+    });
+    let [bare, instrumented] = obs.last;
     if let Some(metrics_path) = &options.metrics {
         let snapshot = instrumented
-            .snapshot
-            .as_ref()
+            .metrics_snapshot_json()
             .expect("instrumented probe has metrics");
         std::fs::write(metrics_path, snapshot).expect("write metrics snapshot");
         eprintln!(
@@ -720,161 +459,124 @@ fn main() {
             metrics_path.display()
         );
     }
-
-    // Flat vs hierarchical admission cost, paired back to back with the
-    // median pairwise ratio, exactly like the observability probe.
-    let arrivals = tenant_probe_arrivals();
-    let mut tenant_ratios = Vec::with_capacity(TENANT_REPS);
-    let mut flat = measure_tenant(false, &arrivals);
-    let mut hierarchical = measure_tenant(true, &arrivals);
+    let obs_decisions = decisions(&bare.finish());
     assert_eq!(
-        flat.report.merged_bytes(),
-        hierarchical.report.merged_bytes(),
+        obs_decisions,
+        decisions(&instrumented.finish()),
+        "observability must not change a conformant stream's admission decisions"
+    );
+    let obs = on_off_json(
+        &OnOff {
+            key: "observability_overhead",
+            description: "conformant monitored workload timed with the flight-recorder observability layer off vs on; both runs make identical admission decisions, so the delta is the cost of the counter/histogram/gauge/recorder hooks",
+            arms: ["bare", "instrumented"],
+            arrivals: OBS_ARRIVALS,
+            decisions: obs_decisions,
+            budget: Some(OBS_OVERHEAD_BUDGET),
+        },
+        &obs.seconds,
+    );
+
+    let arrivals = tenant_probe_arrivals();
+    let tenant = measure(WARMUP, REPS, |hierarchical| {
+        let fleet = tenant_probe_fleet(hierarchical);
+        let arrivals = &arrivals;
+        move || fleet.run(arrivals, &[], None)
+    });
+    let [flat, hierarchical] = &tenant.last;
+    assert_eq!(
+        flat.merged_bytes(),
+        hierarchical.merged_bytes(),
         "the hierarchy must not move a conformant stream it never refuses"
     );
-    assert_eq!(flat.decisions, hierarchical.decisions);
-    tenant_ratios.push(hierarchical.wall_seconds / flat.wall_seconds);
-    for _ in 1..TENANT_REPS {
-        let f = measure_tenant(false, &arrivals);
-        let h = measure_tenant(true, &arrivals);
-        tenant_ratios.push(h.wall_seconds / f.wall_seconds);
-        if f.wall_seconds < flat.wall_seconds {
-            flat = f;
-        }
-        if h.wall_seconds < hierarchical.wall_seconds {
-            hierarchical = h;
-        }
-    }
-    tenant_ratios.sort_by(f64::total_cmp);
-    let tenant_ratio = tenant_ratios[tenant_ratios.len() / 2];
-    eprintln!(
-        "tenant hierarchy overhead: {} decisions — flat {:.0} decisions/s ({:.3} s), \
-         hierarchical {:.0} decisions/s ({:.3} s), ratio {tenant_ratio:.3}x (budget \
-         {TENANT_OVERHEAD_BUDGET:.2}x)",
-        flat.decisions,
-        flat.decisions_per_sec(),
-        flat.wall_seconds,
-        hierarchical.decisions_per_sec(),
-        hierarchical.wall_seconds,
-    );
-    if tenant_ratio > TENANT_OVERHEAD_BUDGET {
-        eprintln!(
-            "WARNING: tenant hierarchy overhead {tenant_ratio:.3}x exceeds the \
-             {TENANT_OVERHEAD_BUDGET:.2}x budget on this host"
-        );
-    }
-
-    let checkpoint = measure_checkpoint();
-    eprintln!(
-        "checkpoint overhead: {} boundaries — plain {:.3} s, hashed {:.3} s ({:+.2}%), \
-         snapshot {:.1} us, restore {:.1} us",
-        checkpoint.boundaries,
-        checkpoint.plain_seconds,
-        checkpoint.hashed_seconds,
-        checkpoint.overhead_percent(),
-        checkpoint.snapshot_mean_seconds * 1e6,
-        checkpoint.restore_mean_seconds * 1e6,
+    assert_eq!(flat.counters.scheduled, hierarchical.counters.scheduled);
+    let tenant = on_off_json(
+        &OnOff {
+            key: "tenant_hierarchy_overhead",
+            description: "conformant 16-source fleet trace run through the flat fleet vs the 2-tenant budget hierarchy; both shapes admit byte-identically (asserted), so the delta is the tenant table, brownout roll, group window + aggregate monitor and global window on the admission hot path",
+            arms: ["flat", "hierarchical"],
+            arrivals: arrivals.len() as u64,
+            decisions: flat.counters.scheduled,
+            budget: Some(TENANT_OVERHEAD_BUDGET),
+        },
+        &tenant.seconds,
     );
 
-    let json = format!(
-        r#"{{
-  "benchmark": "fig6c_conformant_scenario",
-  "description": "Fig. 6c (monitored, d_min-conformant arrivals) at three scales per event engine (heap reference vs hierarchical timing wheel, verified observationally identical); parallel pass fans the three load levels over host cores and is verified bit-identical to the sequential pass; queue_micro times raw engine schedule/cancel/pop ops at three fill levels; every probe records the thread count it ran on, and per-core speedups are flagged not-meaningful on a single-core host",
-  "host_cores": {cores},
-  "supervision_overhead": {{
-    "description": "conformant monitored workload timed with health supervision off vs on; both runs make identical admission decisions, so the delta is pure supervision bookkeeping",
-    "threads": 1,
-    "arrivals": {arrivals},
-    "admission_decisions": {decisions},
-    "off": {{
-      "wall_seconds": {ow:.6},
-      "decisions_per_sec": {od:.1}
-    }},
-    "on": {{
-      "wall_seconds": {nw:.6},
-      "decisions_per_sec": {nd:.1}
-    }},
-    "overhead_ratio": {overhead_ratio:.4}
-  }},
-  "observability_overhead": {{
-    "description": "conformant monitored workload timed with the flight-recorder observability layer off vs on; both runs make identical admission decisions, so the delta is the cost of the counter/histogram/gauge/recorder hooks",
-    "threads": 1,
-    "arrivals": {oarrivals},
-    "admission_decisions": {odecisions},
-    "bare": {{
-      "wall_seconds": {bw:.6},
-      "decisions_per_sec": {bd:.1}
-    }},
-    "instrumented": {{
-      "wall_seconds": {iw:.6},
-      "decisions_per_sec": {id:.1}
-    }},
-    "overhead_ratio": {obs_ratio:.4},
-    "overhead_budget_ratio": {OBS_OVERHEAD_BUDGET:.2},
-    "within_budget": {within_budget}
-  }},
-  "tenant_hierarchy_overhead": {{
-    "description": "conformant 16-source fleet trace run through the flat fleet vs the 2-tenant budget hierarchy; both shapes admit byte-identically (asserted), so the delta is the tenant table, brownout roll, group window + aggregate monitor and global window on the admission hot path",
-    "threads": 1,
-    "arrivals": {tarrivals},
-    "admission_decisions": {tdecisions},
-    "flat": {{
-      "wall_seconds": {tfw:.6},
-      "decisions_per_sec": {tfd:.1}
-    }},
-    "hierarchical": {{
-      "wall_seconds": {thw:.6},
-      "decisions_per_sec": {thd:.1}
-    }},
-    "overhead_ratio": {tenant_ratio:.4},
-    "overhead_budget_ratio": {TENANT_OVERHEAD_BUDGET:.2},
-    "within_budget": {tenant_within_budget}
-  }},
-  "checkpoint_overhead": {{
-    "description": "conformant monitored workload with online arrival injection, stepped slot-by-slot without vs with state_hash() at every boundary (verified non-perturbing), plus mean snapshot()/restore() cost of a mid-run machine; state_hash is O(live machine state), so pre-scheduling an entire campaign's arrivals would inflate it",
-    "threads": 1,
-    "arrivals": {carrivals},
-    "slot_boundaries": {boundaries},
-    "plain_wall_seconds": {cplain:.6},
-    "hashed_wall_seconds": {chashed:.6},
-    "per_slot_hash_overhead_percent": {coverhead:.2},
-    "snapshot_mean_us": {csnap:.2},
-    "restore_mean_us": {crestore:.2}
-  }},
-  "queue_micro": [
-{queue_micro}  ],
-  "points": [
-{points}  ]
-}}
-"#,
-        arrivals = SUPERVISION_ARRIVALS,
-        decisions = off.decisions,
-        ow = off.wall_seconds,
-        od = off.decisions_per_sec(),
-        nw = on.wall_seconds,
-        nd = on.decisions_per_sec(),
-        oarrivals = OBS_ARRIVALS,
-        odecisions = bare.decisions,
-        bw = bare.wall_seconds,
-        bd = bare.decisions_per_sec(),
-        iw = instrumented.wall_seconds,
-        id = instrumented.decisions_per_sec(),
-        within_budget = obs_ratio <= OBS_OVERHEAD_BUDGET,
-        tarrivals = TENANT_ARRIVALS_PER_SOURCE * u64::from(TENANT_SOURCES),
-        tdecisions = flat.decisions,
-        tfw = flat.wall_seconds,
-        tfd = flat.decisions_per_sec(),
-        thw = hierarchical.wall_seconds,
-        thd = hierarchical.decisions_per_sec(),
-        tenant_within_budget = tenant_ratio <= TENANT_OVERHEAD_BUDGET,
-        carrivals = CHECKPOINT_ARRIVALS,
-        boundaries = checkpoint.boundaries,
-        cplain = checkpoint.plain_seconds,
-        chashed = checkpoint.hashed_seconds,
-        coverhead = checkpoint.overhead_percent(),
-        csnap = checkpoint.snapshot_mean_seconds * 1e6,
-        crestore = checkpoint.restore_mean_seconds * 1e6,
+    let json = object(
+        0,
+        &[
+            ("benchmark", "\"fig6c_conformant_scenario\"".to_string()),
+            ("description", "\"Fig. 6c (monitored, d_min-conformant arrivals) at three scales on the default event engine, sequential vs fanned over host cores (verified identical), plus three on/off overhead ratios; every timing is the median, min and max over the timed repetitions after the discarded warm-up ones, and every ratio the median, min and max of the per-repetition ratios\"".to_string()),
+            ("host_cores", cores.to_string()),
+            supervision,
+            obs,
+            tenant,
+            ("points", format!("[\n{}\n  ]", points.join(",\n"))),
+        ],
     );
-    std::fs::write(path, json).expect("write benchmark export");
+    std::fs::write(path, json + "\n").expect("write benchmark export");
     eprintln!("wrote {path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stats_take_median_min_and_max_for_odd_and_even_counts() {
+        let odd = Stats::of(&[5.0, 1.0, 3.0]);
+        assert_eq!(
+            odd,
+            Stats {
+                median: 3.0,
+                min: 1.0,
+                max: 5.0
+            }
+        );
+        let even = Stats::of(&[4.0, 1.0, 3.0, 10.0]);
+        assert_eq!(
+            even,
+            Stats {
+                median: 3.5,
+                min: 1.0,
+                max: 10.0
+            }
+        );
+        assert_eq!(Stats::of(&[2.0]).median, 2.0);
+    }
+
+    #[test]
+    fn ratio_is_the_median_of_pairwise_ratios_not_of_medians() {
+        let off = [1.0, 10.0, 100.0];
+        let on = [3.0, 10.0, 300.0];
+        let ratio = Stats::of_ratios(&on, &off);
+        assert_eq!(ratio.median, 3.0);
+        assert_eq!(Stats::of(&on).median / Stats::of(&off).median, 1.0);
+        assert_eq!((ratio.min, ratio.max), (1.0, 3.0));
+    }
+
+    #[test]
+    fn warmup_runs_never_enter_the_samples() {
+        // Warm-up runs return at once; timed runs sleep, so a warm-up
+        // sample would show up as the minimum.
+        let (warmup, reps) = (2, 3);
+        let nap = std::time::Duration::from_millis(2);
+        let mut calls = 0;
+        let timed = measure(warmup, reps, |on| {
+            calls += 1;
+            let timed_run = calls > 2 * warmup;
+            move || {
+                if timed_run {
+                    std::thread::sleep(nap);
+                }
+                (on, calls)
+            }
+        });
+        assert_eq!(calls, 2 * (warmup + reps));
+        assert_eq!(timed.last, [(false, calls - 1), (true, calls)]);
+        for samples in &timed.seconds {
+            assert_eq!(samples.len(), reps);
+            assert!(samples.iter().all(|&s| s >= nap.as_secs_f64()));
+        }
+    }
 }

@@ -58,8 +58,7 @@ pub struct Fig6Config {
     /// Base RNG seed; each load perturbs it.
     pub seed: u64,
     /// Event engine backing every load's machine. Perf-only: the run's
-    /// outputs are engine-invariant, so benchmarks flip this to compare
-    /// engines within one process.
+    /// outputs are engine-invariant.
     pub engine: EngineChoice,
 }
 

@@ -113,6 +113,13 @@ fn state_hash_tracks_slot_boundaries_identically_after_restore() {
         b.run_until(t);
         assert_eq!(a.state_hash(), b.state_hash(), "diverged by {t:?}");
     }
+
+    // Hashing is observation: the run hashed every millisecond finishes
+    // exactly like one never hashed.
+    let mut plain = Machine::new(busy_config(true)).expect("valid config");
+    schedule_burst(&mut plain);
+    plain.run_until(at_us(HORIZON));
+    assert_eq!(a.finish(), plain.finish());
 }
 
 #[test]

@@ -64,8 +64,8 @@ impl MonitorStats {
 ///
 /// The check itself is a handful of subtractions and compares — the paper
 /// reports 128 instructions for `C_Mon` including the scheduler call; the
-/// criterion bench `monitor_overhead` in `rthv-experiments` measures this
-/// implementation.
+/// repo benchmark's `monitor.check_ns` (`benchmark/`, `--trace 1`) measures
+/// this implementation on the admissions of its workloads.
 ///
 /// # Examples
 ///

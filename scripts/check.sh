@@ -26,8 +26,10 @@ echo "==> cargo test --release (benchmark package)"
 # any benchmark run.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# --all-targets lints the tests and examples too, not just the libraries
+# and binaries.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo clippy -p rthv-obs -- -D warnings"
 # The observability crate is new in this series; lint it explicitly so a
@@ -157,6 +159,14 @@ echo "==> smoke supervised campaign (nominal + 7 fault families, fixed seed)"
 # reduce well-behaved victims' worst-case service loss there.
 cargo run --release -q -p rthv-experiments --bin supervised \
     target/CAMPAIGN_supervised_smoke.json 16392212
+
+echo "==> bench_export (timing probes and their identity asserts)"
+# The exporter panics if the parallel Fig. 6c pass differs from the
+# sequential one, or if an on/off probe's two arms make different
+# admission decisions. Its timings are host-dependent and gate nothing:
+# an overhead ratio over its budget only prints a warning.
+cargo run --release -q -p rthv-experiments --bin bench_export \
+    target/BENCH_check.json --metrics target/OBS_bench.json
 
 echo "==> usage errors (non-numeric count or seed: exit 2, no report)"
 # Every campaign binary parses its command line in the shared driver: a
