@@ -1,18 +1,22 @@
 //! The admission fleet: dense source ids hash-routed across N shards,
-//! driven through a deterministic discrete-event loop with typed admission
-//! outcomes, bounded fail-closed retry, a load-shedding ladder and
+//! driven through a deterministic discrete-event loop with one admission
+//! path, bounded fail-closed retry, a load-shedding ladder and
 //! checkpoint-based shard failover.
 //!
-//! Every arrival ends in exactly one [`AdmitOutcome`] — admitted, denied by
-//! the δ⁻ monitor, or shed with a typed [`ShedReason`]. Nothing is silent:
-//! the fleet ledger balances `scheduled = admitted + denied + shed` and
+//! Every arrival takes one admission decision — the paper's top-handler
+//! δ⁻ check on the arrival timestamp, scaled to the fleet — and ends
+//! admitted, denied (by the source's δ⁻ monitor or, in a tenanted fleet,
+//! by its group or the global budget), or shed with a typed
+//! [`ShedReason`]. A flat fleet is the tenant-less case of that same path.
+//! Nothing is silent: the fleet ledger balances
+//! `scheduled = admitted + denied + shed` and
 //! `admitted = completed + lost_in_flight + in_flight_at_end`, and the
 //! fleet-wide oracle re-checks both identities plus per-victim Eq. 13–16
 //! independence over the union of all shards' admitted streams.
 
 use std::fmt;
 
-use rthv_hypervisor::{HealthSignal, HealthState, SupervisionPolicy};
+use rthv_hypervisor::{HealthSignal, HealthState, HealthTransition, SupervisionPolicy};
 use rthv_monitor::{Admission, DeltaFunction};
 use rthv_obs::MetricsHub;
 use rthv_sim::{EngineKind, EngineQueue};
@@ -79,34 +83,6 @@ impl fmt::Display for ShedReason {
             other => f.write_str(other.slug()),
         }
     }
-}
-
-/// The typed outcome of one arrival at the fleet ingress.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmitOutcome {
-    /// Conformant at every level; service scheduled.
-    Admitted,
-    /// The source's own δ⁻ monitor denied the activation.
-    Denied {
-        /// δ⁻ entry index of the first violated constraint.
-        violated_distance: usize,
-    },
-    /// The source passed its own monitor but the tenant's group budget
-    /// (window/aggregate pair, possibly brownout-shrunk) refused.
-    DeniedGroup {
-        /// The refusing tenant.
-        tenant: u32,
-    },
-    /// Source and group passed but the fleet-wide global budget refused.
-    /// Provably unreachable while budget sums are validated against the
-    /// global budget — counted and typed anyway, because the oracle
-    /// trusts ledgers over proofs.
-    DeniedGlobal,
-    /// Shed before the admission check could (safely) run.
-    Shed {
-        /// The typed degradation class.
-        reason: ShedReason,
-    },
 }
 
 /// How a crashed shard rebuilds its monitor arena.
@@ -219,7 +195,10 @@ pub struct FleetConfig {
     /// Latency histogram range.
     pub latency_range: Duration,
     /// The two-level tenant hierarchy with brownout overload control.
-    /// `None` keeps the flat single-level fleet of PR 7, byte-identically.
+    /// `None` is the flat single-level fleet: one lane per shard, no
+    /// quarantine gate, no group or global budget, and an arithmetic
+    /// fail-closed check against stalled shards instead of the retry
+    /// ladder.
     pub tenancy: Option<TenantConfig>,
 }
 
@@ -305,7 +284,7 @@ enum FleetEvent {
     /// queues.
     Drain { shard: u32, lane: u32 },
     /// Retry-ladder re-attempt for an arrival that hit a stalled shard
-    /// (tenanted fleets with `retry_ladder` only).
+    /// (tenanted fleets only).
     Retry { source: u32, attempt: u32 },
 }
 
@@ -435,167 +414,26 @@ impl AdmitFleet {
         while let Some((now, event)) = queue.pop() {
             end_of_run = now;
             match event {
-                FleetEvent::Arrival { source } => {
-                    let Some(&(shard_id, local)) = self.router.get(source as usize) else {
-                        continue; // out-of-range source: not ours to admit
-                    };
-                    if let Some(h) = hub.as_deref_mut() {
-                        h.record_raised(now, source as usize);
-                    }
-                    if let Some(rt) = tenancy.as_mut() {
-                        self.tenant_ingress(
-                            rt,
-                            &mut shards,
-                            &mut queue,
-                            &mut admitted,
-                            &mut hub,
-                            now,
-                            source,
-                            0,
-                        );
-                        continue;
-                    }
-                    let s = &mut shards[shard_id as usize];
-                    let outcome = 'ingress: {
-                        s.counters.scheduled += 1;
-                        // Fail-closed stall handling: a bounded number of
-                        // deterministic backoff retries may outlast the
-                        // stall; if they cannot, the arrival is shed — we
-                        // never admit against a monitor we cannot reach.
-                        if let Some(until) = s.stalled_until {
-                            if now < until {
-                                let wait = until - now;
-                                let backoff = cfg.retry_backoff.as_nanos();
-                                let needed = wait.as_nanos().div_ceil(backoff);
-                                if needed > u64::from(cfg.max_retries) {
-                                    s.counters.shed_stalled += 1;
-                                    break 'ingress AdmitOutcome::Shed {
-                                        reason: ShedReason::ShardStalled,
-                                    };
-                                }
-                                s.counters.retries += needed;
-                            } else {
-                                s.stalled_until = None;
-                            }
-                        }
-                        if s.in_flight[0].len() >= cfg.queue_capacity {
-                            s.counters.shed_queue_full += 1;
-                            if let Some(tr) =
-                                s.trackers[local as usize].signal(HealthSignal::Overflow, now)
-                            {
-                                if let Some(h) = hub.as_deref_mut() {
-                                    h.record_health(
-                                        now,
-                                        source as usize,
-                                        tr.from.slug(),
-                                        tr.to.slug(),
-                                    );
-                                }
-                            }
-                            break 'ingress AdmitOutcome::Shed {
-                                reason: ShedReason::QueueFull,
-                            };
-                        }
-                        // The shedding ladder: above the watermark, shed
-                        // Probation/Quarantined sources before they reach
-                        // the monitor, preserving headroom for healthy ones.
-                        let occupancy = s.in_flight[0].len() as u64 * 1000;
-                        let watermark =
-                            u64::from(cfg.shed_watermark_permille) * cfg.queue_capacity as u64;
-                        let state = s.trackers[local as usize].state();
-                        if occupancy >= watermark && state.shed_rank() >= 2 {
-                            s.counters.shed_demoted += 1;
-                            break 'ingress AdmitOutcome::Shed {
-                                reason: ShedReason::Demoted { state },
-                            };
-                        }
-                        // Admission always checks the hardware arrival
-                        // timestamp (the paper's IRQ-timestamp clock), so
-                        // the admitted stream is δ⁻-conformant in arrival
-                        // time regardless of queueing or retries.
-                        match s.monitors[local as usize].try_admit_detailed(now) {
-                            Admission::Admitted => {
-                                s.counters.admitted += 1;
-                                if let Some(tr) = s.trackers[local as usize].conformant(now) {
-                                    if let Some(h) = hub.as_deref_mut() {
-                                        h.record_health(
-                                            now,
-                                            source as usize,
-                                            tr.from.slug(),
-                                            tr.to.slug(),
-                                        );
-                                    }
-                                }
-                                s.note_admitted(local, now, cfg.checkpoint_every);
-                                AdmitOutcome::Admitted
-                            }
-                            Admission::Denied { violated_distance } => {
-                                s.counters.denied += 1;
-                                if let Some(tr) =
-                                    s.trackers[local as usize].signal(HealthSignal::Denied, now)
-                                {
-                                    if let Some(h) = hub.as_deref_mut() {
-                                        h.record_health(
-                                            now,
-                                            source as usize,
-                                            tr.from.slug(),
-                                            tr.to.slug(),
-                                        );
-                                    }
-                                }
-                                AdmitOutcome::Denied { violated_distance }
-                            }
-                        }
-                    };
-                    match outcome {
-                        AdmitOutcome::Admitted => {
-                            admitted[source as usize].push(now);
-                            if let Some(h) = hub.as_deref_mut() {
-                                h.record_admitted(now, source as usize);
-                            }
-                            // Single-server shard: the admission completes
-                            // after everything already in service.
-                            let start = s.busy_until[0].max(now);
-                            let completion = start + cfg.service_cost;
-                            s.busy_until[0] = completion;
-                            let id = queue
-                                .schedule_at(
-                                    completion,
-                                    FleetEvent::Drain {
-                                        shard: shard_id,
-                                        lane: 0,
-                                    },
-                                )
-                                .expect("completions are in the future");
-                            s.in_flight[0].push_back(InFlight {
-                                id,
-                                source,
-                                arrival: now,
-                            });
-                        }
-                        AdmitOutcome::Denied { violated_distance } => {
-                            if let Some(h) = hub.as_deref_mut() {
-                                h.record_denied(
-                                    now,
-                                    source as usize,
-                                    Some(violated_distance as u64),
-                                );
-                            }
-                        }
-                        // The flat ingress has no tenant levels;
-                        // kept for match completeness.
-                        AdmitOutcome::DeniedGroup { .. } | AdmitOutcome::DeniedGlobal => {
-                            if let Some(h) = hub.as_deref_mut() {
-                                h.record_denied(now, source as usize, None);
-                            }
-                        }
-                        AdmitOutcome::Shed { .. } => {
-                            if let Some(h) = hub.as_deref_mut() {
-                                h.record_shed(now, source as usize);
-                            }
-                        }
-                    }
-                }
+                FleetEvent::Arrival { source } => self.ingress(
+                    tenancy.as_mut(),
+                    &mut shards,
+                    &mut queue,
+                    &mut admitted,
+                    &mut hub,
+                    now,
+                    source,
+                    0,
+                ),
+                FleetEvent::Retry { source, attempt } => self.ingress(
+                    tenancy.as_mut(),
+                    &mut shards,
+                    &mut queue,
+                    &mut admitted,
+                    &mut hub,
+                    now,
+                    source,
+                    attempt,
+                ),
                 FleetEvent::Drain { shard, lane } => {
                     let s = &mut shards[shard as usize];
                     if let Some(flight) = s.in_flight[lane as usize].pop_front() {
@@ -643,22 +481,6 @@ impl AdmitFleet {
                         *busy = (*busy).max(until);
                     }
                 }
-                FleetEvent::Retry { source, attempt } => {
-                    // Retry events exist only in tenanted fleets with the
-                    // ladder enabled; a stray one in a flat fleet is inert.
-                    if let Some(rt) = tenancy.as_mut() {
-                        self.tenant_ingress(
-                            rt,
-                            &mut shards,
-                            &mut queue,
-                            &mut admitted,
-                            &mut hub,
-                            now,
-                            source,
-                            attempt,
-                        );
-                    }
-                }
             }
         }
 
@@ -687,17 +509,20 @@ impl AdmitFleet {
         }
     }
 
-    /// One tenanted ingress attempt — an arrival (`attempt == 0`) or a
-    /// retry-ladder re-attempt — through the three-level admission
-    /// hierarchy: quarantine gate, stall policy, lane capacity, watermark
-    /// ladder, then source monitor → group budget → global budget, with
-    /// every refusal typed by the level that refused. State is recorded in
-    /// all three levels only after all three pass, so a higher-level
-    /// refusal leaves no phantom admission behind.
+    /// One ingress attempt — an arrival (`attempt == 0`) or a retry-ladder
+    /// re-attempt — through the admission decision: stall policy, lane
+    /// capacity, watermark ladder, then the source's δ⁻ monitor on the
+    /// arrival timestamp. A tenanted fleet puts its quarantine gate in
+    /// front and the group and global budgets behind the monitor; a flat
+    /// fleet (`tenancy: None`) serves one lane of `queue_capacity` and
+    /// fails closed on a stall by arithmetic instead of the retry ladder.
+    /// Every refusal is typed by the level that refused, and state is
+    /// recorded in every level only after all of them pass, so a
+    /// higher-level refusal leaves no phantom admission behind.
     #[allow(clippy::too_many_arguments)]
-    fn tenant_ingress(
+    fn ingress(
         &self,
-        rt: &mut TenancyRuntime,
+        tenancy: Option<&mut TenancyRuntime>,
         shards: &mut [ShardState],
         queue: &mut EngineQueue<FleetEvent>,
         admitted: &mut [Vec<Instant>],
@@ -708,38 +533,35 @@ impl AdmitFleet {
     ) {
         let cfg = &self.config;
         let Some(&(shard_id, local)) = self.router.get(source as usize) else {
-            return;
+            return; // out-of-range source: not ours to admit
         };
-        let tenant = rt.tenant_of[source as usize] as usize;
         let s = &mut shards[shard_id as usize];
-        let retry_ladder = rt.retry_ladder;
         if attempt == 0 {
             s.counters.scheduled += 1;
-            rt.tenants[tenant].counters.scheduled += 1;
-        }
-        rt.tenants[tenant].brownout.roll(now);
-        let level = rt.tenants[tenant].brownout.level();
-        if level == BrownoutLevel::Quarantined {
-            s.counters.shed_quarantined += 1;
-            let tn = &mut rt.tenants[tenant];
-            tn.counters.shed_quarantined += 1;
-            tn.brownout.record(true);
             if let Some(h) = hub.as_deref_mut() {
-                h.record_shed(now, source as usize);
+                h.record_raised(now, source as usize);
             }
-            return;
         }
-        // Reserved lane per tenant; demoted tenants share the best-effort
-        // lane at a quarter of a reserved lane's depth.
-        let lane = if level >= BrownoutLevel::BestEffort {
-            rt.best_effort_lane
-        } else {
-            tenant
-        };
-        let lane_cap = if lane == rt.best_effort_lane {
-            (cfg.queue_capacity / 4).max(1)
-        } else {
-            cfg.queue_capacity
+        // The tenant's brownout level picks its lane: a reserved lane per
+        // tenant, or the shared best-effort lane at a quarter of a reserved
+        // lane's depth once the tenant is demoted.
+        let (tenant, level, lane, lane_cap) = match tenancy {
+            None => (None, BrownoutLevel::Nominal, 0, cfg.queue_capacity),
+            Some(rt) => {
+                let t = rt.tenant_of[source as usize] as usize;
+                let tn = &mut rt.tenants[t];
+                if attempt == 0 {
+                    tn.counters.scheduled += 1;
+                }
+                tn.brownout.roll(now);
+                let level = tn.brownout.level();
+                let (lane, cap) = if level >= BrownoutLevel::BestEffort {
+                    (rt.best_effort_lane, (cfg.queue_capacity / 4).max(1))
+                } else {
+                    (t, cfg.queue_capacity)
+                };
+                (Some((t, tn, &mut rt.global)), level, lane, cap)
+            }
         };
         enum Gate {
             RetryLater,
@@ -748,20 +570,28 @@ impl AdmitFleet {
             Cleared,
         }
         let gate = 'gate: {
+            if let (Some((t, ..)), BrownoutLevel::Quarantined) = (&tenant, level) {
+                s.counters.shed_quarantined += 1;
+                let tenant = *t as u32;
+                break 'gate Gate::Shed(ShedReason::TenantQuarantined { tenant });
+            }
             if let Some(until) = s.stalled_until {
-                if now < until {
-                    if retry_ladder {
-                        // The event-driven ladder: come back one backoff
-                        // later, up to the bounded attempt budget, and
-                        // fail closed after it.
-                        if attempt < cfg.max_retries {
-                            s.counters.retries += 1;
-                            break 'gate Gate::RetryLater;
-                        }
-                        s.counters.shed_stalled += 1;
-                        break 'gate Gate::Shed(ShedReason::ShardStalled);
+                if now >= until {
+                    s.stalled_until = None;
+                } else if tenant.is_some() {
+                    // The event-driven ladder: come back one backoff later,
+                    // up to the bounded attempt budget, and fail closed
+                    // after it.
+                    if attempt < cfg.max_retries {
+                        s.counters.retries += 1;
+                        break 'gate Gate::RetryLater;
                     }
-                    // Flat-style arithmetic fail-closed check.
+                    s.counters.shed_stalled += 1;
+                    break 'gate Gate::Shed(ShedReason::ShardStalled);
+                } else {
+                    // The flat fleet's arithmetic check: shed unless the
+                    // bounded backoff retries would outlast the stall — we
+                    // never admit against a monitor we cannot reach.
                     let wait = until - now;
                     let needed = wait.as_nanos().div_ceil(cfg.retry_backoff.as_nanos());
                     if needed > u64::from(cfg.max_retries) {
@@ -769,21 +599,17 @@ impl AdmitFleet {
                         break 'gate Gate::Shed(ShedReason::ShardStalled);
                     }
                     s.counters.retries += needed;
-                } else {
-                    s.stalled_until = None;
                 }
             }
             if s.in_flight[lane].len() >= lane_cap {
                 s.counters.shed_queue_full += 1;
-                if let Some(tr) = s.trackers[local as usize].signal(HealthSignal::Overflow, now) {
-                    if let Some(h) = hub.as_deref_mut() {
-                        h.record_health(now, source as usize, tr.from.slug(), tr.to.slug());
-                    }
-                }
+                let transition = s.trackers[local as usize].signal(HealthSignal::Overflow, now);
+                record_health(hub, now, source, transition);
                 break 'gate Gate::Shed(ShedReason::QueueFull);
             }
-            // The watermark ladder judges the tenant's own lane, so one
-            // tenant's backlog can never demote another's sources.
+            // The shedding ladder: above the watermark of the arrival's own
+            // lane, shed Probation/Quarantined sources before they reach
+            // the monitor, so one tenant's backlog never demotes another's.
             let occupancy = s.in_flight[lane].len() as u64 * 1000;
             let watermark = u64::from(cfg.shed_watermark_permille) * lane_cap as u64;
             let state = s.trackers[local as usize].state();
@@ -791,24 +617,26 @@ impl AdmitFleet {
                 s.counters.shed_demoted += 1;
                 break 'gate Gate::Shed(ShedReason::Demoted { state });
             }
-            // Level one: the source's own δ⁻ monitor — check only, so a
-            // refusal at a higher level leaves no phantom trace entry.
+            // Level one: the source's own δ⁻ monitor on the hardware
+            // arrival timestamp (the paper's IRQ-timestamp clock), so the
+            // admitted stream is δ⁻-conformant in arrival time regardless
+            // of queueing or retries. Check only: a refusal at a higher
+            // level must leave no phantom trace entry.
             match s.monitors[local as usize].check(now) {
                 Admission::Admitted => Gate::Cleared,
                 Admission::Denied { violated_distance } => {
                     s.counters.denied += 1;
-                    if let Some(tr) = s.trackers[local as usize].signal(HealthSignal::Denied, now) {
-                        if let Some(h) = hub.as_deref_mut() {
-                            h.record_health(now, source as usize, tr.from.slug(), tr.to.slug());
-                        }
-                    }
+                    let transition = s.trackers[local as usize].signal(HealthSignal::Denied, now);
+                    record_health(hub, now, source, transition);
                     Gate::Denied { violated_distance }
                 }
             }
         };
         match gate {
             Gate::RetryLater => {
-                rt.tenants[tenant].counters.retries += 1;
+                if let Some((_, tn, _)) = tenant {
+                    tn.counters.retries += 1;
+                }
                 queue
                     .schedule_at(
                         now + cfg.retry_backoff,
@@ -820,62 +648,70 @@ impl AdmitFleet {
                     .expect("retries are in the future");
             }
             Gate::Shed(reason) => {
-                let tn = &mut rt.tenants[tenant];
-                match reason {
-                    ShedReason::QueueFull => tn.counters.shed_queue_full += 1,
-                    ShedReason::ShardStalled => tn.counters.shed_stalled += 1,
-                    ShedReason::Demoted { .. } => tn.counters.shed_demoted += 1,
-                    ShedReason::TenantQuarantined { .. } | ShedReason::ShardCrash => {}
+                if let Some((_, tn, _)) = tenant {
+                    let c = &mut tn.counters;
+                    match reason {
+                        ShedReason::QueueFull => c.shed_queue_full += 1,
+                        ShedReason::ShardStalled => c.shed_stalled += 1,
+                        ShedReason::Demoted { .. } => c.shed_demoted += 1,
+                        ShedReason::TenantQuarantined { .. } => c.shed_quarantined += 1,
+                        ShedReason::ShardCrash => {}
+                    }
+                    tn.brownout.record(true);
                 }
-                tn.brownout.record(true);
                 if let Some(h) = hub.as_deref_mut() {
                     h.record_shed(now, source as usize);
                 }
             }
             Gate::Denied { violated_distance } => {
-                let tn = &mut rt.tenants[tenant];
-                tn.counters.denied_source += 1;
-                tn.brownout.record(false);
+                if let Some((_, tn, _)) = tenant {
+                    tn.counters.denied_source += 1;
+                    tn.brownout.record(false);
+                }
                 if let Some(h) = hub.as_deref_mut() {
                     h.record_denied(now, source as usize, Some(violated_distance as u64));
                 }
             }
             Gate::Cleared => {
-                // Level two: the tenant's group budget at its (possibly
-                // brownout-shrunk) effective limit.
-                let tn = &mut rt.tenants[tenant];
-                let effective = tn.brownout.effective_budget();
-                if !tn.group.admits(now, effective) {
-                    s.counters.denied += 1;
-                    tn.counters.denied_group += 1;
-                    tn.brownout.record(false);
-                    if let Some(h) = hub.as_deref_mut() {
-                        h.record_denied(now, source as usize, None);
+                if let Some((_, tn, global)) = tenant {
+                    // Level two: the tenant's group budget at its (possibly
+                    // brownout-shrunk) effective limit. Level three: the
+                    // global interference budget. With validated budget
+                    // sums the global level can never refuse a tenant
+                    // inside its group budget — it is the defense-in-depth
+                    // backstop the oracle re-checks.
+                    let effective = tn.brownout.effective_budget();
+                    let refused = if !tn.group.admits(now, effective) {
+                        Some(&mut tn.counters.denied_group)
+                    } else if !global.admits(now, u64::MAX) {
+                        Some(&mut tn.counters.denied_global)
+                    } else {
+                        None
+                    };
+                    if let Some(count) = refused {
+                        *count += 1;
+                        s.counters.denied += 1;
+                        tn.brownout.record(false);
+                        if let Some(h) = hub.as_deref_mut() {
+                            h.record_denied(now, source as usize, None);
+                        }
+                        return;
                     }
-                    return;
-                }
-                // Level three: the global interference budget. With
-                // validated budget sums this can never refuse a tenant
-                // inside its group budget — it is the defense-in-depth
-                // backstop the oracle re-checks.
-                if !rt.global.admits(now, u64::MAX) {
-                    s.counters.denied += 1;
-                    let tn = &mut rt.tenants[tenant];
-                    tn.counters.denied_global += 1;
-                    tn.brownout.record(false);
-                    if let Some(h) = hub.as_deref_mut() {
-                        h.record_denied(now, source as usize, None);
+                    tn.group.record(now);
+                    global.record(now);
+                    tn.counters.admitted += 1;
+                    if attempt > 0 {
+                        tn.counters.rescued += 1;
                     }
-                    return;
+                    tn.brownout.record(false);
                 }
                 s.counters.admitted += 1;
                 s.monitors[local as usize].record_admitted(now);
-                if let Some(tr) = s.trackers[local as usize].conformant(now) {
-                    if let Some(h) = hub.as_deref_mut() {
-                        h.record_health(now, source as usize, tr.from.slug(), tr.to.slug());
-                    }
-                }
+                let transition = s.trackers[local as usize].conformant(now);
+                record_health(hub, now, source, transition);
                 s.note_admitted(local, now, cfg.checkpoint_every);
+                // Single-server lane: the admission completes after
+                // everything already in service on its lane.
                 let start = s.busy_until[lane].max(now);
                 let completion = start + cfg.service_cost;
                 s.busy_until[lane] = completion;
@@ -893,20 +729,24 @@ impl AdmitFleet {
                     source,
                     arrival: now,
                 });
-                let tn = &mut rt.tenants[tenant];
-                tn.group.record(now);
-                rt.global.record(now);
-                tn.counters.admitted += 1;
-                if attempt > 0 {
-                    tn.counters.rescued += 1;
-                }
-                tn.brownout.record(false);
                 admitted[source as usize].push(now);
                 if let Some(h) = hub.as_deref_mut() {
                     h.record_admitted(now, source as usize);
                 }
             }
         }
+    }
+}
+
+/// Forwards a source's health transition, if there was one, to the hub.
+fn record_health(
+    hub: &mut Option<&mut MetricsHub>,
+    now: Instant,
+    source: u32,
+    transition: Option<HealthTransition>,
+) {
+    if let (Some(tr), Some(h)) = (transition, hub.as_deref_mut()) {
+        h.record_health(now, source as usize, tr.from.slug(), tr.to.slug());
     }
 }
 
@@ -929,7 +769,6 @@ struct TenancyRuntime {
     global: WindowBudget,
     tenant_of: Vec<u32>,
     best_effort_lane: usize,
-    retry_ladder: bool,
 }
 
 impl TenancyRuntime {
@@ -955,7 +794,6 @@ impl TenancyRuntime {
             global: WindowBudget::new(tc.window, tc.global_budget),
             tenant_of: tc.tenant_of(),
             best_effort_lane: tc.tenants.len(),
-            retry_ladder: tc.retry_ladder,
         }
     }
 

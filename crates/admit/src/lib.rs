@@ -11,12 +11,15 @@
 //!   replay restores exactly the pre-crash δ⁻ rings, so admitted streams
 //!   stay bound-conformant *across* the cut. The fresh-state baseline
 //!   demonstrably does not.
-//! * **Graceful degradation** ([`AdmitOutcome`]) — bounded in-flight
+//! * **Graceful degradation** ([`ShedReason`]) — every arrival takes one
+//!   admission decision on one ingress path, flat and tenanted fleets
+//!   alike, and lands in exactly one ledger column ([`ShardCounters`]):
+//!   admitted, denied, or shed with a typed reason. Bounded in-flight
 //!   queues, deterministic bounded retry with backoff against stalled
 //!   shards that fails *closed* ([`ShedReason::ShardStalled`]), and a
 //!   load-shedding ladder that demotes Probation/Quarantined sources
-//!   first ([`ShedReason::Demoted`]). Every shed is typed; nothing is
-//!   silently dropped or blindly admitted.
+//!   first ([`ShedReason::Demoted`]). Nothing is silently dropped or
+//!   blindly admitted.
 //! * **A fleet-wide oracle** ([`FleetReport::check`]) — per-victim δ⁻
 //!   replay, sliding-window η⁺ counts and the Eq. 13–16 interference
 //!   bound over the union of all shards' admitted streams, plus the two
@@ -44,8 +47,8 @@ pub mod storm;
 pub mod tenant;
 
 pub use fleet::{
-    route, AdmitFleet, AdmitOutcome, FailoverMode, FleetConfig, FleetError, FleetReport,
-    ShardFault, ShardFaultKind, ShedReason,
+    route, AdmitFleet, FailoverMode, FleetConfig, FleetError, FleetReport, ShardFault,
+    ShardFaultKind, ShedReason,
 };
 pub use shard::ShardCounters;
 pub use storm::{

@@ -295,7 +295,11 @@ pub fn fleet_faults(fault: &FaultScenario, shards: u32, horizon: Duration) -> Ve
     let mut out = Vec::new();
     let horizon_ns = horizon.as_nanos();
     match fault.kind {
-        FaultKind::ShardCrash { period, crashes } => {
+        // RecoveryFlood shares ShardCrash's crash schedule; its "flood"
+        // half is the aggressor-tenant traffic overlay the tenant campaign
+        // pours on top while these failovers run.
+        FaultKind::ShardCrash { period, crashes }
+        | FaultKind::RecoveryFlood { period, crashes } => {
             let period_ns = period.as_nanos().max(1);
             for i in 0..u64::from(crashes) {
                 let jitter = rng.gen_range(0..(period_ns / 8).max(1));
@@ -377,24 +381,6 @@ pub fn fleet_faults(fault: &FaultScenario, shards: u32, horizon: Duration) -> Ve
                     });
                 }
                 i += 1;
-            }
-        }
-        FaultKind::RecoveryFlood { period, crashes } => {
-            // The crash schedule of ShardCrash; the "flood" half is the
-            // aggressor-tenant traffic overlay the tenant campaign pours
-            // on top while these failovers run.
-            let period_ns = period.as_nanos().max(1);
-            for i in 0..u64::from(crashes) {
-                let jitter = rng.gen_range(0..(period_ns / 8).max(1));
-                let at = (i + 1) * period_ns + jitter;
-                let shard = rng.gen_range(0..shards);
-                if at < horizon_ns {
-                    out.push(ShardFault {
-                        at: Instant::from_nanos(at),
-                        shard,
-                        kind: ShardFaultKind::Crash,
-                    });
-                }
             }
         }
         _ => {}
@@ -839,7 +825,6 @@ fn tenant_fleet_base(
         ],
         brownout: BrownoutPolicy::default(),
         seed: 0x7E4A_5EED,
-        retry_ladder: true,
     });
     base
 }
@@ -1324,11 +1309,13 @@ pub fn assemble_tenant_report(
         .join(",");
     let mut out = String::new();
     out.push_str("{\n");
+    // Every tenanted fleet runs the retry ladder; the key stays in the
+    // config block so reports keep their published shape.
     out.push_str(&format!(
         concat!(
             "  \"config\": {{\"shards\":{},\"sources\":{},\"horizon_ns\":{},",
             "\"queue_capacity\":{},\"service_cost_ns\":{},\"window_ns\":{},",
-            "\"global_budget\":{},\"budgets\":[{}],\"retry_ladder\":{},",
+            "\"global_budget\":{},\"budgets\":[{}],\"retry_ladder\":true,",
             "\"victim_mean_ns\":{},\"overlay_mean_ns\":{},\"overlay_onset_ns\":{},",
             "\"base_seed\":{}}},\n"
         ),
@@ -1340,7 +1327,6 @@ pub fn assemble_tenant_report(
         tenancy.window.as_nanos(),
         tenancy.global_budget,
         budgets,
-        tenancy.retry_ladder,
         config.victim_mean.as_nanos(),
         config.overlay_mean.as_nanos(),
         config.overlay_onset.as_nanos(),

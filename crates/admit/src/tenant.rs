@@ -146,45 +146,9 @@ pub struct TenantConfig {
     /// Seed for the brownout hold-time jitter — the only randomness in the
     /// hierarchy, and it is pure: same seed, same run.
     pub seed: u64,
-    /// When `true`, arrivals that hit a stalled shard enter a bounded
-    /// retry-with-backoff ladder (re-enqueued fleet events) instead of the
-    /// flat fleet's arithmetic fail-closed check. Rescued arrivals are
-    /// admitted at their retry instant.
-    pub retry_ladder: bool,
 }
 
 impl TenantConfig {
-    /// An even split: `tenants` tenants sharing `sources` sources as
-    /// equally as possible (the remainder goes to the first tenants), each
-    /// with group budget `budget`, under a global budget of exactly the
-    /// sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tenants` is zero or exceeds `sources`.
-    #[must_use]
-    pub fn even_split(tenants: u32, sources: u32, budget: u64, window: Duration) -> Self {
-        assert!(tenants > 0, "tenancy needs at least one tenant");
-        assert!(tenants <= sources, "more tenants than sources");
-        let base = sources / tenants;
-        let extra = sources % tenants;
-        let tenants: Vec<TenantSpec> = (0..tenants)
-            .map(|t| TenantSpec {
-                sources: base + u32::from(t < extra),
-                budget,
-            })
-            .collect();
-        let global = budget * tenants.len() as u64;
-        TenantConfig {
-            window,
-            global_budget: global,
-            tenants,
-            brownout: BrownoutPolicy::default(),
-            seed: 0xB10C_A11E,
-            retry_ladder: false,
-        }
-    }
-
     /// Validates the hierarchy against a fleet of `sources` sources.
     ///
     /// # Errors
@@ -888,12 +852,15 @@ mod tests {
 
     #[test]
     fn even_split_partitions_and_validates() {
-        let tc = TenantConfig::even_split(3, 10, 8, W);
-        assert_eq!(
-            tc.tenants.iter().map(|t| t.sources).collect::<Vec<_>>(),
-            vec![4, 3, 3]
-        );
-        tc.validate(10).expect("even split validates");
+        let spec = |sources| TenantSpec { sources, budget: 8 };
+        let tc = TenantConfig {
+            window: W,
+            global_budget: 24,
+            tenants: vec![spec(4), spec(3), spec(3)],
+            brownout: BrownoutPolicy::default(),
+            seed: 0xB10C_A11E,
+        };
+        tc.validate(10).expect("the split validates");
         assert_eq!(tc.tenant_of(), vec![0, 0, 0, 0, 1, 1, 1, 2, 2, 2]);
         assert_eq!(tc.source_range(1), 4..7);
     }

@@ -16,11 +16,11 @@ use rthv_workload::{flood_overlay, open_loop_flood, FloodSpec, OverlaySpec};
 
 /// The tenant campaign's geometry adapted for property runs: heavy
 /// service cost, watermark ladder off, a 2-tenant split with the
-/// aggressor on the upper half and `retry_ladder` on. The lane is deep
-/// (unlike the campaign's shallow queue, which only the flat ablation
-/// needs): byte-identity requires the victim never to hit its *own*
-/// lane cap, because a crash drains in-flight work and thereby moves
-/// queue-full timing — self-saturation is not an isolation failure.
+/// aggressor on the upper half. The lane is deep (unlike the campaign's
+/// shallow queue, which only the flat ablation needs): byte-identity
+/// requires the victim never to hit its *own* lane cap, because a crash
+/// drains in-flight work and thereby moves queue-full timing —
+/// self-saturation is not an isolation failure.
 fn tenancy_config(shards: u32, engine: &str, checkpoint_every: u64) -> FleetConfig {
     let mut config = FleetConfig::paper(shards, 16);
     config.queue_capacity = 64;
@@ -43,7 +43,6 @@ fn tenancy_config(shards: u32, engine: &str, checkpoint_every: u64) -> FleetConf
         ],
         brownout: Default::default(),
         seed: 0x7E4A_5EED,
-        retry_ladder: true,
     });
     config
 }

@@ -35,7 +35,6 @@ fn valid_tenancy() -> TenantConfig {
         ],
         brownout: Default::default(),
         seed: 0x7E4A_5EED,
-        retry_ladder: true,
     }
 }
 
@@ -316,8 +315,8 @@ fn sustained_overload_quarantines_with_typed_sheds() {
     assert_eq!(victim.escalations, 0);
 }
 
-/// The bounded retry ladder against a stalled shard, event-driven
-/// (`retry_ladder: true`): an arrival whose `max_retries × retry_backoff`
+/// The bounded retry ladder against a stalled shard, event-driven in
+/// every tenanted fleet: an arrival whose `max_retries × retry_backoff`
 /// horizon reaches past the stall is admitted at its retry instant and
 /// counted `rescued`; one that arrives too early inside the stall burns
 /// its attempts and fails *closed* as `shed_stalled`.

@@ -169,4 +169,13 @@ fn recovery_flood_schedules_bounded_crashes() {
     assert!(faults
         .iter()
         .all(|f| matches!(f.kind, ShardFaultKind::Crash)));
+    // The crash half is exactly ShardCrash's schedule for the same seed.
+    let shard_crash = FaultScenario {
+        kind: FaultKind::ShardCrash {
+            period: Duration::from_millis(50),
+            crashes: 3,
+        },
+        ..fault
+    };
+    assert_eq!(faults, fleet_faults(&shard_crash, 4, horizon));
 }

@@ -386,7 +386,6 @@ fn tenant_probe_fleet(hierarchical: bool) -> AdmitFleet {
             ],
             brownout: Default::default(),
             seed: 0x7E4A_BE4C,
-            retry_ladder: true,
         });
     }
     AdmitFleet::new(config).expect("tenant probe config is valid")

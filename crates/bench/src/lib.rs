@@ -18,7 +18,7 @@ pub mod sweep;
 
 pub use campaign::{drive, report_verdict, Args, Campaign, Cli, Record};
 pub use journal::{read_complete_lines, scenario_observation_json, verified_lines, Journal};
-pub use runner::{merge_histograms, ScenarioOutcome, SweepError, SweepRunner};
+pub use runner::{merge_histograms, SweepError, SweepRunner};
 
 use rthv::monitor::DeltaFunction;
 use rthv::time::{Duration, Instant};

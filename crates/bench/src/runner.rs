@@ -21,9 +21,7 @@
 //! [`std::panic::catch_unwind`], so a panicking scenario never unwinds
 //! through a worker thread — the remaining scenarios still run, result
 //! locks are never poisoned, and the failure surfaces as a typed
-//! [`SweepError`] ([`SweepRunner::try_run`]) or a per-scenario
-//! [`ScenarioOutcome::Crashed`] with deterministic bounded retry
-//! ([`SweepRunner::run_isolated`]).
+//! [`SweepError`] ([`SweepRunner::try_run`]).
 //!
 //! Aggregations over the ordered results (histogram merges via
 //! [`LatencyHistogram::merge`], latency sums, maxima) are then plain folds
@@ -73,30 +71,6 @@ impl fmt::Display for SweepError {
 }
 
 impl std::error::Error for SweepError {}
-
-/// The fate of one scenario under [`SweepRunner::run_isolated`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScenarioOutcome<R> {
-    /// The scenario completed (possibly after retries).
-    Completed(R),
-    /// Every attempt panicked; the sweep carried on without it.
-    Crashed {
-        /// The last attempt's panic payload, stringified.
-        panic_msg: String,
-        /// How many attempts were made (= the configured maximum).
-        attempts: u32,
-    },
-}
-
-impl<R> ScenarioOutcome<R> {
-    /// The completed result, if any.
-    pub fn completed(self) -> Option<R> {
-        match self {
-            ScenarioOutcome::Completed(r) => Some(r),
-            ScenarioOutcome::Crashed { .. } => None,
-        }
-    }
-}
 
 /// Stringifies a panic payload (`&str` and `String` payloads verbatim,
 /// anything else a placeholder).
@@ -259,44 +233,6 @@ impl SweepRunner {
         }
         Ok(results)
     }
-
-    /// Runs every scenario in crash isolation with deterministic bounded
-    /// retry: `scenario(attempt, index, &scenarios[index])` is called with
-    /// `attempt` counting from 1; a panicking attempt is retried
-    /// immediately (no wall-clock backoff — determinism over politeness)
-    /// up to `max_attempts` times, and a scenario whose every attempt
-    /// panicked becomes [`ScenarioOutcome::Crashed`] without affecting any
-    /// other scenario. Results come back in scenario order.
-    pub fn run_isolated<S, R, F>(
-        &self,
-        scenarios: &[S],
-        max_attempts: u32,
-        scenario: F,
-    ) -> Vec<ScenarioOutcome<R>>
-    where
-        S: Sync,
-        R: Send,
-        F: Fn(u32, usize, &S) -> R + Sync,
-    {
-        let max_attempts = max_attempts.max(1);
-        let isolated = |index: usize, s: &S| -> ScenarioOutcome<R> {
-            let mut last_msg = String::new();
-            for attempt in 1..=max_attempts {
-                match catch_unwind(AssertUnwindSafe(|| scenario(attempt, index, s))) {
-                    Ok(result) => return ScenarioOutcome::Completed(result),
-                    Err(payload) => last_msg = panic_message(payload.as_ref()),
-                }
-            }
-            ScenarioOutcome::Crashed {
-                panic_msg: last_msg,
-                attempts: max_attempts,
-            }
-        };
-        // The isolated closure never panics, so `try_run` cannot fail with
-        // `ScenarioPanicked`; `MissingResult` degrades into `Crashed`.
-        self.try_run(scenarios, isolated)
-            .unwrap_or_else(|error| panic!("isolated sweep failed: {error}"))
-    }
 }
 
 impl Default for SweepRunner {
@@ -406,38 +342,6 @@ mod tests {
             matches!(verdict, Err(SweepError::ScenarioPanicked { index: 2, .. })),
             "got {verdict:?}"
         );
-    }
-
-    #[test]
-    fn run_isolated_retries_deterministically_and_quarantines_crashes() {
-        use std::sync::atomic::AtomicU32;
-        // Scenario value = number of leading attempts that panic.
-        let crashes: Vec<u32> = vec![0, 1, 2, 0, 3];
-        let calls: Vec<AtomicU32> = crashes.iter().map(|_| AtomicU32::new(0)).collect();
-        let outcomes = SweepRunner::new(4).run_isolated(&crashes, 2, |attempt, index, &n| {
-            calls[index].fetch_add(1, Ordering::Relaxed);
-            assert!(attempt > n, "attempt {attempt} of scenario {index} crashed");
-            index as u64
-        });
-        assert_eq!(outcomes.len(), 5);
-        assert_eq!(outcomes[0], ScenarioOutcome::Completed(0));
-        assert_eq!(outcomes[1], ScenarioOutcome::Completed(1));
-        assert_eq!(outcomes[3], ScenarioOutcome::Completed(3));
-        for crashed_index in [2usize, 4] {
-            match &outcomes[crashed_index] {
-                ScenarioOutcome::Crashed {
-                    panic_msg,
-                    attempts,
-                } => {
-                    assert_eq!(*attempts, 2);
-                    assert!(panic_msg.contains("crashed"), "got: {panic_msg}");
-                }
-                other => panic!("scenario {crashed_index} should crash, got {other:?}"),
-            }
-        }
-        // Attempt accounting: retried exactly up to the bound, no more.
-        let attempt_counts: Vec<u32> = calls.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        assert_eq!(attempt_counts, vec![1, 2, 2, 1, 2]);
     }
 
     #[test]

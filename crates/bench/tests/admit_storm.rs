@@ -132,54 +132,74 @@ fn killed_storm_process_resumes_byte_identical() {
     }
 }
 
+/// Reads one top-level hub counter out of a metrics snapshot.
+fn snapshot_counter(snapshot: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\": ");
+    let start = snapshot.find(&key).expect("counter present") + key.len();
+    let digits: String = snapshot[start..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("numeric counter")
+}
+
 /// Metrics are pure observation: two `--metrics` runs produce
 /// byte-identical snapshots, and attaching the hub leaves the campaign
-/// report untouched.
+/// report untouched — for the flat campaign and for `--tenants`, whose
+/// hierarchy arm feeds the hub raised, health, admitted, denied and shed
+/// events through the same ingress.
 #[test]
 fn metrics_snapshot_is_deterministic_and_pure() {
-    let bare_report = temp_path("metrics-bare.json");
-    let report_a = temp_path("metrics-a-report.json");
-    let report_b = temp_path("metrics-b-report.json");
-    let snap_a = temp_path("metrics-a-snap.json");
-    let snap_b = temp_path("metrics-b-snap.json");
-    for p in [&bare_report, &report_a, &report_b, &snap_a, &snap_b] {
-        let _ = std::fs::remove_file(p);
-    }
+    for (name, mode) in [("flat", &[][..]), ("tenants", &["--tenants"][..])] {
+        let bare_report = temp_path(&format!("metrics-{name}-bare.json"));
+        let report_a = temp_path(&format!("metrics-{name}-a-report.json"));
+        let report_b = temp_path(&format!("metrics-{name}-b-report.json"));
+        let snap_a = temp_path(&format!("metrics-{name}-a-snap.json"));
+        let snap_b = temp_path(&format!("metrics-{name}-b-snap.json"));
+        for p in [&bare_report, &report_a, &report_b, &snap_a, &snap_b] {
+            let _ = std::fs::remove_file(p);
+        }
 
-    let bare = run_storm("heap", &bare_report, &[]);
-    assert!(bare.status.success());
-    let a = run_storm(
-        "heap",
-        &report_a,
-        &["--metrics", snap_a.to_str().expect("utf-8 path")],
-    );
-    assert!(
-        a.status.success(),
-        "metrics run failed; stderr:\n{}",
-        String::from_utf8_lossy(&a.stderr)
-    );
-    let b = run_storm(
-        "heap",
-        &report_b,
-        &["--metrics", snap_b.to_str().expect("utf-8 path")],
-    );
-    assert!(b.status.success());
+        let bare = run_storm("heap", &bare_report, mode);
+        assert!(bare.status.success(), "{name}: bare run failed");
+        let arg_a = snap_a.to_str().expect("utf-8 path");
+        let a = run_storm("heap", &report_a, &[mode, &["--metrics", arg_a]].concat());
+        assert!(
+            a.status.success(),
+            "{name}: metrics run failed; stderr:\n{}",
+            String::from_utf8_lossy(&a.stderr)
+        );
+        let arg_b = snap_b.to_str().expect("utf-8 path");
+        let b = run_storm("heap", &report_b, &[mode, &["--metrics", arg_b]].concat());
+        assert!(b.status.success(), "{name}: second metrics run failed");
 
-    assert_eq!(
-        std::fs::read(&bare_report).expect("bare report"),
-        std::fs::read(&report_a).expect("metrics report"),
-        "attaching the metrics hub changed the campaign report"
-    );
-    let snapshot = std::fs::read(&snap_a).expect("metrics snapshot");
-    assert_eq!(
-        snapshot,
-        std::fs::read(&snap_b).expect("metrics snapshot b"),
-        "metrics snapshot is not deterministic"
-    );
-    assert!(!snapshot.is_empty(), "metrics snapshot is empty");
+        assert_eq!(
+            std::fs::read(&bare_report).expect("bare report"),
+            std::fs::read(&report_a).expect("metrics report"),
+            "{name}: attaching the metrics hub changed the campaign report"
+        );
+        let snapshot = std::fs::read(&snap_a).expect("metrics snapshot");
+        assert_eq!(
+            snapshot,
+            std::fs::read(&snap_b).expect("metrics snapshot b"),
+            "{name}: metrics snapshot is not deterministic"
+        );
+        let text = String::from_utf8(snapshot).expect("utf-8 snapshot");
+        for counter in ["raised", "admitted", "denied", "shed", "health_transitions"] {
+            assert!(
+                snapshot_counter(&text, counter) > 0,
+                "{name}: the snapshot recorded no {counter} events"
+            );
+        }
+        assert_eq!(
+            text.contains("{\"tenant\": "),
+            name == "tenants",
+            "{name}: per-tenant gauges belong to the tenant campaign only"
+        );
 
-    for p in [&bare_report, &report_a, &report_b, &snap_a, &snap_b] {
-        let _ = std::fs::remove_file(p);
+        for p in [&bare_report, &report_a, &report_b, &snap_a, &snap_b] {
+            let _ = std::fs::remove_file(p);
+        }
     }
 }
 

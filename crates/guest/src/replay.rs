@@ -5,10 +5,10 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use rthv_hypervisor::{ServiceInterval, ServiceKind};
+use rthv_hypervisor::ServiceInterval;
 use rthv_time::{Duration, Instant};
 
-use crate::GuestTaskSet;
+use crate::{replay_events, EventTask, GuestTaskSet};
 
 /// Per-task outcome of a replay.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -58,16 +58,14 @@ impl fmt::Display for GuestReport {
     }
 }
 
-/// One released job during the sweep.
-#[derive(Debug, Clone, Copy)]
-struct Job {
-    release: Instant,
-    remaining: Duration,
-}
-
 /// Replays `tasks` over the `User`-kind intervals of `supply` up to
 /// `horizon`, under fixed-priority preemptive scheduling (index 0 wins;
 /// within a task, jobs run FIFO).
+///
+/// Each task's periodic releases (`offset`, then every `period`, while
+/// before `horizon`) are generated up front and scheduled by
+/// [`replay_events`], so periodic and event-driven guests share one
+/// scheduler.
 ///
 /// Intervals of other kinds (bottom-handler time) are ignored: they model
 /// the guest's ISR work, not its task-level supply. Jobs released but not
@@ -79,145 +77,27 @@ struct Job {
 /// records them in order, so this indicates caller-side tampering.
 #[must_use]
 pub fn replay(tasks: &GuestTaskSet, supply: &[ServiceInterval], horizon: Instant) -> GuestReport {
-    let user_supply: Vec<&ServiceInterval> = supply
-        .iter()
-        .filter(|interval| interval.kind == ServiceKind::User)
-        .collect();
-    for pair in user_supply.windows(2) {
-        assert!(
-            pair[0].end <= pair[1].start,
-            "service intervals must be sorted and disjoint"
-        );
-    }
-
-    // Pre-compute all releases within the horizon, per task.
-    let mut releases: Vec<Vec<Instant>> = Vec::with_capacity(tasks.len());
-    for task in tasks.tasks() {
-        let mut task_releases = Vec::new();
-        let mut t = Instant::ZERO + task.offset;
-        while t < horizon {
-            task_releases.push(t);
-            t += task.period;
-        }
-        releases.push(task_releases);
-    }
-    let mut next_release_idx = vec![0usize; tasks.len()];
-    // Ready jobs per task, FIFO. The highest-priority non-empty task runs.
-    let mut ready: Vec<Vec<Job>> = vec![Vec::new(); tasks.len()];
-    let mut responses: Vec<Vec<Duration>> = vec![Vec::new(); tasks.len()];
-    let mut misses = vec![0u64; tasks.len()];
-    let mut busy_time = Duration::ZERO;
-    let mut idle_time = Duration::ZERO;
-
-    let release_up_to =
-        |now: Instant, ready: &mut Vec<Vec<Job>>, next_release_idx: &mut Vec<usize>| {
-            for (task, task_releases) in releases.iter().enumerate() {
-                while next_release_idx[task] < task_releases.len()
-                    && task_releases[next_release_idx[task]] <= now
-                {
-                    ready[task].push(Job {
-                        release: task_releases[next_release_idx[task]],
-                        remaining: tasks.tasks()[task].wcet,
-                    });
-                    next_release_idx[task] += 1;
-                }
-            }
-        };
-
-    let next_pending_release = |next_release_idx: &Vec<usize>| -> Option<Instant> {
-        releases
-            .iter()
-            .enumerate()
-            .filter_map(|(task, task_releases)| task_releases.get(next_release_idx[task]).copied())
-            .min()
-    };
-
-    for interval in &user_supply {
-        let mut now = interval.start;
-        let end = interval.end.min(horizon);
-        if now >= end {
-            continue;
-        }
-        while now < end {
-            release_up_to(now, &mut ready, &mut next_release_idx);
-            // Highest-priority pending job.
-            let Some(task) = ready.iter().position(|jobs| !jobs.is_empty()) else {
-                // Idle inside supplied time until the next release or the
-                // interval end.
-                let next =
-                    next_pending_release(&next_release_idx).map_or(end, |r| r.min(end).max(now));
-                idle_time += next.max(now).duration_since(now);
-                if next <= now {
-                    // A release exactly at `now` — loop to pick it up.
-                    continue;
-                }
-                now = next;
-                continue;
-            };
-            let job = &mut ready[task][0];
-            // Run until completion, interval end, or a (potentially
-            // higher-priority) release.
-            let mut until = (now + job.remaining).min(end);
-            if let Some(next) = next_pending_release(&next_release_idx) {
-                if next > now {
-                    until = until.min(next);
-                }
-            }
-            let ran = until.duration_since(now);
-            job.remaining = job.remaining.saturating_sub(ran);
-            busy_time += ran;
-            now = until;
-            if ready[task][0].remaining.is_zero() {
-                let job = ready[task].remove(0);
-                let response = now.duration_since(job.release);
-                if response > tasks.tasks()[task].deadline {
-                    misses[task] += 1;
-                }
-                responses[task].push(response);
-            }
-        }
-    }
-
-    let task_reports = tasks
+    let periodic: Vec<EventTask> = tasks
         .tasks()
         .iter()
-        .enumerate()
-        .map(|(task, spec)| {
-            let completed = responses[task].len() as u64;
-            let observed_wcrt = responses[task].iter().max().copied();
-            let mean_response = if completed == 0 {
-                None
-            } else {
-                let total: u128 = responses[task]
-                    .iter()
-                    .map(|d| u128::from(d.as_nanos()))
-                    .sum();
-                Some(Duration::from_nanos(
-                    u64::try_from(total / u128::from(completed)).unwrap_or(u64::MAX),
-                ))
-            };
-            TaskReport {
-                name: spec.name.clone(),
-                released: releases[task].len() as u64,
-                completed,
-                deadline_misses: misses[task],
-                observed_wcrt,
-                mean_response,
+        .map(|task| {
+            let mut releases = Vec::new();
+            let mut t = Instant::ZERO + task.offset;
+            while t < horizon {
+                releases.push(t);
+                t += task.period;
             }
+            EventTask::new(task.name.clone(), task.wcet, task.deadline, releases)
         })
         .collect();
-
-    GuestReport {
-        tasks: task_reports,
-        busy_time,
-        idle_time,
-    }
+    replay_events(&periodic, supply, horizon)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::GuestTask;
+    use rthv_hypervisor::ServiceKind;
 
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)

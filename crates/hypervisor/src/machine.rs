@@ -245,7 +245,7 @@ pub struct RunReport {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Machine {
     config: HypervisorConfig,
     schedule: TdmaSchedule,
@@ -838,32 +838,7 @@ impl Machine {
     /// machine.
     #[must_use]
     pub fn snapshot(&self) -> MachineSnapshot {
-        MachineSnapshot {
-            config: self.config.clone(),
-            schedule: self.schedule.clone(),
-            queue: self.queue.clone(),
-            hv: self.hv.clone(),
-            activity: self.activity.clone(),
-            window: self.window,
-            pending_boundary: self.pending_boundary,
-            latched: self.latched.clone(),
-            current_slot: self.current_slot,
-            partitions: self.partitions.clone(),
-            monitors: self.monitors.clone(),
-            supervisor: self.supervisor.clone(),
-            recorder: self.recorder.clone(),
-            counters: self.counters.clone(),
-            next_seq: self.next_seq.clone(),
-            expected_completions: self.expected_completions,
-            window_openings: self.window_openings.clone(),
-            admissions: self.admissions.clone(),
-            defect: self.defect.clone(),
-            service_trace: self.service_trace.clone(),
-            hv_trace: self.hv_trace.clone(),
-            window_trace: self.window_trace.clone(),
-            metrics: self.metrics.clone(),
-            obs_supervision_seen: self.obs_supervision_seen,
-        }
+        MachineSnapshot(self.clone())
     }
 
     /// Rewinds the machine to the state captured by
@@ -873,30 +848,7 @@ impl Machine {
     /// snapshot was taken. Arrivals scheduled after the snapshot are
     /// forgotten; arrivals that were pending at snapshot time fire again.
     pub fn restore(&mut self, snapshot: &MachineSnapshot) {
-        self.config = snapshot.config.clone();
-        self.schedule = snapshot.schedule.clone();
-        self.queue = snapshot.queue.clone();
-        self.hv = snapshot.hv.clone();
-        self.activity = snapshot.activity.clone();
-        self.window = snapshot.window;
-        self.pending_boundary = snapshot.pending_boundary;
-        self.latched = snapshot.latched.clone();
-        self.current_slot = snapshot.current_slot;
-        self.partitions = snapshot.partitions.clone();
-        self.monitors = snapshot.monitors.clone();
-        self.supervisor = snapshot.supervisor.clone();
-        self.recorder = snapshot.recorder.clone();
-        self.counters = snapshot.counters.clone();
-        self.next_seq = snapshot.next_seq.clone();
-        self.expected_completions = snapshot.expected_completions;
-        self.window_openings = snapshot.window_openings.clone();
-        self.admissions = snapshot.admissions.clone();
-        self.defect = snapshot.defect.clone();
-        self.service_trace = snapshot.service_trace.clone();
-        self.hv_trace = snapshot.hv_trace.clone();
-        self.window_trace = snapshot.window_trace.clone();
-        self.metrics = snapshot.metrics.clone();
-        self.obs_supervision_seen = snapshot.obs_supervision_seen;
+        self.clone_from(&snapshot.0);
     }
 
     /// A cheap deterministic digest of the machine's live execution state:
@@ -1743,46 +1695,23 @@ impl Machine {
 /// A deep checkpoint of a [`Machine`]'s complete execution state, produced
 /// by [`Machine::snapshot`] and consumed by [`Machine::restore`].
 ///
-/// The snapshot is opaque plain data: it owns clones of every piece of
-/// machine state — configuration (including runtime mutations), TDMA
-/// schedule position, the event queue with its id/generation table, the
-/// running hypervisor block, partition queues, per-source admission
-/// monitors with their δ⁻ trace rings, the supervision state machines,
-/// counters, and all record buffers. Restoring it onto any machine built
-/// from a compatible configuration resumes the run bit-identically.
+/// The snapshot is opaque plain data: a clone of the whole machine —
+/// configuration (including runtime mutations), TDMA schedule position,
+/// the event queue with its id/generation table, the running hypervisor
+/// block, partition queues, per-source admission monitors with their δ⁻
+/// trace rings, the supervision state machines, counters, and all record
+/// buffers. Because it is the machine itself, a field added to [`Machine`]
+/// is captured and restored without any further code. Restoring it onto
+/// any machine built from a compatible configuration resumes the run
+/// bit-identically.
 #[derive(Debug, Clone)]
-pub struct MachineSnapshot {
-    config: HypervisorConfig,
-    schedule: TdmaSchedule,
-    queue: EngineQueue<Event>,
-    hv: Option<HvBlock>,
-    activity: Activity,
-    window: Option<InterposedWindow>,
-    pending_boundary: Option<u64>,
-    latched: VecDeque<LatchedIrq>,
-    current_slot: u64,
-    partitions: Vec<PartitionRt>,
-    monitors: Vec<Option<Shaper>>,
-    supervisor: Option<Supervisor>,
-    recorder: TraceRecorder,
-    counters: Counters,
-    next_seq: Vec<u64>,
-    expected_completions: u64,
-    window_openings: Vec<Instant>,
-    admissions: Vec<AdmissionRecord>,
-    defect: Option<MachineError>,
-    service_trace: Option<Vec<Vec<ServiceInterval>>>,
-    hv_trace: Option<Vec<Span>>,
-    window_trace: Option<Vec<Span>>,
-    metrics: Option<MetricsHub>,
-    obs_supervision_seen: usize,
-}
+pub struct MachineSnapshot(Machine);
 
 impl MachineSnapshot {
     /// Virtual time at which the snapshot was taken.
     #[must_use]
     pub fn taken_at(&self) -> Instant {
-        self.queue.now()
+        self.0.queue.now()
     }
 }
 

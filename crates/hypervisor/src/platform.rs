@@ -39,10 +39,7 @@ use rthv_obs::{ObsConfig, PlatformObs};
 use rthv_sim::Fnv1a;
 use rthv_time::{Duration, Instant};
 
-use crate::{
-    ConfigError, HypervisorConfig, IrqSourceId, Machine, MachineSnapshot, RunReport,
-    ScheduleIrqError,
-};
+use crate::{ConfigError, HypervisorConfig, IrqSourceId, Machine, RunReport, ScheduleIrqError};
 
 /// A cross-core fallback route for one platform IRQ source: where the
 /// source's traffic goes when its home core is lost.
@@ -493,25 +490,13 @@ struct PendingArrival {
 /// A deep copy of a [`MultiMachine`]'s complete state; see
 /// [`MultiMachine::snapshot`].
 #[derive(Debug, Clone)]
-pub struct MultiSnapshot {
-    cores: Vec<MachineSnapshot>,
-    frozen: Vec<bool>,
-    now: Instant,
-    sealed: bool,
-    pending: Vec<PendingArrival>,
-    next_seq: u64,
-    counters: Vec<CoreCounters>,
-    sheds: Vec<ShedRecord>,
-    scheduled: u64,
-    delivered: u64,
-    defect: Option<ScheduleIrqError>,
-}
+pub struct MultiSnapshot(MultiMachine);
 
 impl MultiSnapshot {
     /// Virtual time the snapshot was taken at.
     #[must_use]
     pub fn taken_at(&self) -> Instant {
-        self.now
+        self.0.now
     }
 }
 
@@ -526,7 +511,7 @@ impl MultiSnapshot {
 /// [`MultiRunReport`] with [`finish`](MultiMachine::finish). The first
 /// `run_until` *seals* the platform: all routing and failover is resolved
 /// in global arrival order, deterministically.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MultiMachine {
     platform: Platform,
     cores: Vec<Machine>,
@@ -1045,42 +1030,20 @@ impl MultiMachine {
             && self.counters.iter().all(|c| *c == CoreCounters::default())
     }
 
-    /// Captures the complete platform state (every core's
-    /// [`MachineSnapshot`] plus the platform words) for later
+    /// Captures the complete platform state (every core's [`Machine`]
+    /// plus the platform words) for later
     /// [`restore`](MultiMachine::restore).
     #[must_use]
     pub fn snapshot(&self) -> MultiSnapshot {
-        MultiSnapshot {
-            cores: self.cores.iter().map(Machine::snapshot).collect(),
-            frozen: self.frozen.clone(),
-            now: self.now,
-            sealed: self.sealed,
-            pending: self.pending.clone(),
-            next_seq: self.next_seq,
-            counters: self.counters.clone(),
-            sheds: self.sheds.clone(),
-            scheduled: self.scheduled,
-            delivered: self.delivered,
-            defect: self.defect,
-        }
+        MultiSnapshot(self.clone())
     }
 
     /// Rewinds the platform to a [`snapshot`](MultiMachine::snapshot) taken
-    /// from a machine built for the same platform and fault plan.
+    /// from a machine built for the same platform and fault plan. The
+    /// static platform and fault plan are copied back too; the
+    /// precondition makes them equal already.
     pub fn restore(&mut self, snapshot: &MultiSnapshot) {
-        for (machine, core) in self.cores.iter_mut().zip(&snapshot.cores) {
-            machine.restore(core);
-        }
-        self.frozen = snapshot.frozen.clone();
-        self.now = snapshot.now;
-        self.sealed = snapshot.sealed;
-        self.pending = snapshot.pending.clone();
-        self.next_seq = snapshot.next_seq;
-        self.counters = snapshot.counters.clone();
-        self.sheds = snapshot.sheds.clone();
-        self.scheduled = snapshot.scheduled;
-        self.delivered = snapshot.delivered;
-        self.defect = snapshot.defect;
+        self.clone_from(&snapshot.0);
     }
 
     /// Finalizes the run and hands back the per-core reports plus the

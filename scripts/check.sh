@@ -31,11 +31,6 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # and binaries.
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy -p rthv-obs -- -D warnings"
-# The observability crate is new in this series; lint it explicitly so a
-# workspace-level exclusion can never silently skip it.
-cargo clippy -p rthv-obs -- -D warnings
-
 echo "==> cargo fmt --check"
 cargo fmt --check
 
