@@ -3,13 +3,13 @@
 //! so these tests are the strongest statement the repo makes about the
 //! wheel — for every fault family, random seed and mode, both engines
 //! produce byte-identical state hashes at every slot boundary, identical
-//! final reports, and survive snapshot/restore cuts, while the compaction
-//! guard keeps lazy-deletion debt bounded under a cancel storm.
+//! final reports, and survive snapshot/restore cuts, while a storm of
+//! preempted bottom segments leaves no tombstone in either engine.
 
 use proptest::prelude::*;
 
 use rthv::time::{Duration, Instant};
-use rthv::{EngineChoice, EngineKind, SupervisionPolicy};
+use rthv::{EngineChoice, EngineKind, ServiceKind, SupervisionPolicy};
 use rthv_faults::{
     scenario_machine, verify_cross_engine, CampaignConfig, FaultKind, FaultScenario, ReplayConfig,
 };
@@ -138,13 +138,16 @@ proptest! {
 }
 
 /// A non-yielding guest demanding 6 ms of bottom work every 1 ms keeps a
-/// bottom segment armed that each new arrival's top handler preempts,
-/// cancelling the armed segment-end event — a sustained cancel storm. The
-/// compaction guard in both engines must keep lazy-deletion debt bounded:
-/// sampled on a 100 µs grid across the whole run, stale entries never
-/// exceed twice the live population.
+/// bottom segment running that each new arrival's top handler preempts —
+/// a sustained storm of cut segments. A segment's end is a timer slot on
+/// the machine, so cutting one cancels nothing in the engine: sampled on a
+/// 100 µs grid across the whole run, each engine holds no tombstone and
+/// exactly the plan arrivals still ahead. The engines' own bound on
+/// tombstone debt (at most twice the live population) is pinned in
+/// `rthv-sim` by `compaction_guard_bounds_tombstones_under_cancel_storm`
+/// and `pop_side_guard_drains_overflow_tombstones_after_cancels_stop`.
 #[test]
-fn cancel_storm_keeps_tombstone_debt_bounded() {
+fn preemption_storm_leaves_only_future_arrivals_in_the_engine() {
     for engine in [EngineChoice::Heap, EngineChoice::Wheel] {
         let config = campaign(engine);
         let scenario = FaultScenario {
@@ -159,23 +162,34 @@ fn cancel_storm_keeps_tombstone_debt_bounded() {
         let mut machine = scenario_machine(&config, &plan, true, None).expect("valid config");
         let horizon = Instant::ZERO + config.horizon;
 
-        let mut saw_stale = false;
         let mut at = Instant::ZERO;
         while at < horizon {
             at += Duration::from_micros(100);
             machine.run_until(at);
             let stats = machine.engine_stats();
-            saw_stale |= stats.stale > 0;
-            assert!(
-                stats.stale <= 2 * stats.live.max(1),
-                "{engine:?}: at {at:?}: {} stale exceeds 2x {} live",
-                stats.stale,
-                stats.live
-            );
+            let ahead = plan
+                .arrivals
+                .iter()
+                .filter(|arrival| arrival.at > at)
+                .count();
+            assert_eq!(stats.stale, 0, "{engine:?}: tombstones at {at:?}");
+            assert_eq!(stats.live, ahead, "{engine:?}: live arrivals at {at:?}");
         }
+        // Every bottom service interval ends in a completion, a budget
+        // clip, a cut, or the end of the run: more intervals than the first
+        // three account for means the storm really cut segments.
+        let report = machine.finish();
+        let bottom_intervals = report
+            .service_intervals
+            .iter()
+            .flatten()
+            .flatten()
+            .filter(|interval| interval.kind == ServiceKind::Bottom)
+            .count() as u64;
+        let ended_otherwise = report.recorder.len() as u64 + report.counters.expired_windows + 1;
         assert!(
-            saw_stale,
-            "{engine:?}: the storm never produced a tombstone — scenario too tame"
+            bottom_intervals > ended_otherwise,
+            "{engine:?}: {bottom_intervals} bottom intervals, {ended_otherwise} ended without a cut — scenario too tame"
         );
     }
 }

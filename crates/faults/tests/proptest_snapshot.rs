@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 
 use rthv::time::{Duration, Instant};
-use rthv::{Machine, RunReport, SupervisionPolicy};
-use rthv_faults::{scenario_machine, CampaignConfig, FaultKind, FaultScenario};
+use rthv::{IrqSourceId, Machine, RunReport, SupervisionPolicy};
+use rthv_faults::{scenario_machine, standard_scenarios, CampaignConfig, FaultKind, FaultScenario};
 
 /// All eleven fault families with representative tier-1 geometry.
 fn kind(index: usize) -> FaultKind {
@@ -114,5 +114,43 @@ proptest! {
         let actual = finish_fingerprint(restored, horizon);
         prop_assert_eq!(actual.0, expected.0, "state hash diverged after restore");
         prop_assert_eq!(actual.1, expected.1, "report diverged after restore");
+    }
+}
+
+/// `state_hash` promises that behaviourally identical states hash equal. A
+/// machine that ran a scenario, was reset and was fed the same plan again
+/// is in the state of a fresh machine fed that plan: sampled on a 100 µs
+/// grid, both hash equal at every sample and finish with equal reports.
+#[test]
+fn reset_machine_hashes_like_a_fresh_one() {
+    let config = campaign();
+    let horizon = Instant::ZERO + config.horizon;
+    let supervision = Some(SupervisionPolicy::default());
+    for scenario in standard_scenarios(21, 0x5eed) {
+        let label = scenario.label();
+        let plan = scenario.plan(config.horizon, config.setup.bottom_cost);
+        let mut reused = scenario_machine(&config, &plan, true, supervision).expect("valid config");
+        reused.run_until(horizon);
+        reused.reset();
+        for arrival in &plan.arrivals {
+            reused
+                .schedule_irq_with_work(IrqSourceId::new(0), arrival.at, arrival.work)
+                .expect("a reset machine is back at time zero");
+        }
+        let mut fresh = scenario_machine(&config, &plan, true, supervision).expect("valid config");
+        assert_eq!(reused.state_hash(), fresh.state_hash(), "{label}: at reset");
+
+        let mut at = Instant::ZERO;
+        while at < horizon {
+            at += Duration::from_micros(100);
+            reused.run_until(at);
+            fresh.run_until(at);
+            assert_eq!(
+                reused.state_hash(),
+                fresh.state_hash(),
+                "{label}: at {at:?}"
+            );
+        }
+        assert_eq!(reused.finish(), fresh.finish(), "{label}: reports");
     }
 }

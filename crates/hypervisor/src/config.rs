@@ -282,7 +282,8 @@ pub enum OverflowPolicy {
     DropOldest,
 }
 
-/// Which simulation engine backs the machine's event queue.
+/// Which simulation engine holds the machine's pending IRQ arrivals (the
+/// machine's own timers keep fixed slots beside it).
 ///
 /// Both engines are **observation-equivalent**: identical event streams,
 /// identical [`state_hash`](crate::Machine::state_hash) at every point —
@@ -370,8 +371,8 @@ pub struct PolicyOptions {
     /// hysteresis recovery, degraded-mode budgets). `None` — the default —
     /// disables supervision; the machine then behaves exactly as before.
     pub supervision: Option<SupervisionPolicy>,
-    /// Simulation engine behind the event queue. Performance-only: both
-    /// engines produce byte-identical runs.
+    /// Simulation engine holding the pending IRQ arrivals.
+    /// Performance-only: both engines produce byte-identical runs.
     pub engine: EngineChoice,
 }
 

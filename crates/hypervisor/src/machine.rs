@@ -29,7 +29,7 @@ use std::mem;
 
 use rthv_monitor::{Admission, MonitorStats, Shaper, ShaperConfig};
 use rthv_obs::{MetricsHub, ObsConfig, SourceObs};
-use rthv_sim::{ElementHash, EngineKind, EngineQueue, EngineStats, EventId, Fnv1a, SetDigest};
+use rthv_sim::{ElementHash, EngineKind, EngineQueue, EngineStats, Fnv1a, SetDigest};
 use rthv_time::{Duration, Instant};
 
 use crate::{
@@ -39,7 +39,10 @@ use crate::{
     SupervisionReport, Supervisor, TdmaSchedule, TraceRecorder,
 };
 
-/// Events driving the machine.
+/// Events driving the machine. Only [`Event::Arrival`]s wait in the event
+/// engine; the other three come from the machine's [timer slots](TimerSlot).
+/// Keeping one enum for both keeps the queued payload at 24 bytes: its tag
+/// is the niche that lets a wheel node hold an `Option<Event>` in 48.
 #[derive(Debug, Clone)]
 enum Event {
     /// A hardware IRQ fires.
@@ -60,6 +63,42 @@ enum Event {
     SegEnd,
     /// A TDMA slot boundary.
     Boundary { index: u64 },
+}
+
+const _: () = assert!(std::mem::size_of::<Option<Event>>() == 24);
+
+/// The machine's own timers. At most one of each is ever pending, so each
+/// has a fixed slot on [`Machine`] instead of a place in the event engine.
+#[derive(Debug, Clone, Copy)]
+enum TimerSlot {
+    /// The running hypervisor block ends ([`Event::HvEnd`]).
+    HvEnd,
+    /// The running bottom-handler segment ends ([`Event::SegEnd`]).
+    SegEnd,
+    /// The next TDMA slot boundary ([`Event::Boundary`]).
+    Boundary,
+}
+
+impl TimerSlot {
+    const ALL: [TimerSlot; 3] = [TimerSlot::HvEnd, TimerSlot::SegEnd, TimerSlot::Boundary];
+}
+
+/// An armed timer.
+///
+/// Arrivals and timers fire in one order: by instant, then by when they
+/// were scheduled. The engine orders arrivals among themselves by its
+/// sequence numbers, `order` orders the timers, and `arrivals` places each
+/// timer among the arrivals.
+#[derive(Debug, Clone, Copy)]
+struct Timer {
+    at: Instant,
+    /// Arming order: of two timers due at one instant, the one armed first
+    /// fires first.
+    order: u64,
+    /// Arrivals scheduled before this timer was armed. An arrival due at
+    /// the same instant fires first iff its engine sequence number is below
+    /// this count.
+    arrivals: u64,
 }
 
 /// What to do when the current hypervisor block finishes.
@@ -102,11 +141,11 @@ enum Activity {
         partition: PartitionId,
         since: Instant,
     },
-    /// The active partition processes its IRQ-queue front.
+    /// The active partition processes its IRQ-queue front; the
+    /// [`TimerSlot::SegEnd`] timer ends the segment.
     Bottom {
         partition: PartitionId,
         since: Instant,
-        end_event: EventId,
     },
 }
 
@@ -249,7 +288,21 @@ pub struct RunReport {
 pub struct Machine {
     config: HypervisorConfig,
     schedule: TdmaSchedule,
-    queue: EngineQueue<Event>,
+    /// Current virtual time: the instant of the last processed event.
+    now: Instant,
+    /// Pending IRQ arrivals, the only events the engine holds.
+    arrivals: EngineQueue<Event>,
+    /// Arrivals scheduled since construction or the last reset: the
+    /// engine's next sequence number.
+    arrivals_scheduled: u64,
+    /// The machine's own timers, indexed by [`TimerSlot`].
+    timers: [Option<Timer>; 3],
+    /// Timers armed since construction or the last reset: the next
+    /// timer's `order`.
+    timers_armed: u64,
+    /// Index of the TDMA boundary the [`TimerSlot::Boundary`] timer stands
+    /// for.
+    next_boundary: u64,
     /// The running hypervisor block, if any.
     hv: Option<HvBlock>,
     activity: Activity,
@@ -323,27 +376,27 @@ impl Machine {
             }
             supervisor
         });
-        // The engine is a performance choice only: both kinds produce
-        // byte-identical runs (pinned by the cross-engine differential
-        // suite), so the selection is config, not hashed state. The wheel's
-        // level geometry is sized from the TDMA cycle so a full hypervisor
-        // cycle fits in its level-1 rotation.
+        // The engine holds the pending arrivals. Its kind is a performance
+        // choice only: both kinds produce byte-identical runs (pinned by the
+        // cross-engine differential suite), so the selection is config, not
+        // hashed state. The wheel's level geometry is sized from the TDMA
+        // cycle so a full hypervisor cycle fits in its level-1 rotation.
         let engine = config
             .policies
             .engine
             .try_resolve()
             .map_err(|e| ConfigError::UnknownEngine { value: e.value })?;
-        let mut queue = EngineQueue::new(engine, schedule.cycle());
-        // A fresh queue is at time zero, so the relative form cannot fail.
-        queue.schedule_in(
-            schedule.boundary_time(1).duration_since(Instant::ZERO),
-            Event::Boundary { index: 1 },
-        );
+        let arrivals = EngineQueue::new(engine, schedule.cycle());
         let partition_count = config.partitions.len();
         let source_count = config.sources.len();
-        Ok(Machine {
+        let mut machine = Machine {
             schedule,
-            queue,
+            now: Instant::ZERO,
+            arrivals,
+            arrivals_scheduled: 0,
+            timers: [None; 3],
+            timers_armed: 0,
+            next_boundary: 1,
             hv: None,
             activity: Activity::User {
                 partition: PartitionId::new(0),
@@ -371,7 +424,9 @@ impl Machine {
             metrics: None,
             obs_supervision_seen: 0,
             config,
-        })
+        };
+        machine.arm(TimerSlot::Boundary, machine.schedule.boundary_time(1));
+        Ok(machine)
     }
 
     /// The machine's configuration.
@@ -389,7 +444,7 @@ impl Machine {
     /// Current virtual time (timestamp of the last processed event).
     #[must_use]
     pub fn now(&self) -> Instant {
-        self.queue.now()
+        self.now
     }
 
     /// Completion records collected so far.
@@ -605,13 +660,19 @@ impl Machine {
         {
             return Err(ScheduleIrqError::SourceQuarantined { source });
         }
+        if at < self.now {
+            return Err(ScheduleIrqError::InPast { at, now: self.now });
+        }
         let seq = self.next_seq[source.index()];
-        self.queue
+        // The engine's clock is the last arrival popped, never ahead of the
+        // machine's, so it accepts every arrival the machine does.
+        self.arrivals
             .schedule_at(at, Event::Arrival { source, seq, work })
             .map_err(|e| ScheduleIrqError::InPast {
                 at: e.at,
-                now: e.now,
+                now: self.now,
             })?;
+        self.arrivals_scheduled += 1;
         self.next_seq[source.index()] += 1;
         // Shared sources yield one completion per subscriber.
         self.expected_completions +=
@@ -640,27 +701,32 @@ impl Machine {
         Ok(())
     }
 
-    /// Pre-sizes the event queue for `additional` more simultaneously
-    /// scheduled events. Scenario builders that know their arrival count
-    /// call this once up front so steady-state scheduling never
-    /// reallocates.
+    /// Pre-sizes the event engine for `additional` more simultaneously
+    /// pending IRQ arrivals, the only events it holds (the machine's own
+    /// timers live in fixed slots). Scenario builders that know their
+    /// arrival count call this once up front so steady-state scheduling
+    /// never reallocates.
     pub fn reserve_events(&mut self, additional: usize) {
-        self.queue.reserve(additional);
+        self.arrivals.reserve(additional);
     }
 
-    /// Which simulation engine backs this machine's event queue.
+    /// Which simulation engine holds this machine's pending IRQ arrivals.
+    /// The hypervisor-block end, the bottom-segment end and the next TDMA
+    /// boundary never enter it: each has a fixed timer slot.
     #[must_use]
     pub fn engine_kind(&self) -> EngineKind {
-        self.queue.kind()
+        self.arrivals.kind()
     }
 
-    /// Engine health counters: live/stale population, compactions, and —
-    /// on the wheel engine — cascade, occupancy and closed-form
-    /// fast-forward activity. Observability only; never part of
-    /// [`state_hash`](Machine::state_hash).
+    /// Health counters of the engine holding the pending arrivals:
+    /// live/stale population, compactions, and — on the wheel engine —
+    /// cascade, occupancy and closed-form fast-forward activity. The
+    /// machine never cancels an arrival, so `stale` stays zero and `live`
+    /// counts the arrivals not yet fired. Observability only; never part
+    /// of [`state_hash`](Machine::state_hash).
     #[must_use]
     pub fn engine_stats(&self) -> EngineStats {
-        self.queue.stats()
+        self.arrivals.stats()
     }
 
     /// Number of bottom-handler completions still outstanding (one per
@@ -700,7 +766,7 @@ impl Machine {
     /// to the first detected defect).
     pub fn run_until(&mut self, until: Instant) {
         while self.defect.is_none() {
-            let Some((_, event)) = self.queue.advance_to(until) else {
+            let Some(event) = self.next_event(until) else {
                 break;
             };
             self.handle(event);
@@ -716,7 +782,7 @@ impl Machine {
             if self.defect.is_some() {
                 return false;
             }
-            let Some((_, event)) = self.queue.advance_to(deadline) else {
+            let Some(event) = self.next_event(deadline) else {
                 return false;
             };
             self.handle(event);
@@ -726,12 +792,12 @@ impl Machine {
     }
 
     /// Rewinds the machine to its just-constructed state — virtual time
-    /// zero, partition 0's user task running, no scheduled arrivals, empty
-    /// records — while keeping every allocation: the event queue's heap and
-    /// id ring, the per-partition IRQ [`VecDeque`]s, the recorder's
-    /// completion vector and the trace buffers all retain their capacity,
-    /// so a reset-and-rerun executes without heap allocation in steady
-    /// state.
+    /// zero, partition 0's user task running, no scheduled arrivals, only
+    /// the first TDMA boundary armed, empty records — while keeping every
+    /// allocation: the arrival engine's storage and id ring, the
+    /// per-partition IRQ [`VecDeque`]s, the recorder's completion vector
+    /// and the trace buffers all retain their capacity, so a
+    /// reset-and-rerun executes without heap allocation in steady state.
     ///
     /// Determinism: a reset machine fed the same arrival trace reproduces
     /// the original run event for event (asserted by the
@@ -740,13 +806,13 @@ impl Machine {
     /// [`set_monitor_delta`](Machine::set_monitor_delta) are configuration,
     /// not run state, and deliberately survive the reset.
     pub fn reset(&mut self) {
-        self.queue.clear();
-        // The cleared queue is back at time zero (relative scheduling
-        // cannot fail there).
-        self.queue.schedule_in(
-            self.schedule.boundary_time(1).duration_since(Instant::ZERO),
-            Event::Boundary { index: 1 },
-        );
+        self.now = Instant::ZERO;
+        self.arrivals.clear();
+        self.arrivals_scheduled = 0;
+        self.timers = [None; 3];
+        self.timers_armed = 0;
+        self.next_boundary = 1;
+        self.arm(TimerSlot::Boundary, self.schedule.boundary_time(1));
         self.hv = None;
         self.activity = Activity::User {
             partition: PartitionId::new(0),
@@ -827,9 +893,9 @@ impl Machine {
     }
 
     /// Captures a deep checkpoint of the machine's complete state —
-    /// scheduler position, event queue (ids and generations included),
-    /// per-source monitor trace rings, supervision state machines,
-    /// partition queues, counters and every record buffer.
+    /// scheduler position, timer slots, pending arrivals (engine ids and
+    /// generations included), per-source monitor trace rings, supervision
+    /// state machines, partition queues, counters and every record buffer.
     ///
     /// A machine [`restore`](Machine::restore)d from the snapshot continues
     /// the run exactly as the original would have: same events, same
@@ -859,9 +925,11 @@ impl Machine {
     /// same scheduled events, same monitor histories, same supervision
     /// states, same counters — hash equal; a restored-vs-fresh divergence
     /// shows up at the first slot boundary where the hashes differ rather
-    /// than only in the end-of-run report. The event queue enters as a
-    /// [`SetDigest`] of its live `(time, seq, payload)` tuples, which any
-    /// engine yields in one allocation-free walk over its storage.
+    /// than only in the end-of-run report. The pending arrivals enter as a
+    /// [`SetDigest`] of the engine's live `(time, seq, payload)` tuples,
+    /// which any engine yields in one allocation-free walk over its
+    /// storage; each of the three timer slots enters with its instant,
+    /// arming order and arrival count.
     /// Unbounded record buffers (completions, admissions, window openings)
     /// contribute their length and most recent entry, which pins down the
     /// divergence point without rescanning the whole history on every
@@ -886,22 +954,34 @@ impl Machine {
     /// [`snapshot`](Machine::snapshot)/[`restore`](Machine::restore), so a
     /// resumed run reproduces its metrics exactly.
     fn state_words(&self, word: &mut impl FnMut(u64)) {
-        word(self.queue.now().as_nanos());
+        word(self.now.as_nanos());
         word(self.current_slot);
         word(match self.config.mode {
             IrqHandlingMode::Baseline => 0,
             IrqHandlingMode::Interposed => 1,
         });
-        let mut queue = SetDigest::default();
-        self.queue.for_each_live(|at, seq, event| {
+        let mut arrivals = SetDigest::default();
+        self.arrivals.for_each_live(|at, seq, event| {
             let mut element = ElementHash::default();
             element.word(at.as_nanos());
             element.word(seq);
             event_words(event, &mut |w| element.word(w));
-            queue.insert(element);
+            arrivals.insert(element);
         });
-        word(queue.count());
-        word(queue.sum());
+        word(arrivals.count());
+        word(arrivals.sum());
+        for timer in &self.timers {
+            match timer {
+                None => word(0),
+                Some(timer) => {
+                    word(1);
+                    word(timer.at.as_nanos());
+                    word(timer.order);
+                    word(timer.arrivals);
+                }
+            }
+        }
+        word(self.next_boundary);
         match &self.hv {
             None => word(0),
             Some(block) => {
@@ -917,16 +997,10 @@ impl Machine {
                 word(partition.index() as u64);
                 word(since.as_nanos());
             }
-            Activity::Bottom {
-                partition,
-                since,
-                end_event,
-            } => {
+            Activity::Bottom { partition, since } => {
                 word(2);
                 word(partition.index() as u64);
                 word(since.as_nanos());
-                word(u64::from(end_event.generation()));
-                word(end_event.seq());
             }
         }
         match &self.window {
@@ -1017,7 +1091,7 @@ impl Machine {
     /// every processed event so a quarantined source that simply goes
     /// silent still recovers.
     fn supervise_tick(&mut self) {
-        let now = self.queue.now();
+        let now = self.now;
         if let Some(supervisor) = &mut self.supervisor {
             supervisor.tick(now, &mut self.counters);
             // Tail any new health transitions into the flight recorder.
@@ -1044,6 +1118,64 @@ impl Machine {
     // ------------------------------------------------------------------
     // Event handling
     // ------------------------------------------------------------------
+
+    /// Arms the timer of `slot` at `at`, numbered after every event
+    /// scheduled so far.
+    fn arm(&mut self, slot: TimerSlot, at: Instant) {
+        debug_assert!(
+            self.timers[slot as usize].is_none(),
+            "at most one {slot:?} timer is pending"
+        );
+        self.timers[slot as usize] = Some(Timer {
+            at,
+            order: self.timers_armed,
+            arrivals: self.arrivals_scheduled,
+        });
+        self.timers_armed += 1;
+    }
+
+    /// Takes the next event due at or before `limit`, advancing
+    /// [`now`](Machine::now) to it: the earliest of the three timers and
+    /// the engine's first arrival. At equal instants the one scheduled
+    /// first wins, exactly as if every event waited in one engine.
+    fn next_event(&mut self, limit: Instant) -> Option<Event> {
+        let mut first: Option<(TimerSlot, Timer)> = None;
+        for slot in TimerSlot::ALL {
+            if let Some(timer) = self.timers[slot as usize] {
+                if first.is_none_or(|(_, f)| (timer.at, timer.order) < (f.at, f.order)) {
+                    first = Some((slot, timer));
+                }
+            }
+        }
+        let arrival = self.arrivals.peek_key();
+        let timer_first = match (first, arrival) {
+            (Some((_, timer)), Some((at, seq))) => {
+                timer.at < at || (timer.at == at && seq >= timer.arrivals)
+            }
+            (timer, _) => timer.is_some(),
+        };
+        if timer_first {
+            let (slot, timer) = first?;
+            if timer.at > limit {
+                return None;
+            }
+            self.timers[slot as usize] = None;
+            self.now = timer.at;
+            return Some(match slot {
+                TimerSlot::HvEnd => Event::HvEnd,
+                TimerSlot::SegEnd => Event::SegEnd,
+                TimerSlot::Boundary => Event::Boundary {
+                    index: self.next_boundary,
+                },
+            });
+        }
+        if arrival?.0 > limit {
+            return None;
+        }
+        let (at, event) = self.arrivals.pop()?;
+        self.now = at;
+        Some(event)
+    }
 
     fn handle(&mut self, event: Event) {
         self.counters.events_processed += 1;
@@ -1218,7 +1350,7 @@ impl Machine {
     fn on_boundary(&mut self, index: u64) {
         let boundary_now = self.now();
         if let Some(metrics) = &mut self.metrics {
-            let engine = self.queue.stats();
+            let engine = self.arrivals.stats();
             metrics.record_slot_boundary(boundary_now, index as usize);
             metrics.record_engine(rthv_obs::EngineObs {
                 live: engine.live as u64,
@@ -1231,16 +1363,12 @@ impl Machine {
             });
         }
         let next = index + 1;
-        if self
-            .queue
-            .schedule_at(
-                self.schedule.boundary_time(next),
-                Event::Boundary { index: next },
-            )
-            .is_err()
-        {
+        let next_at = self.schedule.boundary_time(next);
+        if next_at < boundary_now {
             return self.fail("next TDMA boundary not in the future");
         }
+        self.next_boundary = next;
+        self.arm(TimerSlot::Boundary, next_at);
         if self.window.is_some() {
             match self.config.policies.boundary {
                 BoundaryPolicy::DeferToWindow => {
@@ -1298,7 +1426,7 @@ impl Machine {
             matches!(self.activity, Activity::None),
             "partition activity must be preempted before hypervisor work"
         );
-        self.queue.schedule_in(duration, Event::HvEnd);
+        self.arm(TimerSlot::HvEnd, self.now + duration);
         self.hv = Some(HvBlock {
             cont,
             started: self.now(),
@@ -1330,12 +1458,8 @@ impl Machine {
                 self.counters.service[partition.index()].user += now.duration_since(since);
                 self.record_service(partition, since, now, ServiceKind::User);
             }
-            Activity::Bottom {
-                partition,
-                since,
-                end_event,
-            } => {
-                self.queue.cancel(end_event);
+            Activity::Bottom { partition, since } => {
+                self.timers[TimerSlot::SegEnd as usize] = None;
                 let elapsed = now.duration_since(since);
                 self.counters.service[partition.index()].bottom += elapsed;
                 self.record_service(partition, since, now, ServiceKind::Bottom);
@@ -1394,13 +1518,12 @@ impl Machine {
         let subscriber = spec.subscriber;
         let budget = spec.bottom_cost;
         let flag = spec.flag_semantics;
-        let subscribers: Vec<PartitionId> = spec.subscribers().collect();
         // The top handler pushes the event into the queue of *each*
         // subscribing partition (Figure 2 / Section 3); queues preserve
         // FIFO order. Under non-counting flag semantics an event whose
         // request is still pending unserviced is absorbed and lost — the
         // effect the paper warns about for masked sources.
-        for &partition in &subscribers {
+        for partition in spec.subscribers() {
             if flag == crate::IrqFlagSemantics::Flag {
                 let already_pending = self.partitions[partition.index()]
                     .queue
@@ -1668,13 +1791,13 @@ impl Machine {
                 // `end >= now`: `remaining` is non-negative and an open
                 // window's budget end was checked above to lie ahead of
                 // `now`, so the clamp cannot move the end into the past.
-                let Ok(end_event) = self.queue.schedule_at(end, Event::SegEnd) else {
+                if end < now {
                     return self.fail("segment end in the past");
-                };
+                }
+                self.arm(TimerSlot::SegEnd, end);
                 self.activity = Activity::Bottom {
                     partition,
                     since: now,
-                    end_event,
                 };
             }
             None if self.window.is_some() => {
@@ -1697,10 +1820,10 @@ impl Machine {
 ///
 /// The snapshot is opaque plain data: a clone of the whole machine —
 /// configuration (including runtime mutations), TDMA schedule position,
-/// the event queue with its id/generation table, the running hypervisor
-/// block, partition queues, per-source admission monitors with their δ⁻
-/// trace rings, the supervision state machines, counters, and all record
-/// buffers. Because it is the machine itself, a field added to [`Machine`]
+/// the three timer slots, the arrival engine with its id/generation
+/// table, the running hypervisor block, partition queues, per-source
+/// admission monitors with their δ⁻ trace rings, the supervision state
+/// machines, counters, and all record buffers. Because it is the machine itself, a field added to [`Machine`]
 /// is captured and restored without any further code. Restoring it onto
 /// any machine built from a compatible configuration resumes the run
 /// bit-identically.
@@ -1711,7 +1834,7 @@ impl MachineSnapshot {
     /// Virtual time at which the snapshot was taken.
     #[must_use]
     pub fn taken_at(&self) -> Instant {
-        self.0.queue.now()
+        self.0.now
     }
 }
 

@@ -1017,3 +1017,73 @@ fn supervision_is_inert_on_a_conformant_stream() {
         .flatten()
         .all(|s| *s == HealthState::Healthy));
 }
+
+// ----------------------------------------------------------------------
+// Equal-instant order between IRQ arrivals and the machine's own timers
+// ----------------------------------------------------------------------
+//
+// Events due at one instant fire in the order they were scheduled, whether
+// they are arrivals or the machine's timers. Each test below pins one tie
+// class through `Counters::latched_irqs`: an arrival that fires while a
+// hypervisor block runs latches, one that fires after the block does not.
+
+/// The two-partition configuration of the `Machine` doc example: two 6 ms
+/// slots, one timer IRQ subscribed by partition 1 with C_BH = 30 µs,
+/// baseline handling.
+fn two_partition_config() -> HypervisorConfig {
+    HypervisorConfig {
+        partitions: vec![
+            PartitionSpec::new("app1", us(6_000)),
+            PartitionSpec::new("app2", us(6_000)),
+        ],
+        sources: vec![IrqSourceSpec::new("timer", PartitionId::new(1), us(30))],
+        costs: CostModel::paper_arm926ejs(),
+        mode: IrqHandlingMode::Baseline,
+        policies: Default::default(),
+        windows: None,
+    }
+}
+
+#[test]
+fn arrival_at_the_first_boundary_fires_after_it() {
+    // The first boundary is armed when the machine is built, before the
+    // arrival is scheduled: the rotation's context switch starts first and
+    // the IRQ latches behind it.
+    let mut m = Machine::new(two_partition_config()).expect("valid config");
+    let boundary = m.schedule().boundary_time(1);
+    m.schedule_irq(IRQ0, boundary).expect("in the future");
+    assert!(m.run_until_complete(at_us(100_000)));
+    assert_eq!(m.counters().latched_irqs, 1);
+}
+
+#[test]
+fn arrival_scheduled_before_a_top_handler_fires_before_its_end() {
+    // Both arrivals are scheduled before the run. The first one's top
+    // handler, and so its end, is armed only when it fires: the second
+    // arrival, due the instant that handler ends, was scheduled earlier,
+    // fires first and latches.
+    let config = two_partition_config();
+    let top = config.costs.top_handler;
+    let mut m = Machine::new(config).expect("valid config");
+    m.schedule_irq(IRQ0, at_us(1_000)).expect("in the future");
+    m.schedule_irq(IRQ0, at_us(1_000) + top)
+        .expect("in the future");
+    assert!(m.run_until_complete(at_us(100_000)));
+    assert_eq!(m.counters().latched_irqs, 1);
+}
+
+#[test]
+fn arrival_scheduled_during_a_top_handler_fires_after_its_end() {
+    // The second arrival is scheduled while the first one's top handler
+    // runs, after that handler's end was armed: the handler ends first and
+    // the IRQ finds the hypervisor idle.
+    let config = two_partition_config();
+    let top = config.costs.top_handler;
+    let mut m = Machine::new(config).expect("valid config");
+    m.schedule_irq(IRQ0, at_us(1_000)).expect("in the future");
+    m.run_until(at_us(1_000));
+    m.schedule_irq(IRQ0, at_us(1_000) + top)
+        .expect("in the future");
+    assert!(m.run_until_complete(at_us(100_000)));
+    assert_eq!(m.counters().latched_irqs, 0);
+}

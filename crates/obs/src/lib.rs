@@ -106,7 +106,10 @@ pub struct ObsCounters {
 /// are pure observation and never feed back into the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineObs {
-    /// Live (scheduled, not cancelled) events in the engine.
+    /// Live (scheduled, not cancelled) events in the engine. A machine
+    /// keeps only its pending IRQ arrivals there (its own timers have
+    /// fixed slots), so for a machine this counts the arrivals not yet
+    /// fired.
     pub live: u64,
     /// Cancelled-but-not-yet-reclaimed tombstones.
     pub stale: u64,

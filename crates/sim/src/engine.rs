@@ -1,10 +1,10 @@
 //! The engine abstraction: one contract, two schedulers.
 //!
 //! [`Engine`] is the trait extracted from [`EventQueue`]'s public surface —
-//! everything the hypervisor machine's stepping loop needs from a
-//! time-ordered event store: schedule, cancel, pop, bounded advance, the
-//! canonical-state walk and a content digest. Two implementations satisfy
-//! it:
+//! everything the hypervisor machine and the admission fleet need from a
+//! time-ordered event store: schedule, cancel, peek, pop, bounded advance,
+//! the canonical-state walk and a content digest. Two implementations
+//! satisfy it:
 //!
 //! * [`WheelEngine`](crate::WheelEngine) — the **hierarchical timing
 //!   wheel**, the production default: `O(1)` amortised per operation with
@@ -146,11 +146,17 @@ pub trait Engine<E> {
     /// Pops the earliest live event, advancing [`now`](Self::now).
     fn pop(&mut self) -> Option<(Instant, E)>;
 
-    /// Timestamp of the earliest live event, without popping.
-    fn peek_time(&mut self) -> Option<Instant>;
+    /// Timestamp and sequence number of the earliest live event, without
+    /// popping: the `(time, seq)` key the next [`pop`](Self::pop) is
+    /// ordered by.
+    fn peek_key(&mut self) -> Option<(Instant, u64)>;
 
-    /// Pops the earliest live event **iff** it fires at or before `limit` —
-    /// the machine stepping loop's single-call advance.
+    /// Timestamp of the earliest live event, without popping.
+    fn peek_time(&mut self) -> Option<Instant> {
+        self.peek_key().map(|(at, _)| at)
+    }
+
+    /// Pops the earliest live event **iff** it fires at or before `limit`.
     fn advance_to(&mut self, limit: Instant) -> Option<(Instant, E)> {
         match self.peek_time() {
             Some(t) if t <= limit => self.pop(),
@@ -255,8 +261,8 @@ impl<E> Engine<E> for EventQueue<E> {
         EventQueue::pop(self)
     }
 
-    fn peek_time(&mut self) -> Option<Instant> {
-        EventQueue::peek_time(self)
+    fn peek_key(&mut self) -> Option<(Instant, u64)> {
+        EventQueue::peek_key(self)
     }
 
     fn for_each_live<'a>(&'a self, f: &mut dyn FnMut(Instant, u64, &'a E)) {
@@ -309,8 +315,8 @@ impl<E> Engine<E> for WheelEngine<E> {
         WheelEngine::pop(self)
     }
 
-    fn peek_time(&mut self) -> Option<Instant> {
-        WheelEngine::peek_time(self)
+    fn peek_key(&mut self) -> Option<(Instant, u64)> {
+        WheelEngine::peek_key(self)
     }
 
     fn for_each_live<'a>(&'a self, f: &mut dyn FnMut(Instant, u64, &'a E)) {
@@ -429,6 +435,11 @@ impl<E> EngineQueue<E> {
     /// See [`Engine::pop`].
     pub fn pop(&mut self) -> Option<(Instant, E)> {
         dispatch!(self, q => q.pop())
+    }
+
+    /// See [`Engine::peek_key`].
+    pub fn peek_key(&mut self) -> Option<(Instant, u64)> {
+        dispatch!(self, q => q.peek_key())
     }
 
     /// See [`Engine::peek_time`].

@@ -1,7 +1,10 @@
 //! Deterministic discrete-event simulation engine.
 //!
-//! The hypervisor model in `rthv-hypervisor` advances virtual time by popping
-//! events off an [`Engine`] implementation. Every engine guarantees:
+//! The hypervisor model in `rthv-hypervisor` keeps its pending IRQ arrivals
+//! in an [`Engine`] implementation and advances virtual time by taking the
+//! earliest of them and of its own three timers, which sit in fixed slots
+//! beside the engine ([`Engine::peek_key`] gives the arrival's place in the
+//! order). Every engine guarantees:
 //!
 //! * **monotonic time** — events pop in non-decreasing timestamp order and
 //!   scheduling in the past is an error;

@@ -554,11 +554,19 @@ impl<E> EventQueue<E> {
     /// Timestamp of the earliest live event without popping it.
     #[must_use]
     pub fn peek_time(&mut self) -> Option<Instant> {
+        self.peek_key().map(|(at, _)| at)
+    }
+
+    /// Timestamp and sequence number of the earliest live event without
+    /// popping it: the `(time, seq)` key the next [`pop`](Self::pop) is
+    /// ordered by.
+    #[must_use]
+    pub fn peek_key(&mut self) -> Option<(Instant, u64)> {
         loop {
             match self.heap.peek() {
                 None => return None,
                 Some(entry) if self.ids.state(entry.seq()) != IdState::Cancelled => {
-                    return Some(entry.at());
+                    return Some((entry.at(), entry.seq()));
                 }
                 Some(_) => {
                     // Drain the cancelled head lazily.
@@ -826,6 +834,7 @@ mod tests {
             .expect("future");
         q.cancel(a);
         assert_eq!(q.peek_time(), Some(Instant::from_nanos(20)));
+        assert_eq!(q.peek_key(), Some((Instant::from_nanos(20), 1)));
     }
 
     #[test]

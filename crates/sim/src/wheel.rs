@@ -1,13 +1,16 @@
 //! Hierarchical timing-wheel engine with closed-form fast-forward — the
 //! production engine.
 //!
-//! Every machine, platform core and admission fleet runs on this wheel
-//! unless `RTHV_ENGINE=heap` or a configuration pins the binary-heap
+//! Every machine and platform core keeps its pending IRQ arrivals on this
+//! wheel, and every admission fleet all of its events, unless
+//! `RTHV_ENGINE=heap` or a configuration pins the binary-heap
 //! [`EventQueue`](crate::EventQueue), which stays as the reference the
-//! cross-engine differential suites compare against. On the repo
-//! benchmark the wheel takes 36 % less wall time than the heap on `fig6c`,
-//! and less on every other workload too (see EXPERIMENTS.md
-//! § *Event-engine throughput*).
+//! cross-engine differential suites compare against. A machine's own
+//! timers (hypervisor-block end, bottom-segment end, next TDMA boundary)
+//! never enter the wheel: each has a fixed slot on the machine. While the
+//! machine still queued those timers here, the wheel took 36 % less
+//! `fig6c` wall time than the heap on the repo benchmark, and less on every
+//! other workload too (see EXPERIMENTS.md § *Event-engine throughput*).
 //!
 //! # Geometry
 //!
@@ -25,8 +28,8 @@
 //! level** (an ordered map) and are pulled onto the wheel when the cursor
 //! enters their rotation. The tick is sized from the TDMA cycle (see
 //! [`WheelEngine::with_tick_hint`]) so one full hypervisor cycle fits in
-//! the level-1 rotation: slot-boundary and handler events — the simulation
-//! hot set — always live on the two cheapest levels.
+//! the level-1 rotation: the arrivals due within the current cycle — the
+//! machine's hot set — always live on the two cheapest levels.
 //!
 //! # Storage: one node slab
 //!
@@ -226,8 +229,8 @@ impl<E> WheelEngine<E> {
     /// Creates an empty wheel whose granule is sized from a busy-horizon
     /// hint — typically the TDMA cycle `T_TDMA`: the granule is the
     /// smallest power of two such that one full hint interval fits inside
-    /// the level-1 rotation (4 096 granules), keeping every slot-boundary
-    /// and handler event of a cycle on the two cheapest levels.
+    /// the level-1 rotation (4 096 granules), keeping every event due
+    /// within one cycle on the two cheapest levels.
     #[must_use]
     pub fn with_tick_hint(hint: Duration) -> Self {
         let target = (hint.as_nanos().div_ceil(4096)).max(1);
@@ -614,6 +617,13 @@ impl<E> WheelEngine<E> {
     /// Timestamp of the earliest live event without popping it.
     #[must_use]
     pub fn peek_time(&mut self) -> Option<Instant> {
+        self.peek_key().map(|(at, _)| at)
+    }
+
+    /// Timestamp and sequence number of the earliest live event without
+    /// popping it (see [`EventQueue::peek_key`](crate::EventQueue::peek_key)).
+    #[must_use]
+    pub fn peek_key(&mut self) -> Option<(Instant, u64)> {
         loop {
             if self.staging.is_empty() {
                 self.refill_staging();
@@ -626,7 +636,7 @@ impl<E> WheelEngine<E> {
                 self.ids.consume(seq);
                 continue;
             }
-            return Some(key_time(entry.key));
+            return Some((key_time(entry.key), seq));
         }
     }
 

@@ -157,7 +157,7 @@ fn fast_forward_never_skips_an_armed_event() {
                 }
             }
             70..=79 => {
-                assert_eq!(wheel.peek_time(), heap.peek_time());
+                assert_eq!(wheel.peek_key(), heap.peek_key());
             }
             80..=98 => {
                 assert_eq!(wheel.pop(), heap.pop(), "pop diverged at step {step}");

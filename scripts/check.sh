@@ -155,6 +155,16 @@ echo "==> smoke supervised campaign (nominal + 7 fault families, fixed seed)"
 cargo run --release -q -p rthv-experiments --bin supervised \
     target/CAMPAIGN_supervised_smoke.json 16392212
 
+echo "==> paper experiments (every figure and table, both engines, byte-identical)"
+# `all` runs every experiment behind the paper's figures and tables at full
+# scale and prints one summary. Its seeds are fixed, so the default-engine
+# and heap runs must agree byte for byte.
+cargo run --release -q -p rthv-experiments --bin all > target/ALL_default.txt
+RTHV_ENGINE=heap cargo run --release -q -p rthv-experiments --bin all \
+    > target/ALL_heap.txt
+cmp target/ALL_default.txt target/ALL_heap.txt \
+    || { echo "cross-engine divergence: heap and default paper experiments differ"; exit 1; }
+
 echo "==> bench_export (timing probes and their identity asserts)"
 # The exporter panics if the parallel Fig. 6c pass differs from the
 # sequential one, or if an on/off probe's two arms make different
