@@ -6,8 +6,8 @@
 //! A shard owns the [`ActivationMonitor`]s of every source routed to it,
 //! one [`HealthTracker`] per source for the load-shedding ladder, a bounded
 //! in-flight service queue and the crash-recovery state: the last
-//! [`checkpoint`](ShardState::take_checkpoint) (a deep copy of monitors and
-//! trackers) plus a journal of every admission since. On a crash the shard
+//! checkpoint (a deep copy of monitors and trackers) plus a journal of
+//! every admission since. On a crash the shard
 //! either restores checkpoint-plus-journal-tail (failover) or comes back
 //! with fresh monitors (the no-failover baseline that must demonstrably
 //! break the independence bound).

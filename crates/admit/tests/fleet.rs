@@ -5,8 +5,8 @@
 //! deterministic across reruns and engines.
 
 use rthv_admit::{
-    fleet_faults, run_storm_scenario, storm_scenarios, AdmitFleet, FailoverMode, FleetConfig,
-    FleetError, ShardFault, ShardFaultKind, ShedReason, StormConfig,
+    assemble_report, fleet_faults, run_storm_scenario, storm_scenarios, AdmitFleet, FailoverMode,
+    FleetConfig, FleetError, ShardFault, ShardFaultKind, ShedReason, StormConfig, StormOutcome,
 };
 use rthv_monitor::DeltaFunction;
 use rthv_time::{Duration, Instant};
@@ -337,6 +337,28 @@ fn shed_reasons_have_stable_slugs() {
     assert_eq!(ShedReason::QueueFull.slug(), "queue-full");
     assert_eq!(ShedReason::ShardStalled.slug(), "shard-stalled");
     assert_eq!(ShedReason::ShardCrash.slug(), "shard-crash");
+}
+
+/// The flat storm campaign is engine-invariant: the CI smoke campaign's
+/// outcomes and assembled report are equal on the heap and the wheel.
+#[test]
+fn storm_smoke_campaign_is_engine_invariant() {
+    let run = |engine: &str| {
+        let config = StormConfig::smoke(engine);
+        let outcomes: Vec<StormOutcome> = storm_scenarios(5, 16_392_212, config.horizon)
+            .iter()
+            .map(|scenario| run_storm_scenario(&config, scenario, None).unwrap())
+            .collect();
+        let records: Vec<_> = outcomes.iter().map(StormOutcome::record).collect();
+        (outcomes, assemble_report(&config, 16_392_212, &records))
+    };
+    let (heap, heap_report) = run("heap");
+    let (wheel, wheel_report) = run("wheel");
+    assert_eq!(heap, wheel, "storm outcomes differ across engines");
+    assert_eq!(
+        heap_report, wheel_report,
+        "storm reports differ across engines"
+    );
 }
 
 #[test]

@@ -12,9 +12,10 @@
 //! the first scenario's failover-arm (or hierarchy-storm-arm) hub snapshot.
 //!
 //! `--smoke` swaps the 8×64-source 1 s geometry for the CI-sized
-//! 4×16-source 250 ms one; families and verdict are unchanged. The event
-//! engine comes from `RTHV_ENGINE` (`wheel`, the default, or the `heap`
-//! reference) and never leaks into the report bytes.
+//! 4×16-source 250 ms one; families and verdict are unchanged. The fleet
+//! runs on the production timing wheel; the report bytes never depend on
+//! the engine (the `heap` reference is pinned only by tests, through
+//! `StormConfig`/`TenantStormConfig`).
 //!
 //! `--tenants` runs the tenant-isolation campaign instead: each scenario
 //! drives four arms (hierarchy calm/storm, flat-ablation calm/storm)
@@ -47,6 +48,9 @@ const CLI: Cli = Cli {
 };
 
 const VALIDATED: &str = "fleet config was validated before the sweep";
+
+/// The fleet's event engine: the production wheel.
+const ENGINE: &str = "wheel";
 
 struct Flat {
     config: StormConfig,
@@ -139,11 +143,11 @@ fn main() -> ExitCode {
     let smoke = args.switch("--smoke");
     let seed = args.seed.unwrap_or(0xAD_2014);
     if args.switch("--tenants") {
-        return drive(&CLI, &args, |engine| {
+        return drive(&CLI, &args, || {
             let config = if smoke {
-                TenantStormConfig::smoke(engine.name())
+                TenantStormConfig::smoke(ENGINE)
             } else {
-                TenantStormConfig::standard(engine.name())
+                TenantStormConfig::standard(ENGINE)
             };
             AdmitFleet::new(config.base.clone())?;
             let scenarios = tenant_scenarios(args.count.unwrap_or(3), seed, config.horizon);
@@ -154,11 +158,11 @@ fn main() -> ExitCode {
             })
         });
     }
-    drive(&CLI, &args, |engine| {
+    drive(&CLI, &args, || {
         let config = if smoke {
-            StormConfig::smoke(engine.name())
+            StormConfig::smoke(ENGINE)
         } else {
-            StormConfig::standard(engine.name())
+            StormConfig::standard(ENGINE)
         };
         AdmitFleet::new(config.base.clone())?;
         let scenarios = storm_scenarios(args.count.unwrap_or(7), seed, config.horizon);

@@ -89,7 +89,7 @@ impl Campaign for Faults {
 
 fn main() -> ExitCode {
     let args = CLI.args();
-    drive(&CLI, &args, |_| {
+    drive(&CLI, &args, || {
         let count = args.count.unwrap_or(21) as usize;
         let config = CampaignConfig {
             scenarios: standard_scenarios(count, args.seed.unwrap_or(0xFA_2014)),

@@ -14,9 +14,9 @@
 //! scenario's first enabled case.
 //!
 //! `--smoke` swaps the 1 s horizon for the CI-sized 250 ms one; families
-//! and verdict are unchanged. The event engine comes from `RTHV_ENGINE`
-//! (`wheel`, the default, or the `heap` reference) and never leaks into
-//! the report bytes.
+//! and verdict are unchanged. Every core runs on the production timing
+//! wheel; the report bytes never depend on the engine (tests pin the
+//! `heap` reference through each core's `PolicyOptions::engine`).
 //!
 //! The verdict passes on zero monitored per-victim-core violations (with
 //! conservation), victim streams byte-identical across core counts on
@@ -93,7 +93,7 @@ impl Campaign for Smp {
 
 fn main() -> ExitCode {
     let args = CLI.args();
-    drive(&CLI, &args, |_| {
+    drive(&CLI, &args, || {
         let config = if args.switch("--smoke") {
             SmpConfig::smoke()
         } else {

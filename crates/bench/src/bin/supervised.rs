@@ -99,7 +99,7 @@ impl Campaign for Supervised {
 
 fn main() -> ExitCode {
     let args = CLI.args();
-    drive(&CLI, &args, |_| {
+    drive(&CLI, &args, || {
         let mut config = SupervisedCampaignConfig::default();
         config.base.scenarios = supervised_scenarios(args.seed.unwrap_or(0xFA_2014));
         let idle = idle_reference(&config.base)?;

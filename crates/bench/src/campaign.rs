@@ -28,16 +28,15 @@
 //! resumed record.
 //!
 //! Exit codes: 0 the verdict passes; 1 the verdict fails, or the run is
-//! refused before any scenario starts (unknown `RTHV_ENGINE`, invalid
-//! campaign config, unreadable resume journal); 2 usage error — nothing
-//! ran and no file was written.
+//! refused before any scenario starts (invalid campaign config,
+//! unreadable resume journal); 2 usage error — nothing ran and no file
+//! was written.
 
 use std::error::Error;
 use std::fmt::Debug;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use rthv::{EngineChoice, EngineKind};
 use rthv_admit::{ScenarioRecord, TenantRecord};
 use rthv_faults::{JournalError, ScenarioOutcome, SmpRecord, SupervisedScenarioOutcome};
 
@@ -254,14 +253,14 @@ impl Cli {
     }
 }
 
-/// Runs a campaign end to end: resolves the engine, builds the campaign
-/// (`build` validates its config), resumes, sweeps, journals,
+/// Runs a campaign end to end: builds the campaign (`build` validates its
+/// config), resumes, sweeps, journals,
 /// self-checks, writes the report and `--metrics` snapshot, and maps the
 /// verdict to the exit code (see the module docs).
 pub fn drive<C: Campaign>(
     cli: &Cli,
     args: &Args,
-    build: impl FnOnce(EngineKind) -> Result<C, Box<dyn Error>>,
+    build: impl FnOnce() -> Result<C, Box<dyn Error>>,
 ) -> ExitCode {
     sweep(cli.name, args, build).unwrap_or_else(|error| {
         eprintln!("{}: {error}", cli.name);
@@ -295,11 +294,10 @@ pub fn report_verdict(
 fn sweep<C: Campaign>(
     name: &str,
     args: &Args,
-    build: impl FnOnce(EngineKind) -> Result<C, Box<dyn Error>>,
+    build: impl FnOnce() -> Result<C, Box<dyn Error>>,
 ) -> Result<ExitCode, Box<dyn Error>> {
-    // Fail loudly on a bad engine or config before any scenario runs.
-    let engine = EngineChoice::Auto.try_resolve()?;
-    let campaign = build(engine)?;
+    // Fail loudly on a bad config before any scenario runs.
+    let campaign = build()?;
     let scenarios = campaign.scenarios();
 
     // Completed records from the resume journal, aligned to the scenario
@@ -375,10 +373,9 @@ fn sweep<C: Campaign>(
     }
 
     eprintln!(
-        "{name}: {} scenarios ({resumed_count} resumed) on {} thread(s), engine {} -> {path}",
+        "{name}: {} scenarios ({resumed_count} resumed) on {} thread(s) -> {path}",
         records.len(),
         runner.threads(),
-        engine.name(),
     );
     let verdict = campaign.verdict(&records, &report);
     match &verdict {

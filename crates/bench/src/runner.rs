@@ -14,14 +14,14 @@
 //!
 //! 1. every scenario owns its seed — no RNG state is shared across
 //!    scenarios, so execution order cannot perturb any draw;
-//! 2. results are written into a per-scenario slot and read back in index
-//!    order — merge order is fixed even though completion order is not.
+//! 2. each worker keeps its own `(index, result)` list, and the lists are
+//!    placed into per-scenario slots after the workers join — merge order
+//!    is fixed even though completion order is not.
 //!
 //! Crash safety: every scenario closure runs under
 //! [`std::panic::catch_unwind`], so a panicking scenario never unwinds
-//! through a worker thread — the remaining scenarios still run, result
-//! locks are never poisoned, and the failure surfaces as a typed
-//! [`SweepError`] ([`SweepRunner::try_run`]).
+//! through a worker thread — the remaining scenarios still run, and the
+//! failure surfaces as a typed [`SweepError`] ([`SweepRunner::try_run`]).
 //!
 //! Aggregations over the ordered results (histogram merges via
 //! [`LatencyHistogram::merge`], latency sums, maxima) are then plain folds
@@ -31,7 +31,6 @@
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::thread;
 
 use rthv::stats::LatencyHistogram;
@@ -171,9 +170,9 @@ impl SweepRunner {
 
     /// Like [`run`](Self::run), but a panicking scenario becomes a typed
     /// [`SweepError`] instead of unwinding: the panic is caught inside the
-    /// worker, every other scenario still executes, and no lock is
-    /// poisoned. When several scenarios panic, the lowest index wins —
-    /// deterministically, whatever the thread interleaving.
+    /// worker and every other scenario still executes. When several
+    /// scenarios panic, the lowest index wins — deterministically, whatever
+    /// the thread interleaving.
     ///
     /// # Errors
     ///
@@ -204,28 +203,34 @@ impl SweepRunner {
         }
 
         let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<R, SweepError>>>> =
-            scenarios.iter().map(|_| Mutex::new(None)).collect();
         let workers = self.threads.min(scenarios.len());
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(s) = scenarios.get(index) else {
-                        break;
-                    };
-                    let result = execute(index, s);
-                    // catch_unwind above means no worker unwinds holding
-                    // this lock, but a poisoned lock still must not take
-                    // down the sweep: the data underneath is a plain
-                    // `Option` write, valid regardless.
-                    *slots[index].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-                });
-            }
+        let lists: Vec<Vec<(usize, Result<R, SweepError>)>> = thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let index = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(s) = scenarios.get(index) else {
+                                return done;
+                            };
+                            done.push((index, execute(index, s)));
+                        }
+                    })
+                })
+                .collect();
+            // A worker that died anyway loses its list; its scenarios then
+            // surface as missing results below.
+            handles.into_iter().filter_map(|h| h.join().ok()).collect()
         });
+        let mut slots: Vec<Option<Result<R, SweepError>>> =
+            scenarios.iter().map(|_| None).collect();
+        for (index, result) in lists.into_iter().flatten() {
+            slots[index] = Some(result);
+        }
         let mut results = Vec::with_capacity(slots.len());
         for (index, slot) in slots.into_iter().enumerate() {
-            match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            match slot {
                 Some(Ok(result)) => results.push(result),
                 Some(Err(error)) => return Err(error),
                 None => return Err(SweepError::MissingResult { index }),

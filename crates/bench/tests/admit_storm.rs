@@ -1,8 +1,7 @@
 //! Process-level acceptance tests of the `admit_storm` campaign binary:
-//! byte-identical reports across reruns and engines, a real `abort()`
-//! mid-sweep resumed byte-identically from its journal, deterministic
-//! metrics snapshots, and a typed loud failure on an unknown
-//! `RTHV_ENGINE` value.
+//! byte-identical reports across reruns, a real `abort()`
+//! mid-sweep resumed byte-identically from its journal, and deterministic
+//! metrics snapshots.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -18,9 +17,9 @@ fn temp_path(name: &str) -> PathBuf {
     path
 }
 
-/// Runs the binary with the smoke geometry, a fixed seed and the given
-/// engine, returning the process output. `extra` is appended verbatim.
-fn run_storm(engine: &str, report: &Path, extra: &[&str]) -> Output {
+/// Runs the binary with the smoke geometry and a fixed seed, returning
+/// the process output. `extra` is appended verbatim.
+fn run_storm(report: &Path, extra: &[&str]) -> Output {
     let bin = env!("CARGO_BIN_EXE_admit_storm");
     let mut args = vec![
         report.to_str().expect("utf-8 path").to_string(),
@@ -31,42 +30,32 @@ fn run_storm(engine: &str, report: &Path, extra: &[&str]) -> Output {
     args.extend(extra.iter().map(|s| (*s).to_string()));
     Command::new(bin)
         .args(&args)
-        .env("RTHV_ENGINE", engine)
         .output()
         .expect("run admit_storm")
 }
 
 #[test]
-fn smoke_report_is_byte_identical_across_reruns_and_engines() {
-    let heap_a = temp_path("heap-a.json");
-    let heap_b = temp_path("heap-b.json");
-    let wheel = temp_path("wheel.json");
-    for p in [&heap_a, &heap_b, &wheel] {
+fn smoke_report_is_byte_identical_across_reruns() {
+    let report_a = temp_path("rerun-a.json");
+    let report_b = temp_path("rerun-b.json");
+    for p in [&report_a, &report_b] {
         let _ = std::fs::remove_file(p);
     }
 
-    let first = run_storm("heap", &heap_a, &[]);
+    let first = run_storm(&report_a, &[]);
     assert!(
         first.status.success(),
         "smoke campaign failed; stderr:\n{}",
         String::from_utf8_lossy(&first.stderr)
     );
-    let second = run_storm("heap", &heap_b, &[]);
+    let second = run_storm(&report_b, &[]);
     assert!(second.status.success());
-    let third = run_storm("wheel", &wheel, &[]);
-    assert!(
-        third.status.success(),
-        "wheel-engine campaign failed; stderr:\n{}",
-        String::from_utf8_lossy(&third.stderr)
-    );
 
-    let a = std::fs::read(&heap_a).expect("heap report a");
-    let b = std::fs::read(&heap_b).expect("heap report b");
-    let w = std::fs::read(&wheel).expect("wheel report");
+    let a = std::fs::read(&report_a).expect("report a");
+    let b = std::fs::read(&report_b).expect("report b");
     assert_eq!(a, b, "rerun changed the report");
-    assert_eq!(a, w, "the event engine leaked into the report");
 
-    for p in [&heap_a, &heap_b, &wheel] {
+    for p in [&report_a, &report_b] {
         let _ = std::fs::remove_file(p);
     }
 }
@@ -83,7 +72,7 @@ fn killed_storm_process_resumes_byte_identical() {
         let _ = std::fs::remove_file(p);
     }
 
-    let clean = run_storm("heap", &clean_report, &[]);
+    let clean = run_storm(&clean_report, &[]);
     assert!(
         clean_report.exists(),
         "clean campaign wrote no report; stderr:\n{}",
@@ -92,7 +81,6 @@ fn killed_storm_process_resumes_byte_identical() {
 
     let journal_arg = journal.to_str().expect("utf-8 path");
     let aborted = run_storm(
-        "heap",
         &resumed_report,
         &["--journal", journal_arg, "--abort-after", "2"],
     );
@@ -111,7 +99,6 @@ fn killed_storm_process_resumes_byte_identical() {
     );
 
     let resumed = run_storm(
-        "heap",
         &resumed_report,
         &["--resume", journal_arg, "--journal", journal_arg],
     );
@@ -160,17 +147,17 @@ fn metrics_snapshot_is_deterministic_and_pure() {
             let _ = std::fs::remove_file(p);
         }
 
-        let bare = run_storm("heap", &bare_report, mode);
+        let bare = run_storm(&bare_report, mode);
         assert!(bare.status.success(), "{name}: bare run failed");
         let arg_a = snap_a.to_str().expect("utf-8 path");
-        let a = run_storm("heap", &report_a, &[mode, &["--metrics", arg_a]].concat());
+        let a = run_storm(&report_a, &[mode, &["--metrics", arg_a]].concat());
         assert!(
             a.status.success(),
             "{name}: metrics run failed; stderr:\n{}",
             String::from_utf8_lossy(&a.stderr)
         );
         let arg_b = snap_b.to_str().expect("utf-8 path");
-        let b = run_storm("heap", &report_b, &[mode, &["--metrics", arg_b]].concat());
+        let b = run_storm(&report_b, &[mode, &["--metrics", arg_b]].concat());
         assert!(b.status.success(), "{name}: second metrics run failed");
 
         assert_eq!(
@@ -204,37 +191,37 @@ fn metrics_snapshot_is_deterministic_and_pure() {
 }
 
 /// The tenant-isolation campaign behind `--tenants`: the report is
-/// byte-identical across engines, the verdict passes, and a run killed by
+/// byte-identical across reruns, the verdict passes, and a run killed by
 /// `--abort-after` mid-sweep resumes byte-identically from its journal —
 /// the same guarantees as the flat campaign, over the four-arm tenant
 /// scenarios.
 #[test]
-fn tenant_campaign_is_engine_invariant_and_resumes_byte_identical() {
-    let heap = temp_path("tenants-heap.json");
-    let wheel = temp_path("tenants-wheel.json");
+fn tenant_campaign_is_deterministic_and_resumes_byte_identical() {
+    let first_report = temp_path("tenants-a.json");
+    let second_report = temp_path("tenants-b.json");
     let resumed_report = temp_path("tenants-resumed.json");
     let journal = temp_path("tenants-journal.jsonl");
-    for p in [&heap, &wheel, &resumed_report, &journal] {
+    for p in [&first_report, &second_report, &resumed_report, &journal] {
         let _ = std::fs::remove_file(p);
     }
 
-    let first = run_storm("heap", &heap, &["--tenants"]);
+    let first = run_storm(&first_report, &["--tenants"]);
     assert!(
         first.status.success(),
         "tenant smoke campaign failed; stderr:\n{}",
         String::from_utf8_lossy(&first.stderr)
     );
-    let second = run_storm("wheel", &wheel, &["--tenants"]);
+    let second = run_storm(&second_report, &["--tenants"]);
     assert!(
         second.status.success(),
-        "wheel tenant campaign failed; stderr:\n{}",
+        "tenant smoke rerun failed; stderr:\n{}",
         String::from_utf8_lossy(&second.stderr)
     );
-    let reference = std::fs::read(&heap).expect("heap tenant report");
+    let reference = std::fs::read(&first_report).expect("tenant report");
     assert_eq!(
         reference,
-        std::fs::read(&wheel).expect("wheel tenant report"),
-        "the event engine leaked into the tenant report"
+        std::fs::read(&second_report).expect("rerun tenant report"),
+        "rerun changed the tenant report"
     );
     assert!(
         String::from_utf8_lossy(&reference).contains("\"pass\":true"),
@@ -243,7 +230,6 @@ fn tenant_campaign_is_engine_invariant_and_resumes_byte_identical() {
 
     let journal_arg = journal.to_str().expect("utf-8 path");
     let aborted = run_storm(
-        "heap",
         &resumed_report,
         &["--tenants", "--journal", journal_arg, "--abort-after", "1"],
     );
@@ -255,11 +241,7 @@ fn tenant_campaign_is_engine_invariant_and_resumes_byte_identical() {
         !resumed_report.exists(),
         "the aborted run must die before writing a report"
     );
-    let resumed = run_storm(
-        "heap",
-        &resumed_report,
-        &["--tenants", "--resume", journal_arg],
-    );
+    let resumed = run_storm(&resumed_report, &["--tenants", "--resume", journal_arg]);
     assert!(
         resumed.status.success(),
         "resumed tenant campaign failed; stderr:\n{}",
@@ -271,31 +253,7 @@ fn tenant_campaign_is_engine_invariant_and_resumes_byte_identical() {
         "resumed tenant report differs from the uninterrupted one"
     );
 
-    for p in [&heap, &wheel, &resumed_report, &journal] {
+    for p in [&first_report, &second_report, &resumed_report, &journal] {
         let _ = std::fs::remove_file(p);
     }
-}
-
-/// The end-to-end face of the typed engine-selection error: an unknown
-/// `RTHV_ENGINE` value fails loudly, names the offender, and writes no
-/// report — never a silent fallback to a default engine.
-#[test]
-fn unknown_engine_is_a_typed_loud_failure() {
-    let report = temp_path("bogus-engine.json");
-    let _ = std::fs::remove_file(&report);
-
-    let output = run_storm("bogus", &report, &[]);
-    assert!(
-        !output.status.success(),
-        "an unknown engine must fail the process"
-    );
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains("\"bogus\"") && stderr.contains("event engine"),
-        "the failure must name the rejected engine; stderr:\n{stderr}"
-    );
-    assert!(
-        !report.exists(),
-        "no report may be written on a config error"
-    );
 }

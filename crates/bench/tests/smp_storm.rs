@@ -1,8 +1,7 @@
 //! Process-level acceptance tests of the `smp_storm` campaign binary:
-//! byte-identical reports across reruns and engines, a real `abort()`
-//! mid-sweep resumed byte-identically from its journal, deterministic
-//! multi-core metrics snapshots, and a typed loud failure on an unknown
-//! `RTHV_ENGINE` value.
+//! byte-identical reports across reruns, a real `abort()`
+//! mid-sweep resumed byte-identically from its journal, and deterministic
+//! multi-core metrics snapshots.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -15,9 +14,9 @@ fn temp_path(name: &str) -> PathBuf {
     path
 }
 
-/// Runs the binary with the smoke geometry, a fixed seed and the given
-/// engine, returning the process output. `extra` is appended verbatim.
-fn run_storm(engine: &str, report: &Path, extra: &[&str]) -> Output {
+/// Runs the binary with the smoke geometry and a fixed seed, returning
+/// the process output. `extra` is appended verbatim.
+fn run_storm(report: &Path, extra: &[&str]) -> Output {
     let bin = env!("CARGO_BIN_EXE_smp_storm");
     let mut args = vec![
         report.to_str().expect("utf-8 path").to_string(),
@@ -28,47 +27,37 @@ fn run_storm(engine: &str, report: &Path, extra: &[&str]) -> Output {
     args.extend(extra.iter().map(|s| (*s).to_string()));
     Command::new(bin)
         .args(&args)
-        .env("RTHV_ENGINE", engine)
         .output()
         .expect("run smp_storm")
 }
 
 #[test]
-fn smoke_report_is_byte_identical_across_reruns_and_engines() {
-    let heap_a = temp_path("heap-a.json");
-    let heap_b = temp_path("heap-b.json");
-    let wheel = temp_path("wheel.json");
-    for p in [&heap_a, &heap_b, &wheel] {
+fn smoke_report_is_byte_identical_across_reruns() {
+    let report_a = temp_path("rerun-a.json");
+    let report_b = temp_path("rerun-b.json");
+    for p in [&report_a, &report_b] {
         let _ = std::fs::remove_file(p);
     }
 
-    let first = run_storm("heap", &heap_a, &[]);
+    let first = run_storm(&report_a, &[]);
     assert!(
         first.status.success(),
         "smoke campaign failed; stderr:\n{}",
         String::from_utf8_lossy(&first.stderr)
     );
-    let second = run_storm("heap", &heap_b, &[]);
+    let second = run_storm(&report_b, &[]);
     assert!(second.status.success());
-    let third = run_storm("wheel", &wheel, &[]);
-    assert!(
-        third.status.success(),
-        "wheel-engine campaign failed; stderr:\n{}",
-        String::from_utf8_lossy(&third.stderr)
-    );
 
-    let a = std::fs::read(&heap_a).expect("heap report a");
-    let b = std::fs::read(&heap_b).expect("heap report b");
-    let w = std::fs::read(&wheel).expect("wheel report");
+    let a = std::fs::read(&report_a).expect("report a");
+    let b = std::fs::read(&report_b).expect("report b");
     assert_eq!(a, b, "rerun changed the report");
-    assert_eq!(a, w, "the event engine leaked into the report");
     assert!(
         String::from_utf8_lossy(&a).contains("\"pass\":true"),
         "smoke verdict did not pass:\n{}",
         String::from_utf8_lossy(&a)
     );
 
-    for p in [&heap_a, &heap_b, &wheel] {
+    for p in [&report_a, &report_b] {
         let _ = std::fs::remove_file(p);
     }
 }
@@ -85,7 +74,7 @@ fn killed_smp_process_resumes_byte_identical() {
         let _ = std::fs::remove_file(p);
     }
 
-    let clean = run_storm("heap", &clean_report, &[]);
+    let clean = run_storm(&clean_report, &[]);
     assert!(
         clean_report.exists(),
         "clean campaign wrote no report; stderr:\n{}",
@@ -94,7 +83,6 @@ fn killed_smp_process_resumes_byte_identical() {
 
     let journal_arg = journal.to_str().expect("utf-8 path");
     let aborted = run_storm(
-        "heap",
         &resumed_report,
         &["--journal", journal_arg, "--abort-after", "2"],
     );
@@ -113,7 +101,6 @@ fn killed_smp_process_resumes_byte_identical() {
     );
 
     let resumed = run_storm(
-        "heap",
         &resumed_report,
         &["--resume", journal_arg, "--journal", journal_arg],
     );
@@ -148,10 +135,9 @@ fn metrics_snapshot_is_deterministic_and_pure() {
         let _ = std::fs::remove_file(p);
     }
 
-    let bare = run_storm("heap", &bare_report, &[]);
+    let bare = run_storm(&bare_report, &[]);
     assert!(bare.status.success());
     let a = run_storm(
-        "heap",
         &report_a,
         &["--metrics", snap_a.to_str().expect("utf-8 path")],
     );
@@ -161,7 +147,6 @@ fn metrics_snapshot_is_deterministic_and_pure() {
         String::from_utf8_lossy(&a.stderr)
     );
     let b = run_storm(
-        "heap",
         &report_b,
         &["--metrics", snap_b.to_str().expect("utf-8 path")],
     );
@@ -189,30 +174,6 @@ fn metrics_snapshot_is_deterministic_and_pure() {
     }
 }
 
-/// The end-to-end face of the typed engine-selection error: an unknown
-/// `RTHV_ENGINE` value fails loudly, names the offender, and writes no
-/// report — never a silent fallback to a default engine.
-#[test]
-fn unknown_engine_is_a_typed_loud_failure() {
-    let report = temp_path("bogus-engine.json");
-    let _ = std::fs::remove_file(&report);
-
-    let output = run_storm("bogus", &report, &[]);
-    assert!(
-        !output.status.success(),
-        "an unknown engine must fail the process"
-    );
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains("\"bogus\"") && stderr.contains("event engine"),
-        "the failure must name the rejected engine; stderr:\n{stderr}"
-    );
-    assert!(
-        !report.exists(),
-        "no report may be written on a config error"
-    );
-}
-
 /// A crash tears the last journal line; the next run appends after it.
 /// Cut the ninth line right after its first inner `}` (no newline), then
 /// resume-and-journal, then resume again: the torn line must never resume
@@ -232,7 +193,6 @@ fn torn_tail_run_into_the_next_append_never_resumes() {
         Command::new(env!("CARGO_BIN_EXE_smp_storm"))
             .args([report, "9", "16392212", "--smoke"])
             .args(extra)
-            .env_remove("RTHV_ENGINE")
             .output()
             .expect("run smp_storm")
     };

@@ -69,14 +69,14 @@ pub use paper::PaperSetup;
 // The platform types most users need, at the crate root.
 pub use rthv_hypervisor::{
     render_timeline, AdmissionClock, AdmissionRecord, BoundaryPolicy, ConfigError, CoreCounters,
-    CoreFault, CostModel, Counters, EngineChoice, EngineKind, EngineSelectError, EngineStats,
-    FailoverPolicy, FallbackRoute, HandlingClass, HealthSignal, HealthState, HealthTracker,
-    HealthTransition, HypervisorConfig, IrqCompletion, IrqFlagSemantics, IrqHandlingMode,
-    IrqSourceId, IrqSourceSpec, Machine, MachineError, MachineSnapshot, MultiMachine,
-    MultiRunReport, MultiSnapshot, OverflowPolicy, PartitionId, PartitionService, PartitionSpec,
-    Platform, PlatformError, PlatformScheduleError, PlatformSource, PolicyOptions, RerouteBudget,
-    RunReport, ScheduleIrqError, ServiceInterval, ServiceKind, ShedReason, ShedRecord, SlotSpec,
-    Span, SupervisionEvent, SupervisionEventKind, SupervisionPolicy, SupervisionReport, Supervisor,
+    CoreFault, CostModel, Counters, EngineChoice, EngineKind, EngineStats, FailoverPolicy,
+    FallbackRoute, HandlingClass, HealthSignal, HealthState, HealthTracker, HealthTransition,
+    HypervisorConfig, IrqCompletion, IrqFlagSemantics, IrqHandlingMode, IrqSourceId, IrqSourceSpec,
+    Machine, MachineError, MachineSnapshot, MultiMachine, MultiRunReport, MultiSnapshot,
+    OverflowPolicy, PartitionId, PartitionService, PartitionSpec, Platform, PlatformError,
+    PlatformScheduleError, PlatformSource, PolicyOptions, RerouteBudget, RunReport,
+    ScheduleIrqError, ServiceInterval, ServiceKind, ShedReason, ShedRecord, SlotSpec, Span,
+    SupervisionEvent, SupervisionEventKind, SupervisionPolicy, SupervisionReport, Supervisor,
     TdmaSchedule, TraceRecorder, TransitionCause,
 };
 
@@ -141,7 +141,7 @@ pub mod stats {
 /// The deterministic event engines ([`rthv_sim`]).
 pub mod sim {
     pub use rthv_sim::{
-        Engine, EngineKind, EngineQueue, EngineStats, EventId, EventQueue, Fnv1a,
-        SchedulePastError, WheelEngine,
+        EngineKind, EngineQueue, EngineStats, EventId, EventQueue, Fnv1a, SchedulePastError,
+        WheelEngine,
     };
 }

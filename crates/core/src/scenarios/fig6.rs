@@ -393,6 +393,32 @@ mod tests {
     }
 
     #[test]
+    fn every_variant_is_engine_invariant() {
+        let on = |engine| Fig6Config { engine, ..small() };
+        for variant in [
+            Fig6Variant::Unmonitored,
+            Fig6Variant::Monitored,
+            Fig6Variant::MonitoredNoViolations,
+        ] {
+            let heap = run_fig6(&on(EngineChoice::Heap), variant);
+            let wheel = run_fig6(&on(EngineChoice::Wheel), variant);
+            let label = variant.label();
+            assert_eq!(heap.class_counts, wheel.class_counts, "{label}");
+            assert_eq!(heap.mean_latency, wheel.mean_latency, "{label}");
+            assert_eq!(heap.max_latency, wheel.max_latency, "{label}");
+            assert_eq!(heap.histogram, wheel.histogram, "{label}: histogram bins");
+            for (h, w) in heap.per_load.iter().zip(&wheel.per_load) {
+                assert_eq!(
+                    (h.class_counts, h.mean_latency, h.max_latency),
+                    (w.class_counts, w.mean_latency, w.max_latency),
+                    "{label} at load {}",
+                    h.load
+                );
+            }
+        }
+    }
+
+    #[test]
     fn variant_labels() {
         assert!(Fig6Variant::Unmonitored.label().contains("disabled"));
         assert!(Fig6Variant::MonitoredNoViolations

@@ -48,7 +48,7 @@ pub struct CampaignConfig {
     /// What a full bounded queue does with the excess.
     pub overflow: OverflowPolicy,
     /// Event engine backing every campaign machine. [`EngineChoice::Auto`]
-    /// honours `RTHV_ENGINE`; pin [`EngineChoice::Heap`] /
+    /// is the production wheel; pin [`EngineChoice::Heap`] /
     /// [`EngineChoice::Wheel`] for cross-engine differential runs. The
     /// choice never changes any outcome — that invariant *is* the
     /// cross-engine oracle.
@@ -225,14 +225,10 @@ pub(crate) fn run_mode(
     Ok(run_mode_report(config, idle, plan, monitored, None)?.0)
 }
 
-/// Like [`run_mode`], but optionally enables runtime health supervision and
-/// also hands back the full [`RunReport`], so the supervised campaign can
-/// inspect supervision counters and run the quarantine-soundness oracle.
 /// Builds the campaign machine for one mode of one scenario plan, with
-/// every arrival already scheduled — exactly the machine
-/// [`run_mode_report`] drives to the horizon. Exposed so the
-/// [`replay`](crate::replay) oracle re-executes the *same* machine, not a
-/// reimplementation of it.
+/// every arrival already scheduled — exactly the machine each campaign
+/// run drives to the horizon. Exposed so the [`replay`](crate::replay)
+/// oracle re-executes the *same* machine, not a reimplementation of it.
 ///
 /// # Errors
 ///
@@ -271,6 +267,9 @@ pub fn scenario_machine(
     Ok(machine)
 }
 
+/// Like [`run_mode`], but optionally enables runtime health supervision and
+/// also hands back the full [`RunReport`], so the supervised campaign can
+/// inspect supervision counters and run the quarantine-soundness oracle.
 pub(crate) fn run_mode_report(
     config: &CampaignConfig,
     idle: &IdleReference,

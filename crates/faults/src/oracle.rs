@@ -466,25 +466,35 @@ fn check_window_counts(admitted: &[Instant], delta: &DeltaFunction, out: &mut Ve
     for factor in [1u64, 2, 5] {
         let width = delta.dmin().saturating_mul(factor);
         let allowed = delta.eta_plus(width);
-        let mut hi = 0usize;
-        for lo in 0..admitted.len() {
-            let end = admitted[lo] + width;
-            hi = hi.max(lo);
-            while hi < admitted.len() && admitted[hi] < end {
-                hi += 1;
-            }
-            let observed = (hi - lo) as u64;
-            if observed > allowed {
-                out.push(Violation::WindowCount {
-                    width,
-                    start: admitted[lo],
-                    observed,
-                    allowed,
-                });
-                break;
-            }
+        if let Some((start, observed)) = window_counts(admitted, width).find(|&(_, n)| n > allowed)
+        {
+            out.push(Violation::WindowCount {
+                width,
+                start,
+                observed,
+                allowed,
+            });
         }
     }
+}
+
+/// The two-pointer window sweep every count check shares: for each anchor
+/// `admitted[lo]`, in order, the window start and how many admissions fall
+/// in `[admitted[lo], admitted[lo] + width)`. `admitted` must be in
+/// non-decreasing time order.
+fn window_counts(
+    admitted: &[Instant],
+    width: Duration,
+) -> impl Iterator<Item = (Instant, u64)> + '_ {
+    let mut hi = 0usize;
+    admitted.iter().enumerate().map(move |(lo, &start)| {
+        let end = start + width;
+        hi = hi.max(lo);
+        while hi < admitted.len() && admitted[hi] < end {
+            hi += 1;
+        }
+        (start, (hi - lo) as u64)
+    })
 }
 
 /// The fleet-wide per-victim oracle: holds one victim's *merged* admitted
@@ -531,16 +541,10 @@ pub fn check_admitted_stream(
     for factor in [1u64, 2, 5] {
         let width = delta.dmin().saturating_mul(factor);
         let bound = interference_bound(width, delta, effective_cost);
-        let mut hi = 0usize;
-        let mut worst = 0u64;
-        for lo in 0..admitted.len() {
-            let end = admitted[lo] + width;
-            hi = hi.max(lo);
-            while hi < admitted.len() && admitted[hi] < end {
-                hi += 1;
-            }
-            worst = worst.max((hi - lo) as u64);
-        }
+        let worst = window_counts(admitted, width)
+            .map(|(_, n)| n)
+            .max()
+            .unwrap_or(0);
         let lost = effective_cost.saturating_mul(worst);
         if lost > bound {
             out.push(Violation::Independence {
@@ -567,16 +571,16 @@ pub fn check_group_budget(
     budget: u64,
     window: Duration,
 ) -> Vec<Violation> {
-    let mut out = Vec::new();
-    if let Some((start, observed)) = first_window_overflow(admitted, budget, window) {
-        out.push(Violation::GroupBudget {
+    window_counts(admitted, window)
+        .find(|&(_, n)| n > budget)
+        .map(|(start, observed)| Violation::GroupBudget {
             tenant,
             start,
             observed,
             allowed: budget,
-        });
-    }
-    out
+        })
+        .into_iter()
+        .collect()
 }
 
 /// Sliding-count check of the union of all tenants' admitted streams
@@ -585,37 +589,15 @@ pub fn check_group_budget(
 /// non-decreasing time order. Only the first offending window is reported.
 #[must_use]
 pub fn check_global_budget(admitted: &[Instant], budget: u64, window: Duration) -> Vec<Violation> {
-    let mut out = Vec::new();
-    if let Some((start, observed)) = first_window_overflow(admitted, budget, window) {
-        out.push(Violation::GlobalBudget {
+    window_counts(admitted, window)
+        .find(|&(_, n)| n > budget)
+        .map(|(start, observed)| Violation::GlobalBudget {
             start,
             observed,
             allowed: budget,
-        });
-    }
-    out
-}
-
-/// First window `[admitted[lo], +window)` holding more than `budget`
-/// admissions, with its count, if any.
-fn first_window_overflow(
-    admitted: &[Instant],
-    budget: u64,
-    window: Duration,
-) -> Option<(Instant, u64)> {
-    let mut hi = 0usize;
-    for lo in 0..admitted.len() {
-        let end = admitted[lo] + window;
-        hi = hi.max(lo);
-        while hi < admitted.len() && admitted[hi] < end {
-            hi += 1;
-        }
-        let observed = (hi - lo) as u64;
-        if observed > budget {
-            return Some((admitted[lo], observed));
-        }
-    }
-    None
+        })
+        .into_iter()
+        .collect()
 }
 
 /// Invariant C — budget check: each traced interposed window may span its

@@ -262,7 +262,7 @@ pub fn verify_from_with(
 ///
 /// This turns the checkpoint/replay oracle into a cross-engine
 /// differential test: the engines share no stepping code beyond the
-/// [`Engine`](rthv::sim::Engine) contract, so any ordering or
+/// [`EngineQueue`](rthv::sim::EngineQueue) interface, so any ordering or
 /// accounting discrepancy between them surfaces as a pinned
 /// [`Violation::ReplayDivergence`].
 ///

@@ -1,5 +1,6 @@
 //! Cross-engine differential properties: the hierarchical timing wheel and
-//! the reference binary heap share nothing beyond the `Engine` contract,
+//! the reference binary heap share nothing beyond the `EngineQueue`
+//! interface,
 //! so these tests are the strongest statement the repo makes about the
 //! wheel — for every fault family, random seed and mode, both engines
 //! produce byte-identical state hashes at every slot boundary, identical

@@ -279,9 +279,9 @@ proptest! {
     /// A multi-core campaign case run to the horizon in one `run_until`
     /// ends byte-identical to the same case stopped at every slot boundary
     /// and at each crash instant — with a snapshot taken at one stop, the
-    /// run continued to the horizon, then rewound and stepped on — across
-    /// all fault families × both engines × cores {1, 2, 4} × storm and
-    /// nominal traffic.
+    /// run continued to the horizon, then rewound and stepped on — and to
+    /// the one-shot run on the other engine, across all fault families ×
+    /// both engines × cores {1, 2, 4} × storm and nominal traffic.
     #[test]
     fn split_runs_match_the_one_shot_run(
         kind_index in 0usize..11,
@@ -302,14 +302,19 @@ proptest! {
             traffic: if storm { SmpTraffic::Storm } else { SmpTraffic::Nominal },
             fault: FaultScenario { id: 0, kind: kind(kind_index), seed },
         };
-        let mut platform = build_platform(&config, SmpArm::RoundRobin, cores, true)
-            .expect("campaign platform is valid");
-        for core in &mut platform.cores {
-            core.policies.engine = engine;
-        }
+        let on_engine = |engine| {
+            let mut platform = build_platform(&config, SmpArm::RoundRobin, cores, true)
+                .expect("campaign platform is valid");
+            for core in &mut platform.cores {
+                core.policies.engine = engine;
+            }
+            platform
+        };
+        let platform = on_engine(engine);
+        let other_engine = on_engine(if wheel { EngineChoice::Heap } else { EngineChoice::Wheel });
         let faults = core_faults(&scenario, cores, config.horizon);
         let lines = platform.sources.len();
-        let build = || {
+        let build_on = |platform: &Platform| {
             let mut m = MultiMachine::new(platform.clone(), &faults).expect("valid platform");
             for line in 0..lines {
                 for at in line_arrivals(&config, &scenario, line) {
@@ -319,8 +324,11 @@ proptest! {
             m
         };
         let horizon = Instant::ZERO + config.horizon;
-        let mut one = build();
+        let mut one = build_on(&platform);
         one.run_until(horizon);
+        let mut crossed = build_on(&other_engine);
+        crossed.run_until(horizon);
+        prop_assert_eq!(one.state_hash(), crossed.state_hash(), "engines diverged");
 
         // Stops: every slot boundary (all cores share the campaign's TDMA
         // geometry; probe it off core 0) and every crash instant.
@@ -340,7 +348,7 @@ proptest! {
         stops.sort_unstable();
         stops.dedup();
 
-        let mut split = build();
+        let mut split = build_on(&platform);
         for (index, &stop) in stops.iter().enumerate() {
             split.run_until(stop);
             if index == cut.min(stops.len() - 1) {
@@ -354,11 +362,12 @@ proptest! {
         prop_assert_eq!(one.state_hash(), split.state_hash(), "horizon state");
 
         let one = one.finish();
-        let split = split.finish();
-        prop_assert!(one.conserved() && split.conserved(), "ledger leaked");
-        prop_assert_eq!(&one.cores, &split.cores, "per-core reports differ");
-        prop_assert_eq!(&one.counters, &split.counters, "counters differ");
-        prop_assert_eq!(&one.sheds, &split.sheds, "sheds differ");
-        prop_assert_eq!(&one.crashed, &split.crashed, "crash sets differ");
+        for (run, label) in [(split.finish(), "split"), (crossed.finish(), "other-engine")] {
+            prop_assert!(one.conserved() && run.conserved(), "{} ledger leaked", label);
+            prop_assert_eq!(&one.cores, &run.cores, "{} per-core reports differ", label);
+            prop_assert_eq!(&one.counters, &run.counters, "{} counters differ", label);
+            prop_assert_eq!(&one.sheds, &run.sheds, "{} sheds differ", label);
+            prop_assert_eq!(&one.crashed, &run.crashed, "{} crash sets differ", label);
+        }
     }
 }

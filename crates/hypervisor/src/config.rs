@@ -283,7 +283,8 @@ pub enum OverflowPolicy {
 }
 
 /// Which simulation engine holds the machine's pending IRQ arrivals (the
-/// machine's own timers keep fixed slots beside it).
+/// machine's own timers keep fixed slots beside it). Chosen in
+/// configuration only.
 ///
 /// Both engines are **observation-equivalent**: identical event streams,
 /// identical [`state_hash`](crate::Machine::state_hash) at every point —
@@ -292,15 +293,12 @@ pub enum OverflowPolicy {
 /// from machine state hashing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum EngineChoice {
-    /// Resolve from the `RTHV_ENGINE` environment variable (`"heap"` or
-    /// `"wheel"`), falling back to the timing wheel — the production
-    /// engine, faster than the heap on every benchmark workload. This is
-    /// the default so the CI harness can sweep the whole tier-1 suite and
-    /// every campaign binary across engines without per-call-site plumbing.
+    /// The production engine: the timing wheel, faster than the heap on
+    /// every benchmark workload.
     #[default]
     Auto,
     /// Binary-heap reference engine (`O(log n)`, trivially correct): what
-    /// the cross-engine differential suites compare the wheel against.
+    /// the cross-engine tests pin to compare the wheel against.
     Heap,
     /// Hierarchical timing wheel (`O(1)` amortised, closed-form
     /// fast-forward; levels sized from the TDMA cycle).
@@ -308,54 +306,22 @@ pub enum EngineChoice {
 }
 
 impl EngineChoice {
-    /// The concrete engine this choice selects, consulting `RTHV_ENGINE`
-    /// (read once per process) for [`EngineChoice::Auto`].
+    /// The concrete engine this choice selects: [`EngineChoice::Auto`] is
+    /// the wheel.
+    ///
+    /// It never fails. It keeps its fallible shape only until the engine
+    /// selection types go, because the benchmark package still unwraps it.
     ///
     /// # Errors
     ///
-    /// [`EngineSelectError`] when `RTHV_ENGINE` is set to something other
-    /// than `"heap"` or `"wheel"`. A typo used to silently fall back to
-    /// the heap engine — which made an engine-sweeping CI matrix *look*
-    /// like it covered the wheel while actually running heap twice.
-    pub fn try_resolve(self) -> Result<EngineKind, EngineSelectError> {
-        match self {
-            EngineChoice::Heap => Ok(EngineKind::Heap),
-            EngineChoice::Wheel => Ok(EngineKind::Wheel),
-            EngineChoice::Auto => ENV_ENGINE
-                .get_or_init(|| match std::env::var("RTHV_ENGINE") {
-                    Err(_) => Ok(EngineKind::default()),
-                    Ok(name) => EngineKind::parse(&name).ok_or(EngineSelectError { value: name }),
-                })
-                .clone(),
-        }
+    /// None: the error type is [`Infallible`](std::convert::Infallible).
+    pub fn try_resolve(self) -> Result<EngineKind, std::convert::Infallible> {
+        Ok(match self {
+            EngineChoice::Heap => EngineKind::Heap,
+            EngineChoice::Auto | EngineChoice::Wheel => EngineKind::Wheel,
+        })
     }
 }
-
-/// `RTHV_ENGINE` named no known engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EngineSelectError {
-    /// The rejected variable value.
-    pub value: String,
-}
-
-impl fmt::Display for EngineSelectError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "RTHV_ENGINE={:?} names no event engine (expected \"heap\" or \"wheel\")",
-            self.value
-        )
-    }
-}
-
-impl std::error::Error for EngineSelectError {}
-
-/// Process-wide cache of the `RTHV_ENGINE` resolution: the selection must
-/// be stable for a whole run even if the environment mutates mid-process.
-/// The rejection is cached too — a bad value fails every machine build,
-/// not just the first.
-static ENV_ENGINE: std::sync::OnceLock<Result<EngineKind, EngineSelectError>> =
-    std::sync::OnceLock::new();
 
 /// Tunable semantic choices of the modified top handler, separate from the
 /// quantitative [`CostModel`].
@@ -495,13 +461,6 @@ pub enum ConfigError {
         /// Human-readable reason.
         reason: String,
     },
-    /// [`EngineChoice::Auto`] found `RTHV_ENGINE` set to an unknown
-    /// engine name. Surfaced as a config error (instead of a silent heap
-    /// fallback) so a typo in an engine-sweeping harness fails loudly.
-    UnknownEngine {
-        /// The rejected `RTHV_ENGINE` value.
-        value: String,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -536,10 +495,6 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidSupervision { reason } => {
                 write!(f, "invalid supervision policy: {reason}")
             }
-            ConfigError::UnknownEngine { value } => write!(
-                f,
-                "RTHV_ENGINE={value:?} names no event engine (expected \"heap\" or \"wheel\")"
-            ),
         }
     }
 }
@@ -803,22 +758,10 @@ mod tests {
 
     #[test]
     fn pinned_engine_choices_always_resolve() {
-        // Only Auto consults RTHV_ENGINE (process-global, exercised end to
-        // end by the campaign binaries under the CI engine matrix); the
-        // pinned choices must never fail regardless of the environment.
+        // The default choice is the production wheel; the heap is only
+        // ever picked by pinning it.
+        assert_eq!(EngineChoice::Auto.try_resolve(), Ok(EngineKind::Wheel));
         assert_eq!(EngineChoice::Heap.try_resolve(), Ok(EngineKind::Heap));
         assert_eq!(EngineChoice::Wheel.try_resolve(), Ok(EngineKind::Wheel));
-    }
-
-    #[test]
-    fn unknown_engine_errors_name_the_offender() {
-        let err = EngineSelectError {
-            value: "whel".to_owned(),
-        };
-        assert!(err.to_string().contains("\"whel\""));
-        let config = ConfigError::UnknownEngine {
-            value: "whel".to_owned(),
-        };
-        assert!(config.to_string().contains("RTHV_ENGINE"));
     }
 }

@@ -33,9 +33,9 @@ mod supervise;
 mod timeline;
 
 pub use config::{
-    AdmissionClock, BoundaryPolicy, ConfigError, CostModel, EngineChoice, EngineSelectError,
-    HypervisorConfig, IrqFlagSemantics, IrqHandlingMode, IrqSourceSpec, OverflowPolicy,
-    PartitionSpec, PolicyOptions, SlotSpec,
+    AdmissionClock, BoundaryPolicy, ConfigError, CostModel, EngineChoice, HypervisorConfig,
+    IrqFlagSemantics, IrqHandlingMode, IrqSourceSpec, OverflowPolicy, PartitionSpec, PolicyOptions,
+    SlotSpec,
 };
 pub use ids::{IrqSourceId, PartitionId};
 pub use machine::{Machine, MachineError, MachineSnapshot, RunReport, ScheduleIrqError};

@@ -381,11 +381,7 @@ impl Machine {
         // cross-engine differential suite), so the selection is config, not
         // hashed state. The wheel's level geometry is sized from the TDMA
         // cycle so a full hypervisor cycle fits in its level-1 rotation.
-        let engine = config
-            .policies
-            .engine
-            .try_resolve()
-            .map_err(|e| ConfigError::UnknownEngine { value: e.value })?;
+        let Ok(engine) = config.policies.engine.try_resolve();
         let arrivals = EngineQueue::new(engine, schedule.cycle());
         let partition_count = config.partitions.len();
         let source_count = config.sources.len();

@@ -436,7 +436,7 @@ pub mod strategies {
             }
         }
 
-        /// The [`vec`] strategy.
+        /// The [`vec()`] strategy.
         pub struct VecStrategy<S> {
             element: S,
             size: SizeRange,

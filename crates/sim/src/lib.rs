@@ -1,9 +1,9 @@
 //! Deterministic discrete-event simulation engine.
 //!
 //! The hypervisor model in `rthv-hypervisor` keeps its pending IRQ arrivals
-//! in an [`Engine`] implementation and advances virtual time by taking the
-//! earliest of them and of its own three timers, which sit in fixed slots
-//! beside the engine ([`Engine::peek_key`] gives the arrival's place in the
+//! in an [`EngineQueue`] and advances virtual time by taking the earliest
+//! of them and of its own three timers, which sit in fixed slots beside
+//! the engine ([`EngineQueue::peek_key`] gives the arrival's place in the
 //! order). Every engine guarantees:
 //!
 //! * **monotonic time** — events pop in non-decreasing timestamp order and
@@ -19,10 +19,10 @@
 //! timing wheel with `O(1)` amortised operations and closed-form
 //! fast-forward across empty virtual time (the production default), and
 //! [`EventQueue`], the `O(log n)` binary-heap reference the cross-engine
-//! tests compare it against. [`EngineQueue`] selects between them at runtime; the
-//! two are observation-equivalent bit for bit (see [`engine`] for the exact
-//! obligations). The [`digest`] module holds the streaming hashes that
-//! checkpoint state-hashing builds on.
+//! tests compare it against. [`EngineQueue`] selects between them from
+//! configuration; the two are observation-equivalent bit for bit (see
+//! [`engine`] for the exact obligations). The [`digest`] module holds the
+//! streaming hashes that checkpoint state-hashing builds on.
 //!
 //! # Examples
 //!
@@ -51,6 +51,6 @@ mod queue;
 mod wheel;
 
 pub use digest::{ElementHash, Fnv1a, SetDigest};
-pub use engine::{Engine, EngineKind, EngineQueue, EngineStats};
+pub use engine::{EngineKind, EngineQueue, EngineStats};
 pub use queue::{EventId, EventQueue, SchedulePastError, SimError};
 pub use wheel::WheelEngine;

@@ -15,7 +15,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
-use rthv_time::{Duration, Instant};
+use rthv_time::Instant;
 
 /// Identifier of a scheduled event, usable to [cancel](EventQueue::cancel) it
 /// before it fires.
@@ -420,15 +420,6 @@ impl<E> EventQueue<E> {
         Ok(self.push_entry(at, event))
     }
 
-    /// Schedules `event` to fire `delay` after the current time.
-    ///
-    /// Never fails: `now + delay` saturates at the far future and is never
-    /// in the past, so no validation (and no panic path) is needed.
-    pub fn schedule_in(&mut self, delay: Duration, event: E) -> EventId {
-        let at = self.now + delay;
-        self.push_entry(at, event)
-    }
-
     /// Cancels a previously scheduled event.
     ///
     /// Returns `true` if the event was still pending, `false` if it already
@@ -540,9 +531,8 @@ impl<E> EventQueue<E> {
     /// the event payload. Two queues that would pop the same event stream
     /// visit the same set of `(time, seq, event)` triples, but in an
     /// unspecified order: consumers must be order-independent, as
-    /// checkpoint state-hashing is. The sorted
-    /// [`Engine::for_each_scheduled`](crate::Engine::for_each_scheduled)
-    /// gives firing order.
+    /// checkpoint state-hashing is. Sort the visited keys for firing
+    /// order.
     pub fn for_each_live<'a>(&'a self, mut f: impl FnMut(Instant, u64, &'a E)) {
         for entry in &self.heap {
             if self.ids.state(entry.seq()) != IdState::Cancelled {
@@ -615,7 +605,7 @@ impl<E> fmt::Debug for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
+    use rthv_time::Duration;
 
     #[derive(Debug, PartialEq, Eq, Clone, Copy)]
     enum Ev {
@@ -843,7 +833,8 @@ mod tests {
         q.schedule_at(Instant::from_nanos(100), Ev::A)
             .expect("future");
         let _ = q.pop();
-        q.schedule_in(Duration::from_nanos(5), Ev::B);
+        q.schedule_at(q.now() + Duration::from_nanos(5), Ev::B)
+            .expect("now is never in the past");
         assert_eq!(q.pop(), Some((Instant::from_nanos(105), Ev::B)));
     }
 
@@ -1020,7 +1011,8 @@ mod tests {
             .expect("future");
         q.cancel(b);
         let mut seen = Vec::new();
-        Engine::for_each_scheduled(&q, &mut |at, seq, e| seen.push((at, seq, *e)));
+        q.for_each_live(|at, seq, e| seen.push((at, seq, *e)));
+        seen.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
         assert_eq!(
             seen,
             vec![

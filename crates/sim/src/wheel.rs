@@ -2,10 +2,10 @@
 //! production engine.
 //!
 //! Every machine and platform core keeps its pending IRQ arrivals on this
-//! wheel, and every admission fleet all of its events, unless
-//! `RTHV_ENGINE=heap` or a configuration pins the binary-heap
-//! [`EventQueue`](crate::EventQueue), which stays as the reference the
-//! cross-engine differential suites compare against. A machine's own
+//! wheel, and every admission fleet all of its events, unless its
+//! configuration pins the binary-heap [`EventQueue`](crate::EventQueue),
+//! which stays as the reference the cross-engine differential suites
+//! compare against. A machine's own
 //! timers (hypervisor-block end, bottom-segment end, next TDMA boundary)
 //! never enter the wheel: each has a fixed slot on the machine. While the
 //! machine still queued those timers here, the wheel took 36 % less
@@ -93,10 +93,8 @@
 //! streams and error behaviour are byte-identical to
 //! [`EventQueue`](crate::EventQueue), and
 //! [`for_each_live`](WheelEngine::for_each_live) visits the same live set
-//! (so the canonical
-//! [`Engine::for_each_scheduled`](crate::Engine::for_each_scheduled) walk
-//! is identical too) — asserted by the cross-engine differential suites in
-//! `rthv-sim` and `rthv-faults`.
+//! (so the walks agree once sorted by `(time, seq)`) — asserted by the
+//! cross-engine differential suites in `rthv-sim` and `rthv-faults`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -177,8 +175,8 @@ fn above_mask(pos: u32) -> u64 {
 }
 
 /// A deterministic, time-ordered event queue backed by a hierarchical
-/// timing wheel (see the [module docs](self) for geometry, storage and
-/// invariants).
+/// timing wheel: four 64-slot levels over one node slab, a far-future
+/// overflow map, and closed-form fast-forward across empty virtual time.
 ///
 /// Drop-in equivalent of [`EventQueue`](crate::EventQueue): same API, same
 /// observable behaviour, `O(1)` amortised operations and closed-form
@@ -445,13 +443,6 @@ impl<E> WheelEngine<E> {
             return Err(SchedulePastError { now: self.now, at });
         }
         Ok(self.push_entry(at, event))
-    }
-
-    /// Schedules `event` to fire `delay` after the current time (never
-    /// fails: the sum saturates at the far future).
-    pub fn schedule_in(&mut self, delay: Duration, event: E) -> EventId {
-        let at = self.now + delay;
-        self.push_entry(at, event)
     }
 
     /// Cancels a previously scheduled event; `false` if it already fired,

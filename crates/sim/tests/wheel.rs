@@ -3,7 +3,7 @@
 //! event is ever skipped) and the cross-engine observation-equivalence the
 //! rest of the workspace relies on.
 
-use rthv_sim::{Engine, EngineKind, EngineQueue, EventQueue, WheelEngine};
+use rthv_sim::{ElementHash, EngineKind, EngineQueue, EventQueue, Fnv1a, SetDigest, WheelEngine};
 use rthv_time::{Duration, Instant};
 
 /// Small deterministic generator for interleaving decisions (SplitMix64).
@@ -98,8 +98,8 @@ fn far_future_overflow_level_holds_and_releases() {
     // Far beyond the level-3 rotation: parks on the overflow level.
     let far = Instant::from_nanos(u64::MAX - 1);
     wheel.schedule_at(far, 1).expect("future");
-    // schedule_in saturates at the far future instead of wrapping.
-    wheel.schedule_in(Duration::from_nanos(u64::MAX), 2);
+    // The latest representable instant parks there too.
+    wheel.schedule_at(Instant::MAX, 2).expect("future");
     assert_eq!(wheel.stats().overflow_len, 2);
     let near = Instant::from_nanos(500);
     wheel.schedule_at(near, 0).expect("future");
@@ -167,8 +167,8 @@ fn fast_forward_never_skips_an_armed_event() {
                 let (wheel_copy, heap_copy) = (wheel.clone(), heap.clone());
                 assert_eq!(wheel_copy.stats(), wheel.stats());
                 assert_eq!(
-                    Engine::<u64>::state_hash(&wheel_copy),
-                    Engine::<u64>::state_hash(&heap_copy),
+                    digest(wheel_copy.now(), |f| wheel_copy.for_each_live(f)),
+                    digest(heap_copy.now(), |f| heap_copy.for_each_live(f)),
                     "clones diverged at step {step}"
                 );
                 (wheel, heap) = (wheel_copy, heap_copy);
@@ -195,12 +195,31 @@ fn fast_forward_never_skips_an_armed_event() {
     );
 }
 
-/// The `(time, seq, event)` triples a storage-order walk visits, sorted.
+/// The `(time, seq, event)` triples a storage-order walk visits, sorted:
+/// the canonical walk, in firing order.
 fn collect_live(walk: impl FnOnce(&mut dyn FnMut(Instant, u64, &u32))) -> Vec<(Instant, u64, u32)> {
     let mut live = Vec::new();
     walk(&mut |at, seq, e| live.push((at, seq, *e)));
     live.sort_unstable();
     live
+}
+
+/// The engine-level slice of a machine's state hash: FNV-1a over `now`,
+/// the live count and the order-independent [`SetDigest`] of every live
+/// `(time, seq)` pair. Two engines holding the same timeline agree on it.
+fn digest<E>(now: Instant, walk: impl FnOnce(&mut dyn FnMut(Instant, u64, &E))) -> u64 {
+    let mut live = SetDigest::default();
+    walk(&mut |at, seq, _| {
+        let mut element = ElementHash::default();
+        element.word(at.as_nanos());
+        element.word(seq);
+        live.insert(element);
+    });
+    let mut hash = Fnv1a::new();
+    hash.word(now.as_nanos());
+    hash.word(live.count());
+    hash.word(live.sum());
+    hash.finish()
 }
 
 #[test]
@@ -233,25 +252,23 @@ fn canonical_walk_and_state_hash_match_the_heap() {
         wheel.stats().overflow_len > 0,
         "the walks must cover the overflow map"
     );
-    let mut wheel_walk = Vec::new();
-    wheel.for_each_scheduled(&mut |at, seq, e| wheel_walk.push((at, seq, *e)));
-    let mut heap_walk = Vec::new();
-    heap.for_each_scheduled(&mut |at, seq, e| heap_walk.push((at, seq, *e)));
-    assert_eq!(wheel_walk, heap_walk, "canonical walks must be identical");
     // The storage-order walks visit the same live set, each in its own
-    // order.
-    for live in [
-        collect_live(|f| wheel.for_each_live(f)),
-        collect_live(|f| heap.for_each_live(f)),
-    ] {
-        assert_eq!(
-            live, heap_walk,
-            "storage-order walk misses or repeats an event"
-        );
+    // order, and pop order agrees with the sorted walk.
+    let wheel_walk = collect_live(|f| wheel.for_each_live(f));
+    let heap_walk = collect_live(|f| heap.for_each_live(f));
+    assert_eq!(wheel_walk, heap_walk, "canonical walks must be identical");
+    let mut popped = Vec::new();
+    let mut drained = heap.clone();
+    while let Some((at, e)) = drained.pop() {
+        popped.push((at, e));
     }
+    assert!(
+        heap_walk.iter().map(|&(at, _, e)| (at, e)).eq(popped),
+        "storage-order walk misses or repeats an event"
+    );
     assert_eq!(
-        Engine::<u32>::state_hash(&wheel),
-        Engine::<u32>::state_hash(&heap),
+        digest(wheel.now(), |f| wheel.for_each_live(f)),
+        digest(heap.now(), |f| heap.for_each_live(f)),
         "engine-level digests must agree on the same timeline"
     );
 }
@@ -267,9 +284,9 @@ fn snapshot_restore_resumes_identically() {
     for _ in 0..50 {
         wheel.pop();
     }
-    let snapshot = Engine::<u64>::snapshot(&wheel);
+    let snapshot = wheel.clone();
     let mut restored: WheelEngine<u64> = WheelEngine::with_tick_shift(5);
-    Engine::<u64>::restore(&mut restored, &snapshot);
+    restored.clone_from(&snapshot);
     loop {
         let (a, b) = (wheel.pop(), restored.pop());
         assert_eq!(a, b, "restored wheel diverged");

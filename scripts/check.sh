@@ -8,16 +8,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q (RTHV_ENGINE=heap)"
-# The whole tier-1 suite on the binary-heap reference engine: every machine
-# built with EngineChoice::Auto honours RTHV_ENGINE, so any test passing
-# on the default wheel but failing here is a cross-engine divergence.
-RTHV_ENGINE=heap cargo test --workspace -q
-
-echo "==> cargo test -q (RTHV_ENGINE=wheel)"
-# The whole tier-1 suite again, pinned to the timing wheel: the production
-# engine EngineChoice::Auto falls back to when RTHV_ENGINE is unset.
-RTHV_ENGINE=wheel cargo test --workspace -q
+echo "==> cargo test -q"
+# The whole tier-1 suite, once. Tests that compare the heap reference
+# engine with the production wheel pin each engine in their config.
+cargo test --workspace -q
 
 echo "==> cargo test --release (benchmark package)"
 # The benchmark is a package of its own (benchmark/Cargo.toml). Its
@@ -33,6 +27,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> cargo doc --workspace --no-deps (warnings are errors)"
+# Broken, ambiguous or private intra-doc links fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> smoke fault-injection campaign (7 scenarios, fixed seed)"
 # Fails on any monitored-mode oracle violation, or if the unmonitored
@@ -70,81 +68,42 @@ cargo run --release -q -p rthv-experiments --bin campaign \
 cmp target/CAMPAIGN_smoke.json target/CAMPAIGN_smoke_resumed.json \
     || { echo "resumed report differs from uninterrupted run"; exit 1; }
 
-echo "==> cross-engine smoke campaign (heap vs wheel, byte-identical reports)"
-# The same smoke campaign pinned to each engine. The campaign report is a
-# pure function of the simulated trajectory, so a single differing byte
-# means the engines diverged — the CI form of the state-hash oracle.
-RTHV_ENGINE=heap cargo run --release -q -p rthv-experiments --bin campaign \
-    target/CAMPAIGN_smoke_heap.json 7 16392212
-RTHV_ENGINE=wheel cargo run --release -q -p rthv-experiments --bin campaign \
-    target/CAMPAIGN_smoke_wheel.json 7 16392212
-cmp target/CAMPAIGN_smoke_heap.json target/CAMPAIGN_smoke_wheel.json \
-    || { echo "cross-engine divergence: heap and wheel campaign reports differ"; exit 1; }
-cmp target/CAMPAIGN_smoke.json target/CAMPAIGN_smoke_heap.json \
-    || { echo "default-engine (wheel) report differs from pinned heap reference report"; exit 1; }
-
-echo "==> default-engine smoke (the default is the wheel: pinned-wheel metrics match)"
-# The metrics snapshot carries the engine gauges. The heap reports zero
-# cascades, fast-forward jumps and occupied buckets, so if the default
-# ever fell back to the heap, this pinned-wheel snapshot would differ from
-# the default run's target/OBS_smoke.json.
-RTHV_ENGINE=wheel cargo run --release -q -p rthv-experiments --bin campaign \
-    target/CAMPAIGN_smoke_wheel_metrics.json 7 16392212 \
-    --metrics target/OBS_smoke_wheel.json
-cmp target/OBS_smoke.json target/OBS_smoke_wheel.json \
-    || { echo "default engine is not the wheel: its metrics differ from RTHV_ENGINE=wheel"; exit 1; }
-
-echo "==> smoke admission-fleet storm (both engines, byte-identical reports)"
+echo "==> smoke admission-fleet storm"
 # The sharded δ⁻ admission fleet under seeded crash/stall storms: exits
 # non-zero on any failover-arm Eq. 13-16 bound violation, a fresh-state
 # baseline that fails to break the bound, or a flood shed rate over the
-# stated budget. The report is a pure function of (config, seed), so the
-# heap and wheel runs must agree byte for byte.
-RTHV_ENGINE=heap cargo run --release -q -p rthv-experiments --bin admit_storm \
-    target/STORM_smoke_heap.json 5 16392212 --smoke
-RTHV_ENGINE=wheel cargo run --release -q -p rthv-experiments --bin admit_storm \
-    target/STORM_smoke_wheel.json 5 16392212 --smoke
-cmp target/STORM_smoke_heap.json target/STORM_smoke_wheel.json \
-    || { echo "cross-engine divergence: heap and wheel storm reports differ"; exit 1; }
-grep -q '"failover_violations":0' target/STORM_smoke_heap.json \
+# stated budget.
+cargo run --release -q -p rthv-experiments --bin admit_storm \
+    target/STORM_smoke.json 5 16392212 --smoke
+grep -q '"failover_violations":0' target/STORM_smoke.json \
     || { echo "admission-fleet failover arm tripped the independence oracle"; exit 1; }
 
-echo "==> smoke tenant-isolation storm (both engines, byte-identical reports)"
+echo "==> smoke tenant-isolation storm"
 # The two-level tenant hierarchy under correlated-failure storms: exits
 # non-zero unless the hierarchy keeps the victim tenant's admitted stream
 # byte-identical under aggressor floods plus crashes, the flat ablation
 # demonstrably does not, and the per-tenant oracle reports zero group- and
-# global-budget violations. Pure in (config, seed): heap and wheel must
-# agree byte for byte.
-RTHV_ENGINE=heap cargo run --release -q -p rthv-experiments --bin admit_storm \
-    target/STORM_tenants_heap.json 3 16392212 --smoke --tenants
-RTHV_ENGINE=wheel cargo run --release -q -p rthv-experiments --bin admit_storm \
-    target/STORM_tenants_wheel.json 3 16392212 --smoke --tenants
-cmp target/STORM_tenants_heap.json target/STORM_tenants_wheel.json \
-    || { echo "cross-engine divergence: heap and wheel tenant reports differ"; exit 1; }
-grep -q '"tenant_isolated":true' target/STORM_tenants_heap.json \
+# global-budget violations.
+cargo run --release -q -p rthv-experiments --bin admit_storm \
+    target/STORM_tenants.json 3 16392212 --smoke --tenants
+grep -q '"tenant_isolated":true' target/STORM_tenants.json \
     || { echo "tenant hierarchy failed to isolate the victim tenant"; exit 1; }
-grep -q '"flat_ablation_broken":true' target/STORM_tenants_heap.json \
+grep -q '"flat_ablation_broken":true' target/STORM_tenants.json \
     || { echo "flat ablation failed to demonstrate cross-tenant interference"; exit 1; }
 
-echo "==> smoke multi-core platform storm (both engines, byte-identical reports)"
+echo "==> smoke multi-core platform storm"
 # The multi-core platform campaign: core counts {1,2,4} x two placement
 # arms under seeded core-crash/route-stall storms. Exits non-zero on any
 # monitored per-victim-core oracle violation, a victim stream that moves
 # across core counts on a crash-free scenario, or a failover-disabled
-# ablation that fails to break independence. Pure in (config, seed): the
-# heap and wheel runs must agree byte for byte.
-RTHV_ENGINE=heap cargo run --release -q -p rthv-experiments --bin smp_storm \
-    target/STORM_smp_heap.json 5 16392212 --smoke
-RTHV_ENGINE=wheel cargo run --release -q -p rthv-experiments --bin smp_storm \
-    target/STORM_smp_wheel.json 5 16392212 --smoke
-cmp target/STORM_smp_heap.json target/STORM_smp_wheel.json \
-    || { echo "cross-engine divergence: heap and wheel smp reports differ"; exit 1; }
-grep -q '"monitored_clean":true' target/STORM_smp_heap.json \
+# ablation that fails to break independence.
+cargo run --release -q -p rthv-experiments --bin smp_storm \
+    target/STORM_smp.json 5 16392212 --smoke
+grep -q '"monitored_clean":true' target/STORM_smp.json \
     || { echo "budgeted failover arm tripped the per-core independence oracle"; exit 1; }
-grep -q '"identity_held":true' target/STORM_smp_heap.json \
+grep -q '"identity_held":true' target/STORM_smp.json \
     || { echo "victim stream moved across core counts on a crash-free scenario"; exit 1; }
-grep -q '"ablation_broken":true' target/STORM_smp_heap.json \
+grep -q '"ablation_broken":true' target/STORM_smp.json \
     || { echo "failover-disabled ablation failed to demonstrate an independence violation"; exit 1; }
 
 echo "==> smoke supervised campaign (nominal + 7 fault families, fixed seed)"
@@ -155,15 +114,10 @@ echo "==> smoke supervised campaign (nominal + 7 fault families, fixed seed)"
 cargo run --release -q -p rthv-experiments --bin supervised \
     target/CAMPAIGN_supervised_smoke.json 16392212
 
-echo "==> paper experiments (every figure and table, both engines, byte-identical)"
+echo "==> paper experiments (every figure and table)"
 # `all` runs every experiment behind the paper's figures and tables at full
-# scale and prints one summary. Its seeds are fixed, so the default-engine
-# and heap runs must agree byte for byte.
-cargo run --release -q -p rthv-experiments --bin all > target/ALL_default.txt
-RTHV_ENGINE=heap cargo run --release -q -p rthv-experiments --bin all \
-    > target/ALL_heap.txt
-cmp target/ALL_default.txt target/ALL_heap.txt \
-    || { echo "cross-engine divergence: heap and default paper experiments differ"; exit 1; }
+# scale and prints one summary; a panicking experiment fails the gate.
+cargo run --release -q -p rthv-experiments --bin all > target/ALL.txt
 
 echo "==> bench_export (timing probes and their identity asserts)"
 # The exporter panics if the parallel Fig. 6c pass differs from the
