@@ -7,24 +7,25 @@
 //! [--csv] [--threads N]`
 //!
 //! `--threads N` fans the sweep points over N worker threads (default: one
-//! per core). The output is bit-identical for every thread count — each
-//! point owns its seed and rows are emitted in point order.
+//! per core; 0 means one). The output is bit-identical for every thread
+//! count — each point owns its seed and rows are emitted in point order.
+//! A malformed command line exits with status 2 and the usage line.
+
+use std::process::ExitCode;
 
 use rthv_experiments::sweep::{compute_rows, render_csv, render_table, SweepConfig};
 use rthv_experiments::SweepRunner;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let csv = args.iter().any(|a| a == "--csv");
-    let runner = match args.iter().position(|a| a == "--threads") {
-        Some(i) => SweepRunner::new(
-            args.get(i + 1)
-                .and_then(|n| n.parse().ok())
-                .expect("--threads takes a positive integer"),
-        ),
-        None => SweepRunner::available(),
-    };
+const USAGE: &str = "usage: sweep [--csv] [--threads N]";
 
+fn main() -> ExitCode {
+    let (csv, runner) = match parse(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(message) => {
+            eprintln!("sweep: {message}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let config = SweepConfig::default();
     let rows = compute_rows(&config, &runner);
     if csv {
@@ -32,4 +33,25 @@ fn main() {
     } else {
         print!("{}", render_table(&rows, config.irqs));
     }
+    ExitCode::SUCCESS
+}
+
+/// Parses `[--csv] [--threads N]`: whether to print CSV, and the runner.
+fn parse(mut args: impl Iterator<Item = String>) -> Result<(bool, SweepRunner), String> {
+    let mut csv = false;
+    let mut runner = SweepRunner::available();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--csv" => csv = true,
+            "--threads" => {
+                let value = args.next().ok_or("--threads needs a thread count")?;
+                let threads = value
+                    .parse()
+                    .map_err(|_| format!("--threads takes a thread count, not {value:?}"))?;
+                runner = SweepRunner::new(threads);
+            }
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok((csv, runner))
 }

@@ -21,11 +21,10 @@
 //!   pure observation: the report is unchanged, and where the observation
 //!   reproduces a record the driver asserts it equals the report's.
 //!
-//! Scenarios fan across host cores with [`SweepRunner`]. When more than
-//! one thread ran or anything was resumed, a campaign of at most eight
-//! scenarios is re-executed sequentially and the report must match byte
-//! for byte — a determinism self-check that also cross-checks every
-//! resumed record.
+//! Scenarios fan across host cores with [`SweepRunner`]. Every scenario
+//! is pure in `(config, seed)`, so the report does not depend on the
+//! thread count; the tier-1 suite holds each campaign kind's report on two
+//! threads to the sequential one.
 //!
 //! Exit codes: 0 the verdict passes; 1 the verdict fails, or the run is
 //! refused before any scenario starts (invalid campaign config,
@@ -348,14 +347,6 @@ fn sweep<C: Campaign>(
     let report = campaign.assemble(&records);
 
     let resumed_count = resumed.iter().flatten().count();
-    if (runner.threads() > 1 || resumed_count > 0) && scenarios.len() <= 8 {
-        let reference = SweepRunner::sequential().run(scenarios, |_, s| campaign.run(s));
-        assert_eq!(
-            campaign.assemble(&reference),
-            report,
-            "parallel/resumed {name} report diverged from sequential re-execution"
-        );
-    }
 
     let path = args.path.as_deref().unwrap_or(C::REPORT);
     std::fs::write(path, &report).map_err(|e| format!("cannot write {path}: {e}"))?;

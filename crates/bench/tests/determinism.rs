@@ -1,10 +1,16 @@
 //! Determinism guarantees of the parallel sweep engine: any thread count
-//! must produce byte-identical output to the sequential reference, and the
-//! per-load Figure-6 fan-out must merge into exactly the sequential run.
+//! must produce byte-identical output to the sequential reference, the
+//! per-load Figure-6 fan-out must merge into exactly the sequential run,
+//! and every campaign report must be the same on one thread and on two.
 
 use rthv::scenarios::{merge_fig6_loads, run_fig6, run_fig6_load, Fig6Config, Fig6Variant};
+use rthv_admit::{
+    assemble_report, assemble_tenant_report, run_storm_scenario, run_tenant_scenario,
+    storm_scenarios, tenant_scenarios, StormConfig, TenantStormConfig,
+};
 use rthv_experiments::sweep::{compute_rows, render_csv, render_table, SweepConfig};
 use rthv_experiments::SweepRunner;
+use rthv_faults::{assemble_smp_report, run_smp_scenario, smp_scenarios, SmpConfig};
 
 /// A scaled-down sweep so the test stays fast; the determinism argument is
 /// independent of the point count and IRQ volume.
@@ -74,4 +80,68 @@ fn parallel_fig6_loads_merge_into_the_sequential_run() {
             assert_eq!(s.context_switches, p.context_switches);
         }
     }
+}
+
+/// Assembles one campaign's report from its scenarios run sequentially and
+/// on two worker threads. The campaign binaries fan scenarios over the
+/// host's cores; these tests hold each campaign kind's report to the
+/// sequential one (`campaign` and `supervised` are held by
+/// `campaign_report_is_byte_identical_across_threads_and_repetition` and
+/// `supervised_report_is_byte_identical_across_threads_and_repetition`).
+fn sequential_and_parallel<S: Sync, R: Send>(
+    scenarios: &[S],
+    run: impl Fn(&S) -> R + Sync,
+    assemble: impl Fn(&[R]) -> String,
+) -> (String, String) {
+    let sequential = SweepRunner::sequential().run(scenarios, |_, s| run(s));
+    let parallel = SweepRunner::new(2).run(scenarios, |_, s| run(s));
+    (assemble(&sequential), assemble(&parallel))
+}
+
+#[test]
+fn admit_storm_report_is_identical_across_thread_counts() {
+    let config = StormConfig::smoke("wheel");
+    let scenarios = storm_scenarios(5, 16_392_212, config.horizon);
+    let (sequential, parallel) = sequential_and_parallel(
+        &scenarios,
+        |s| {
+            run_storm_scenario(&config, s, None)
+                .expect("smoke config is valid")
+                .record()
+        },
+        |records| assemble_report(&config, 16_392_212, records),
+    );
+    assert_eq!(sequential, parallel);
+}
+
+#[test]
+fn tenant_storm_report_is_identical_across_thread_counts() {
+    let config = TenantStormConfig::smoke("wheel");
+    let scenarios = tenant_scenarios(3, 16_392_212, config.horizon);
+    let (sequential, parallel) = sequential_and_parallel(
+        &scenarios,
+        |s| {
+            run_tenant_scenario(&config, s, None)
+                .expect("smoke config is valid")
+                .record()
+        },
+        |records| assemble_tenant_report(&config, 16_392_212, records),
+    );
+    assert_eq!(sequential, parallel);
+}
+
+#[test]
+fn smp_storm_report_is_identical_across_thread_counts() {
+    let config = SmpConfig::smoke();
+    let scenarios = smp_scenarios(5, 16_392_212, config.horizon);
+    let (sequential, parallel) = sequential_and_parallel(
+        &scenarios,
+        |s| {
+            run_smp_scenario(&config, s, None)
+                .expect("smoke config is valid")
+                .record()
+        },
+        |records| assemble_smp_report(&config, 16_392_212, records),
+    );
+    assert_eq!(sequential, parallel);
 }

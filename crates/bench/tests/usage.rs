@@ -1,5 +1,5 @@
-//! Process-level usage errors: every campaign binary and `bench_export`
-//! rejects a malformed command line with exit status 2 before any
+//! Process-level usage errors: every campaign binary, `bench_export` and
+//! `sweep` rejects a malformed command line with exit status 2 before any
 //! scenario runs, and writes no report.
 
 use std::path::PathBuf;
@@ -93,4 +93,23 @@ fn bench_export_takes_only_a_path_and_metrics() {
         &["--metrics"],
     ];
     rejects(env!("CARGO_BIN_EXE_bench_export"), "bench_export", bad);
+}
+
+#[test]
+fn sweep_rejects_malformed_arguments() {
+    let bad: &[&[&str]] = &[
+        &["--threads", "abc"],
+        &["--threads"],
+        &["--csv", "--bogus-flag"],
+    ];
+    for args in bad {
+        let output = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(*args)
+            .output()
+            .expect("run binary");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "sweep {args:?}: {stderr}");
+        assert!(stderr.contains("usage: sweep"), "{stderr}");
+        assert!(output.stdout.is_empty(), "sweep {args:?} printed a table");
+    }
 }

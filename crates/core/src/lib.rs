@@ -69,15 +69,14 @@ pub use paper::PaperSetup;
 // The platform types most users need, at the crate root.
 pub use rthv_hypervisor::{
     render_timeline, AdmissionClock, AdmissionRecord, BoundaryPolicy, ConfigError, CoreCounters,
-    CoreFault, CostModel, Counters, EngineChoice, EngineKind, EngineStats, FailoverPolicy,
-    FallbackRoute, HandlingClass, HealthSignal, HealthState, HealthTracker, HealthTransition,
-    HypervisorConfig, IrqCompletion, IrqFlagSemantics, IrqHandlingMode, IrqSourceId, IrqSourceSpec,
-    Machine, MachineError, MachineSnapshot, MultiMachine, MultiRunReport, MultiSnapshot,
-    OverflowPolicy, PartitionId, PartitionService, PartitionSpec, Platform, PlatformError,
-    PlatformScheduleError, PlatformSource, PolicyOptions, RerouteBudget, RunReport,
-    ScheduleIrqError, ServiceInterval, ServiceKind, ShedReason, ShedRecord, SlotSpec, Span,
-    SupervisionEvent, SupervisionEventKind, SupervisionPolicy, SupervisionReport, Supervisor,
-    TdmaSchedule, TraceRecorder, TransitionCause,
+    CoreFault, CostModel, Counters, EngineChoice, EngineKind, FailoverPolicy, FallbackRoute,
+    HandlingClass, HealthSignal, HealthState, HealthTracker, HealthTransition, HypervisorConfig,
+    IrqCompletion, IrqFlagSemantics, IrqHandlingMode, IrqSourceId, IrqSourceSpec, Machine,
+    MachineError, MachineSnapshot, MultiMachine, MultiRunReport, MultiSnapshot, OverflowPolicy,
+    PartitionId, PartitionService, PartitionSpec, Platform, PlatformError, PlatformScheduleError,
+    PlatformSource, PolicyOptions, RerouteBudget, RunReport, ScheduleIrqError, ServiceInterval,
+    ServiceKind, ShedReason, ShedRecord, SlotSpec, Span, SupervisionEvent, SupervisionEventKind,
+    SupervisionPolicy, SupervisionReport, Supervisor, TdmaSchedule, TraceRecorder, TransitionCause,
 };
 
 /// Virtual-time primitives ([`rthv_time`]).
@@ -125,8 +124,8 @@ pub mod workload {
 /// histograms, and bound-headroom gauges ([`rthv_obs`]).
 pub mod obs {
     pub use rthv_obs::{
-        EngineObs, FlightRecorder, HeadroomGauge, MetricsHub, ObsConfig, ObsCounters, ObsEvent,
-        ObsEventKind, SourceObs,
+        FlightRecorder, HeadroomGauge, MetricsHub, ObsConfig, ObsCounters, ObsEvent, ObsEventKind,
+        SourceObs,
     };
 }
 

@@ -14,7 +14,7 @@ use rthv_hypervisor::{EngineChoice, HandlingClass, IrqHandlingMode, IrqSourceId,
 use rthv_monitor::DeltaFunction;
 use rthv_stats::LatencyHistogram;
 use rthv_time::{Duration, Instant};
-use rthv_workload::ExponentialArrivals;
+use rthv_workload::{ArrivalTrace, ExponentialArrivals};
 
 use crate::PaperSetup;
 
@@ -57,8 +57,9 @@ pub struct Fig6Config {
     pub range: Duration,
     /// Base RNG seed; each load perturbs it.
     pub seed: u64,
-    /// Event engine backing every load's machine. Perf-only: the run's
-    /// outputs are engine-invariant.
+    /// Copied into every load's
+    /// [`PolicyOptions::engine`](rthv_hypervisor::PolicyOptions), which
+    /// selects nothing for a machine: the outputs never depend on it.
     pub engine: EngineChoice,
 }
 
@@ -159,8 +160,21 @@ pub struct Fig6LoadOutcome {
 /// would indicate overload and a mis-parameterized experiment).
 #[must_use]
 pub fn run_fig6_load(config: &Fig6Config, variant: Fig6Variant, index: usize) -> Fig6LoadOutcome {
-    let load = config.loads[index];
-    let lambda = config.setup.mean_interarrival(load);
+    let (mut machine, trace) = load_machine(config, variant, index);
+    machine
+        .schedule_irq_trace(IrqSourceId::new(0), trace.as_slice())
+        .expect("trace lies in the future");
+    complete_load(config, index, machine, trace.as_slice())
+}
+
+/// The machine of one load level, with nothing scheduled yet, and the
+/// load's arrival trace.
+fn load_machine(
+    config: &Fig6Config,
+    variant: Fig6Variant,
+    index: usize,
+) -> (Machine, ArrivalTrace) {
+    let lambda = config.setup.mean_interarrival(config.loads[index]);
     let seed = config
         .seed
         .wrapping_add(index as u64)
@@ -180,11 +194,21 @@ pub fn run_fig6_load(config: &Fig6Config, variant: Fig6Variant, index: usize) ->
     };
     let mut hv = config.setup.config(mode, monitor);
     hv.policies.engine = config.engine;
-    let mut machine = Machine::new(hv).expect("paper setup is a valid configuration");
-    machine
-        .schedule_irq_trace(IrqSourceId::new(0), trace.as_slice())
-        .expect("trace lies in the future");
-    let last = *trace.as_slice().last().expect("non-empty trace");
+    let machine = Machine::new(hv).expect("paper setup is a valid configuration");
+    (machine, trace)
+}
+
+/// Runs a load level's machine, with `trace` scheduled, until every IRQ
+/// completes, and folds its report into the load's outcome.
+fn complete_load(
+    config: &Fig6Config,
+    index: usize,
+    mut machine: Machine,
+    trace: &[Instant],
+) -> Fig6LoadOutcome {
+    let load = config.loads[index];
+    let lambda = config.setup.mean_interarrival(load);
+    let last = *trace.last().expect("non-empty trace");
     let deadline = last + config.setup.tdma_cycle() * 100;
     assert!(
         machine.run_until_complete(deadline),
@@ -393,26 +417,93 @@ mod tests {
     }
 
     #[test]
-    fn every_variant_is_engine_invariant() {
-        let on = |engine| Fig6Config { engine, ..small() };
+    fn every_variant_is_injection_order_invariant() {
+        // In time order the trace forms one arrival stream; in reverse, all
+        // but its last arrival wait in the side heap. Only the per-source
+        // sequence numbers differ, and no figure reads them.
+        let config = small();
         for variant in [
             Fig6Variant::Unmonitored,
             Fig6Variant::Monitored,
             Fig6Variant::MonitoredNoViolations,
         ] {
-            let heap = run_fig6(&on(EngineChoice::Heap), variant);
-            let wheel = run_fig6(&on(EngineChoice::Wheel), variant);
-            let label = variant.label();
-            assert_eq!(heap.class_counts, wheel.class_counts, "{label}");
-            assert_eq!(heap.mean_latency, wheel.mean_latency, "{label}");
-            assert_eq!(heap.max_latency, wheel.max_latency, "{label}");
-            assert_eq!(heap.histogram, wheel.histogram, "{label}: histogram bins");
-            for (h, w) in heap.per_load.iter().zip(&wheel.per_load) {
+            for index in 0..config.loads.len() {
+                let forward = run_fig6_load(&config, variant, index);
+                let (mut machine, trace) = load_machine(&config, variant, index);
+                for &at in trace.as_slice().iter().rev() {
+                    machine
+                        .schedule_irq(IrqSourceId::new(0), at)
+                        .expect("trace lies in the future");
+                }
+                let reversed = complete_load(&config, index, machine, trace.as_slice());
+                let figures = |o: &Fig6LoadOutcome| {
+                    (
+                        o.events_processed,
+                        o.run.context_switches,
+                        o.run.slot_switches,
+                        o.run.class_counts,
+                        o.run.max_latency,
+                        o.total_latency_nanos,
+                    )
+                };
+                let label = variant.label();
+                assert_eq!(figures(&reversed), figures(&forward), "{label} {index}");
+                assert_eq!(reversed.histogram, forward.histogram, "{label} {index}");
+            }
+        }
+    }
+
+    /// Every load of every variant at full scale, as the `fig6` binary
+    /// runs it: events processed, context switches, slot switches, the
+    /// (direct, interposed, delayed) class counts and the summed latency
+    /// in ns. A change to the step loop that moves any of them changes
+    /// the published figure.
+    #[test]
+    fn full_scale_counters_are_pinned() {
+        type Row = (u64, u64, u64, (usize, usize, usize), u128);
+        let expected: [(Fig6Variant, [Row; 3]); 3] = [
+            (
+                Fig6Variant::Unmonitored,
+                [
+                    (43_796, 14_398, 14_398, (2_123, 0, 2_877), 12_028_024_317),
+                    (20_810, 2_905, 2_905, (2_120, 0, 2_880), 11_922_162_134),
+                    (17_924, 1_462, 1_462, (2_129, 0, 2_871), 12_139_984_017),
+                ],
+            ),
+            (
+                Fig6Variant::Monitored,
+                [
+                    (47_538, 18_126, 14_398, (2_122, 1_850, 1_028), 4_545_534_399),
+                    (23_981, 6_039, 2_905, (2_104, 1_530, 1_366), 5_382_578_311),
+                    (21_003, 4_475, 1_461, (2_115, 1_439, 1_446), 5_862_057_970),
+                ],
+            ),
+            (
+                Fig6Variant::MonitoredNoViolations,
+                [
+                    (60_020, 25_375, 19_645, (2_135, 2_865, 0), 399_383_072),
+                    (28_607, 9_654, 3_954, (2_140, 2_850, 10), 398_540_336),
+                    (24_714, 7_733, 1_981, (2_113, 2_876, 11), 407_991_558),
+                ],
+            ),
+        ];
+        let config = Fig6Config::default();
+        for (variant, rows) in expected {
+            for (index, row) in rows.into_iter().enumerate() {
+                let outcome = run_fig6_load(&config, variant, index);
+                let actual = (
+                    outcome.events_processed,
+                    outcome.run.context_switches,
+                    outcome.run.slot_switches,
+                    outcome.run.class_counts,
+                    outcome.total_latency_nanos,
+                );
                 assert_eq!(
-                    (h.class_counts, h.mean_latency, h.max_latency),
-                    (w.class_counts, w.mean_latency, w.max_latency),
-                    "{label} at load {}",
-                    h.load
+                    actual,
+                    row,
+                    "{} at load {}",
+                    variant.label(),
+                    config.loads[index]
                 );
             }
         }

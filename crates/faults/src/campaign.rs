@@ -47,11 +47,9 @@ pub struct CampaignConfig {
     pub queue_capacity: Option<usize>,
     /// What a full bounded queue does with the excess.
     pub overflow: OverflowPolicy,
-    /// Event engine backing every campaign machine. [`EngineChoice::Auto`]
-    /// is the production wheel; pin [`EngineChoice::Heap`] /
-    /// [`EngineChoice::Wheel`] for cross-engine differential runs. The
-    /// choice never changes any outcome — that invariant *is* the
-    /// cross-engine oracle.
+    /// Copied into every campaign machine's
+    /// [`PolicyOptions::engine`](rthv::PolicyOptions), which selects
+    /// nothing for a machine: it never changes any outcome.
     pub engine: EngineChoice,
     /// The scenarios to run.
     pub scenarios: Vec<FaultScenario>,

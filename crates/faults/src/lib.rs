@@ -79,10 +79,7 @@ pub use oracle::{
     check_admitted_stream, check_global_budget, check_group_budget, check_report,
     check_supervision, OracleConfig, Violation,
 };
-pub use replay::{
-    record_scenario, verify, verify_cross_engine, verify_from, ReplayConfig, ReplayError,
-    ReplayTrace,
-};
+pub use replay::{record_scenario, verify, verify_from, ReplayConfig, ReplayError, ReplayTrace};
 pub use smp::{
     assemble_smp_report, build_platform, core_faults, line_arrivals, run_smp_case,
     run_smp_scenario, smp_report_passes, smp_scenarios, SmpArm, SmpCase, SmpConfig, SmpError,

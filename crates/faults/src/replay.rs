@@ -18,7 +18,7 @@
 //! slot granularity, not merely "the final report differs".
 
 use rthv::time::Instant;
-use rthv::{EngineChoice, Machine, MachineSnapshot, RunReport, SupervisionPolicy, TdmaSchedule};
+use rthv::{Machine, MachineSnapshot, RunReport, SupervisionPolicy, TdmaSchedule};
 
 use crate::campaign::{scenario_machine, CampaignConfig, CampaignConfigError};
 use crate::inject::FaultScenario;
@@ -249,74 +249,6 @@ pub fn verify_from_with(
     mutate(trace.boundaries() + 1, &mut machine);
     machine.run_until(horizon);
     check_report(trace, &machine.finish())
-}
-
-/// Records the scenario under the [`EngineChoice::Heap`] reference engine,
-/// then re-executes it from scratch on the [`EngineChoice::Wheel`] timing
-/// wheel, comparing [`state_hash`](Machine::state_hash) at **every** slot
-/// boundary and the finished report at the horizon. The wheel run
-/// additionally crosses a snapshot/restore cut at every
-/// [`ReplayConfig::checkpoint_every`] boundaries — the continuation machine
-/// is a fresh build restored from the snapshot — so hash identity is also
-/// proven across serialization cuts.
-///
-/// This turns the checkpoint/replay oracle into a cross-engine
-/// differential test: the engines share no stepping code beyond the
-/// [`EngineQueue`](rthv::sim::EngineQueue) interface, so any ordering or
-/// accounting discrepancy between them surfaces as a pinned
-/// [`Violation::ReplayDivergence`].
-///
-/// # Errors
-///
-/// The first diverging boundary (or the horizon, for a report-only
-/// divergence), as [`ReplayError::Divergence`]; [`ReplayError::Config`]
-/// if `replay.checkpoint_every` is zero or the campaign platform
-/// configuration is invalid.
-pub fn verify_cross_engine(
-    config: &CampaignConfig,
-    scenario: &FaultScenario,
-    replay: &ReplayConfig,
-) -> Result<(), ReplayError> {
-    let heap = CampaignConfig {
-        engine: EngineChoice::Heap,
-        ..config.clone()
-    };
-    let wheel = CampaignConfig {
-        engine: EngineChoice::Wheel,
-        ..config.clone()
-    };
-    let trace = record_scenario(&heap, scenario, replay)?;
-
-    let plan = scenario.plan(config.horizon, config.setup.bottom_cost);
-    let mut machine = scenario_machine(&wheel, &plan, replay.monitored, replay.supervision)?;
-    let schedule: TdmaSchedule = machine.schedule().clone();
-    let horizon = Instant::ZERO + config.horizon;
-
-    for k in 1..=trace.boundaries() {
-        machine.run_until(schedule.boundary_time(k));
-        let actual = machine.state_hash();
-        let expected = trace.boundary_hashes[(k - 1) as usize];
-        if actual != expected {
-            return Err(ReplayError::Divergence(Violation::ReplayDivergence {
-                slot: k,
-                expected,
-                actual,
-                seed: trace.seed,
-            }));
-        }
-        if k.is_multiple_of(replay.checkpoint_every) {
-            // Snapshot/restore cut: continue from a freshly built machine
-            // restored from the wheel snapshot, not the original.
-            let snapshot = machine.snapshot();
-            let mut resumed =
-                scenario_machine(&wheel, &plan, replay.monitored, replay.supervision)?;
-            resumed.restore(&snapshot);
-            machine = resumed;
-        }
-    }
-
-    machine.run_until(horizon);
-    check_report(&trace, &machine.finish())
 }
 
 /// Compares a replay's finished report with the recorded one. Equal

@@ -1,19 +1,17 @@
-//! Cross-engine differential properties: the hierarchical timing wheel and
-//! the reference binary heap share nothing beyond the `EngineQueue`
-//! interface,
-//! so these tests are the strongest statement the repo makes about the
-//! wheel — for every fault family, random seed and mode, both engines
-//! produce byte-identical state hashes at every slot boundary, identical
-//! final reports, and survive snapshot/restore cuts, while a storm of
-//! preempted bottom segments leaves no tombstone in either engine.
+//! Arrival-placement differential properties. A machine keeps the arrivals
+//! scheduled in time order in one shared stream, and any arrival scheduled
+//! before the stream's tail in a side heap. These tests schedule the same
+//! plan both ways: in time order, so it forms one stream, or behind a
+//! silent sentinel arrival past the horizon, so every plan arrival waits
+//! in the side heap. For every fault family, random seed and mode, the two
+//! runs must produce byte-identical state hashes at every slot boundary,
+//! across snapshot/restore cuts, and identical final reports.
 
 use proptest::prelude::*;
 
 use rthv::time::{Duration, Instant};
-use rthv::{EngineChoice, EngineKind, ServiceKind, SupervisionPolicy};
-use rthv_faults::{
-    scenario_machine, verify_cross_engine, CampaignConfig, FaultKind, FaultScenario, ReplayConfig,
-};
+use rthv::{HypervisorConfig, IrqSourceId, IrqSourceSpec, Machine, PartitionId, SupervisionPolicy};
+use rthv_faults::{scenario_machine, CampaignConfig, FaultKind, FaultPlan, FaultScenario};
 
 /// All eleven fault families with representative tier-1 geometry.
 fn kind(index: usize) -> FaultKind {
@@ -63,134 +61,146 @@ fn kind(index: usize) -> FaultKind {
     }
 }
 
-fn campaign(engine: EngineChoice) -> CampaignConfig {
+fn campaign() -> CampaignConfig {
     CampaignConfig {
         horizon: Duration::from_millis(150),
-        engine,
         scenarios: Vec::new(),
         ..CampaignConfig::default()
     }
 }
 
+const SENTINEL: IrqSourceId = IrqSourceId::new(1);
+
+/// The campaign machine's configuration for `plan`, plus an unmonitored
+/// second source that carries the sentinel.
+fn placement_config(
+    config: &CampaignConfig,
+    plan: &FaultPlan,
+    monitored: bool,
+    supervision: Option<SupervisionPolicy>,
+) -> HypervisorConfig {
+    let machine = scenario_machine(config, plan, monitored, supervision).expect("valid config");
+    let mut hv = machine.config().clone();
+    hv.sources.push(IrqSourceSpec::new(
+        "sentinel",
+        PartitionId::new(0),
+        config.setup.bottom_cost,
+    ));
+    hv
+}
+
+/// A service-traced machine on `hv` with `plan` and the sentinel's one
+/// arrival, a second past the horizon, scheduled. With `side_heap` the
+/// sentinel goes first, so every plan arrival lands before the stream's
+/// tail; otherwise it goes last and the plan forms one stream. Either way
+/// every plan arrival gets the same per-source sequence number.
+fn placed(hv: &HypervisorConfig, plan: &FaultPlan, horizon: Instant, side_heap: bool) -> Machine {
+    let mut machine = Machine::new(hv.clone()).expect("valid config");
+    machine.enable_service_trace();
+    let sentinel = |machine: &mut Machine| {
+        machine
+            .schedule_irq(SENTINEL, horizon + Duration::from_secs(1))
+            .expect("in the future");
+    };
+    if side_heap {
+        sentinel(&mut machine);
+    }
+    for arrival in &plan.arrivals {
+        machine
+            .schedule_irq_with_work(IrqSourceId::new(0), arrival.at, arrival.work)
+            .expect("plan arrivals lie in the future");
+    }
+    if !side_heap {
+        sentinel(&mut machine);
+    }
+    machine
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(18))]
 
-    /// Lockstep differential: the same plan on both engines, compared by
-    /// `state_hash` at **every** slot boundary and at the horizon, then by
-    /// the full `RunReport` rendering. Any ordering or accounting
-    /// discrepancy between the engines pins the first diverging boundary.
+    /// Lockstep differential: the plan as one stream against the plan in
+    /// the side heap, compared by `state_hash` at **every** slot boundary
+    /// and at the horizon, then by the full `RunReport`. Any ordering or
+    /// accounting difference between the two placements pins the first
+    /// diverging boundary.
     #[test]
-    fn engines_agree_at_every_slot_boundary(
+    fn placements_agree_at_every_slot_boundary(
         kind_index in 0usize..11,
         seed in any::<u64>(),
         monitored in prop::bool::ANY,
         supervised in prop::bool::ANY,
     ) {
-        let heap_config = campaign(EngineChoice::Heap);
-        let wheel_config = campaign(EngineChoice::Wheel);
+        let config = campaign();
         let scenario = FaultScenario { id: 0, kind: kind(kind_index), seed };
-        let plan = scenario.plan(heap_config.horizon, heap_config.setup.bottom_cost);
+        let plan = scenario.plan(config.horizon, config.setup.bottom_cost);
         let supervision = supervised.then(SupervisionPolicy::default);
-        let horizon = Instant::ZERO + heap_config.horizon;
+        let horizon = Instant::ZERO + config.horizon;
+        let hv = placement_config(&config, &plan, monitored, supervision);
 
-        let mut heap =
-            scenario_machine(&heap_config, &plan, monitored, supervision).expect("valid config");
-        let mut wheel =
-            scenario_machine(&wheel_config, &plan, monitored, supervision).expect("valid config");
-        prop_assert_eq!(heap.engine_kind(), EngineKind::Heap);
-        prop_assert_eq!(wheel.engine_kind(), EngineKind::Wheel);
-        prop_assert_eq!(heap.state_hash(), wheel.state_hash(), "initial state");
+        let mut stream = placed(&hv, &plan, horizon, false);
+        let mut side = placed(&hv, &plan, horizon, true);
+        prop_assert_eq!(stream.state_hash(), side.state_hash(), "initial state");
 
-        let schedule = heap.schedule().clone();
+        let schedule = stream.schedule().clone();
         let mut k = 1u64;
         while schedule.boundary_time(k) <= horizon {
             let boundary = schedule.boundary_time(k);
-            heap.run_until(boundary);
-            wheel.run_until(boundary);
+            stream.run_until(boundary);
+            side.run_until(boundary);
             prop_assert_eq!(
-                heap.state_hash(),
-                wheel.state_hash(),
-                "engines diverged at slot boundary {}",
+                stream.state_hash(),
+                side.state_hash(),
+                "placements diverged at slot boundary {}",
                 k
             );
             k += 1;
         }
-        heap.run_until(horizon);
-        wheel.run_until(horizon);
-        prop_assert_eq!(heap.state_hash(), wheel.state_hash(), "horizon state");
-        prop_assert_eq!(heap.finish(), wheel.finish(), "final reports differ");
+        stream.run_until(horizon);
+        side.run_until(horizon);
+        prop_assert_eq!(stream.state_hash(), side.state_hash(), "horizon state");
+        prop_assert_eq!(stream.finish(), side.finish(), "final reports differ");
     }
 
-    /// The checkpoint/replay oracle as a cross-engine differential test:
-    /// record on the heap, re-execute on the wheel crossing a
-    /// snapshot/restore cut at every checkpoint period — clean for every
-    /// fault family.
+    /// The side-heap run crosses a snapshot/restore cut every eighth slot
+    /// boundary, continuing on a fresh stream-placed machine restored from
+    /// the snapshot, and still matches the uncut stream run at every
+    /// boundary and in its final report.
     #[test]
-    fn cross_engine_replay_oracle_is_clean(
+    fn placements_agree_across_snapshot_cuts(
         kind_index in 0usize..11,
         seed in any::<u64>(),
         monitored in prop::bool::ANY,
     ) {
-        let config = campaign(EngineChoice::Auto);
+        let config = campaign();
         let scenario = FaultScenario { id: 0, kind: kind(kind_index), seed };
-        let replay = ReplayConfig { monitored, ..ReplayConfig::default() };
-        prop_assert_eq!(verify_cross_engine(&config, &scenario, &replay), Ok(()));
-    }
-}
-
-/// A non-yielding guest demanding 6 ms of bottom work every 1 ms keeps a
-/// bottom segment running that each new arrival's top handler preempts —
-/// a sustained storm of cut segments. A segment's end is a timer slot on
-/// the machine, so cutting one cancels nothing in the engine: sampled on a
-/// 100 µs grid across the whole run, each engine holds no tombstone and
-/// exactly the plan arrivals still ahead. The engines' own bound on
-/// tombstone debt (at most twice the live population) is pinned in
-/// `rthv-sim` by `compaction_guard_bounds_tombstones_under_cancel_storm`
-/// and `pop_side_guard_drains_overflow_tombstones_after_cancels_stop`.
-#[test]
-fn preemption_storm_leaves_only_future_arrivals_in_the_engine() {
-    for engine in [EngineChoice::Heap, EngineChoice::Wheel] {
-        let config = campaign(engine);
-        let scenario = FaultScenario {
-            id: 0,
-            kind: FaultKind::NonYieldingGuest {
-                work: Duration::from_millis(6),
-                every: Duration::from_millis(1),
-            },
-            seed: 0xCA11,
-        };
         let plan = scenario.plan(config.horizon, config.setup.bottom_cost);
-        let mut machine = scenario_machine(&config, &plan, true, None).expect("valid config");
         let horizon = Instant::ZERO + config.horizon;
+        let hv = placement_config(&config, &plan, monitored, None);
 
-        let mut at = Instant::ZERO;
-        while at < horizon {
-            at += Duration::from_micros(100);
-            machine.run_until(at);
-            let stats = machine.engine_stats();
-            let ahead = plan
-                .arrivals
-                .iter()
-                .filter(|arrival| arrival.at > at)
-                .count();
-            assert_eq!(stats.stale, 0, "{engine:?}: tombstones at {at:?}");
-            assert_eq!(stats.live, ahead, "{engine:?}: live arrivals at {at:?}");
+        let mut stream = placed(&hv, &plan, horizon, false);
+        let mut side = placed(&hv, &plan, horizon, true);
+        let schedule = stream.schedule().clone();
+        let mut k = 1u64;
+        while schedule.boundary_time(k) <= horizon {
+            let boundary = schedule.boundary_time(k);
+            stream.run_until(boundary);
+            side.run_until(boundary);
+            prop_assert_eq!(
+                stream.state_hash(),
+                side.state_hash(),
+                "placements diverged at slot boundary {}",
+                k
+            );
+            if k.is_multiple_of(8) {
+                let snapshot = side.snapshot();
+                side = placed(&hv, &plan, horizon, false);
+                side.restore(&snapshot);
+            }
+            k += 1;
         }
-        // Every bottom service interval ends in a completion, a budget
-        // clip, a cut, or the end of the run: more intervals than the first
-        // three account for means the storm really cut segments.
-        let report = machine.finish();
-        let bottom_intervals = report
-            .service_intervals
-            .iter()
-            .flatten()
-            .flatten()
-            .filter(|interval| interval.kind == ServiceKind::Bottom)
-            .count() as u64;
-        let ended_otherwise = report.recorder.len() as u64 + report.counters.expired_windows + 1;
-        assert!(
-            bottom_intervals > ended_otherwise,
-            "{engine:?}: {bottom_intervals} bottom intervals, {ended_otherwise} ended without a cut — scenario too tame"
-        );
+        stream.run_until(horizon);
+        side.run_until(horizon);
+        prop_assert_eq!(stream.finish(), side.finish(), "final reports differ");
     }
 }

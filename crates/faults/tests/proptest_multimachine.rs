@@ -1,26 +1,30 @@
 //! The degenerate-platform identity: a single-core, zero-routing
 //! [`MultiMachine`] with no platform faults *is* the plain [`Machine`] it
-//! wraps. For every fault family, random seed, monitoring mode,
-//! supervision mode and event engine, both drive the identical arrival
-//! stream and must agree — `state_hash` byte for byte at **every** slot
-//! boundary and at the horizon, and the per-core `RunReport` verbatim.
-//! This is what makes the multi-core campaign's claims transfer: every
-//! single-machine guarantee (snapshot/restore, cross-engine determinism,
-//! replay journals) holds on the platform because N = 1 adds nothing.
+//! wraps. For every fault family, random seed, monitoring mode and
+//! supervision mode, both drive the identical arrival stream and must
+//! agree — `state_hash` byte for byte at **every** slot boundary and at
+//! the horizon, and the per-core `RunReport` verbatim. This is what makes
+//! the multi-core campaign's claims transfer: every single-machine
+//! guarantee (snapshot/restore, arrival-placement invariance, replay
+//! journals) holds on the platform because N = 1 adds nothing.
 //!
 //! The split-invariance properties pin why `MultiMachine::run_until` may
 //! run each live core straight to `min(until, crash_at)`: a `Machine` run
 //! split at any instant ends where the one-shot run ends, and so does a
 //! multi-core campaign case stopped at every slot boundary and crash
-//! instant, with a snapshot/restore cut on the way.
+//! instant, with a snapshot/restore cut on the way. A run stopped at every
+//! slot boundary dispatches every TDMA rotation as events, while a longer
+//! run jumps the idle ones, so these properties also pin the jump against
+//! the event path, with supervision and metrics on and off.
 
 use proptest::prelude::*;
 
 use rthv::monitor::DeltaFunction;
+use rthv::obs::ObsConfig;
 use rthv::time::{Duration, Instant};
 use rthv::{
-    CoreFault, EngineChoice, FailoverPolicy, HypervisorConfig, IrqHandlingMode, IrqSourceId,
-    Machine, MultiMachine, PaperSetup, Platform, PlatformSource, SupervisionPolicy,
+    CoreFault, FailoverPolicy, HypervisorConfig, IrqHandlingMode, IrqSourceId, Machine,
+    MultiMachine, PaperSetup, Platform, PlatformSource, SupervisionPolicy, TdmaSchedule,
 };
 use rthv_faults::{
     build_platform, core_faults, line_arrivals, FaultKind, FaultScenario, SmpArm, SmpConfig,
@@ -28,7 +32,7 @@ use rthv_faults::{
 };
 
 /// All eleven fault families with representative tier-1 geometry (the same
-/// ladder as the cross-engine differential tests).
+/// ladder as the arrival-placement differential tests).
 fn kind(index: usize) -> FaultKind {
     match index {
         0 => FaultKind::IrqStorm {
@@ -84,7 +88,6 @@ const HORIZON: Duration = Duration::from_millis(150);
 fn paired_config(
     monitored: bool,
     supervised: bool,
-    engine: EngineChoice,
     plan_clock: rthv::AdmissionClock,
 ) -> HypervisorConfig {
     let dmin = if monitored {
@@ -96,8 +99,15 @@ fn paired_config(
     let mut hv = PaperSetup::default().config(IrqHandlingMode::Interposed, Some(delta));
     hv.policies.admission_clock = plan_clock;
     hv.policies.supervision = supervised.then(SupervisionPolicy::default);
-    hv.policies.engine = engine;
     hv
+}
+
+/// The observability geometry a machine on `schedule` defaults to.
+fn obs_config(schedule: &TdmaSchedule) -> ObsConfig {
+    ObsConfig {
+        gauge_window: schedule.cycle(),
+        ..ObsConfig::default()
+    }
 }
 
 /// A one-core platform around `hv` with a zero-cost 1×1 routing matrix,
@@ -129,14 +139,12 @@ proptest! {
         seed in any::<u64>(),
         monitored in prop::bool::ANY,
         supervised in prop::bool::ANY,
-        wheel in prop::bool::ANY,
     ) {
-        let engine = if wheel { EngineChoice::Wheel } else { EngineChoice::Heap };
         let scenario = FaultScenario { id: 0, kind: kind(kind_index), seed };
         let plan = scenario.plan(HORIZON, PaperSetup::default().bottom_cost);
         let horizon = Instant::ZERO + HORIZON;
 
-        let hv = paired_config(monitored, supervised, engine, plan.admission_clock);
+        let hv = paired_config(monitored, supervised, plan.admission_clock);
         let mut machine = Machine::new(hv.clone()).expect("paper config is valid");
         let mut multi =
             MultiMachine::new(degenerate_platform(hv), &[]).expect("degenerate platform is valid");
@@ -191,14 +199,12 @@ proptest! {
         kind_index in 0usize..11,
         seed in any::<u64>(),
         cut in 1u64..8,
-        wheel in prop::bool::ANY,
     ) {
-        let engine = if wheel { EngineChoice::Wheel } else { EngineChoice::Heap };
         let scenario = FaultScenario { id: 0, kind: kind(kind_index), seed };
         let plan = scenario.plan(HORIZON, PaperSetup::default().bottom_cost);
         let horizon = Instant::ZERO + HORIZON;
 
-        let hv = paired_config(true, false, engine, plan.admission_clock);
+        let hv = paired_config(true, false, plan.admission_clock);
         let mut machine = Machine::new(hv.clone()).expect("paper config is valid");
         let mut multi =
             MultiMachine::new(degenerate_platform(hv), &[]).expect("degenerate platform is valid");
@@ -231,28 +237,31 @@ proptest! {
     }
 
     /// `Machine::run_until` is split-invariant: for any `a ≤ b`, running
-    /// to `a` and then to `b` ends in the same state and report as running
-    /// straight to `b`.
+    /// to `a` and then to `b` ends in the same state, report and metrics
+    /// snapshot as running straight to `b`, and so does a run stopped at
+    /// every slot boundary on the way, which jumps no idle rotation.
     #[test]
     fn machine_run_until_is_split_invariant(
         kind_index in 0usize..11,
         seed in any::<u64>(),
         monitored in prop::bool::ANY,
         supervised in prop::bool::ANY,
-        wheel in prop::bool::ANY,
+        metrics in prop::bool::ANY,
         first_us in 0u64..=150_000,
         second_us in 0u64..=150_000,
     ) {
-        let engine = if wheel { EngineChoice::Wheel } else { EngineChoice::Heap };
         let scenario = FaultScenario { id: 0, kind: kind(kind_index), seed };
         let plan = scenario.plan(HORIZON, PaperSetup::default().bottom_cost);
         let a = Instant::from_micros(first_us.min(second_us));
         let b = Instant::from_micros(first_us.max(second_us));
 
-        let hv = paired_config(monitored, supervised, engine, plan.admission_clock);
+        let hv = paired_config(monitored, supervised, plan.admission_clock);
         let build = || {
             let mut machine = Machine::new(hv.clone()).expect("paper config is valid");
             machine.enable_service_trace();
+            if metrics {
+                machine.enable_metrics(machine.default_obs_config());
+            }
             for arrival in &plan.arrivals {
                 machine
                     .schedule_irq_with_work(IrqSourceId::new(0), arrival.at, arrival.work)
@@ -265,9 +274,71 @@ proptest! {
         let mut split = build();
         split.run_until(a);
         split.run_until(b);
-        prop_assert_eq!(one.state_hash(), split.state_hash(), "split at {} diverged at {}", a, b);
-        prop_assert_eq!(one.finish(), split.finish(), "final reports differ");
+        let mut stepped = build();
+        let schedule = stepped.schedule().clone();
+        for k in (1u64..).take_while(|&k| schedule.boundary_time(k) <= b) {
+            stepped.run_until(schedule.boundary_time(k));
+        }
+        stepped.run_until(b);
+        let hash = one.state_hash();
+        let snapshot = one.metrics_snapshot_json();
+        let report = one.finish();
+        for (run, label) in [(split, "split"), (stepped, "stepped")] {
+            prop_assert_eq!(run.state_hash(), hash, "{} run diverged by {}", label, b);
+            prop_assert_eq!(&run.metrics_snapshot_json(), &snapshot, "{} metrics differ", label);
+            prop_assert_eq!(&run.finish(), &report, "{} reports differ", label);
+        }
     }
+}
+
+/// A source quarantined by a burst of denials recovers through two edges
+/// that fall due while the machine idles: the silence after the burst is
+/// made of rotations a one-shot run jumps. The jump must stop at each
+/// edge, so that supervision takes it at the instant a run stopped at
+/// every slot boundary does.
+#[test]
+fn recovery_edges_due_inside_an_idle_stretch_are_taken_on_time() {
+    let hv = paired_config(true, true, rthv::AdmissionClock::IrqTimestamp);
+    let build = || {
+        let mut machine = Machine::new(hv.clone()).expect("paper config is valid");
+        for k in 0..60u64 {
+            machine
+                .schedule_irq(IrqSourceId::new(0), Instant::from_micros(1_000 + 250 * k))
+                .expect("in the future");
+        }
+        machine
+    };
+    let horizon = Instant::from_micros(200_000);
+    let mut one = build();
+    one.run_until(horizon);
+    let mut stepped = build();
+    let schedule = stepped.schedule().clone();
+    for k in (1u64..).take_while(|&k| schedule.boundary_time(k) <= horizon) {
+        stepped.run_until(schedule.boundary_time(k));
+    }
+    stepped.run_until(horizon);
+    assert_eq!(one.state_hash(), stepped.state_hash());
+    let (one, stepped) = (one.finish(), stepped.finish());
+    assert_eq!(one, stepped);
+    let recoveries: Vec<_> = one
+        .supervision
+        .as_ref()
+        .expect("supervised")
+        .events
+        .iter()
+        .filter_map(|event| match event.kind {
+            rthv::SupervisionEventKind::Transition(t)
+                if t.cause == rthv::TransitionCause::Conformance =>
+            {
+                Some(t.to)
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        recoveries,
+        [rthv::HealthState::Recovering, rthv::HealthState::Healthy]
+    );
 }
 
 proptest! {
@@ -280,19 +351,21 @@ proptest! {
     /// ends byte-identical to the same case stopped at every slot boundary
     /// and at each crash instant — with a snapshot taken at one stop, the
     /// run continued to the horizon, then rewound and stepped on — and to
-    /// the one-shot run on the other engine, across all fault families ×
-    /// both engines × cores {1, 2, 4} × storm and nominal traffic.
+    /// the one-shot run of the same arrivals scheduled in reverse, across
+    /// all fault families × cores {1, 2, 4} × storm and nominal traffic ×
+    /// supervision and metrics on and off. With metrics on, the three runs
+    /// also write the same snapshot.
     #[test]
     fn split_runs_match_the_one_shot_run(
         kind_index in 0usize..11,
         seed in any::<u64>(),
         cores_pick in 0usize..3,
-        wheel in prop::bool::ANY,
         storm in prop::bool::ANY,
         cut in 0usize..8,
+        supervised in prop::bool::ANY,
+        metrics in prop::bool::ANY,
     ) {
         let cores = [1usize, 2, 4][cores_pick];
-        let engine = if wheel { EngineChoice::Wheel } else { EngineChoice::Heap };
         let config = SmpConfig {
             horizon: Duration::from_millis(60),
             ..SmpConfig::smoke()
@@ -302,40 +375,46 @@ proptest! {
             traffic: if storm { SmpTraffic::Storm } else { SmpTraffic::Nominal },
             fault: FaultScenario { id: 0, kind: kind(kind_index), seed },
         };
-        let on_engine = |engine| {
-            let mut platform = build_platform(&config, SmpArm::RoundRobin, cores, true)
-                .expect("campaign platform is valid");
-            for core in &mut platform.cores {
-                core.policies.engine = engine;
-            }
-            platform
-        };
-        let platform = on_engine(engine);
-        let other_engine = on_engine(if wheel { EngineChoice::Heap } else { EngineChoice::Wheel });
+        let mut platform = build_platform(&config, SmpArm::RoundRobin, cores, true)
+            .expect("campaign platform is valid");
+        for core in &mut platform.cores {
+            core.policies.supervision = supervised.then(SupervisionPolicy::default);
+        }
         let faults = core_faults(&scenario, cores, config.horizon);
-        let lines = platform.sources.len();
-        let build_on = |platform: &Platform| {
-            let mut m = MultiMachine::new(platform.clone(), &faults).expect("valid platform");
-            for line in 0..lines {
-                for at in line_arrivals(&config, &scenario, line) {
-                    m.schedule_irq(line, at).expect("campaign arrivals are in range");
-                }
-            }
-            m
-        };
-        let horizon = Instant::ZERO + config.horizon;
-        let mut one = build_on(&platform);
-        one.run_until(horizon);
-        let mut crossed = build_on(&other_engine);
-        crossed.run_until(horizon);
-        prop_assert_eq!(one.state_hash(), crossed.state_hash(), "engines diverged");
-
-        // Stops: every slot boundary (all cores share the campaign's TDMA
-        // geometry; probe it off core 0) and every crash instant.
+        // All cores share the campaign's TDMA geometry; probe it off core 0.
         let schedule = Machine::new(platform.cores[0].clone())
             .expect("campaign core config is valid")
             .schedule()
             .clone();
+        let arrivals: Vec<(usize, Instant)> = (0..platform.sources.len())
+            .flat_map(|line| {
+                line_arrivals(&config, &scenario, line)
+                    .into_iter()
+                    .map(move |at| (line, at))
+            })
+            .collect();
+        let build = |reversed: bool| {
+            let mut m = MultiMachine::new(platform.clone(), &faults).expect("valid platform");
+            if metrics {
+                m.enable_metrics(obs_config(&schedule));
+            }
+            let mut order = arrivals.clone();
+            if reversed {
+                order.reverse();
+            }
+            for (line, at) in order {
+                m.schedule_irq(line, at).expect("campaign arrivals are in range");
+            }
+            m
+        };
+        let horizon = Instant::ZERO + config.horizon;
+        let mut one = build(false);
+        one.run_until(horizon);
+        let mut reversed = build(true);
+        reversed.run_until(horizon);
+        prop_assert_eq!(one.state_hash(), reversed.state_hash(), "reversed injection diverged");
+
+        // Stops: every slot boundary and every crash instant.
         let mut stops: Vec<Instant> = (1u64..)
             .map(|k| schedule.boundary_time(k))
             .take_while(|&t| t <= horizon)
@@ -348,7 +427,7 @@ proptest! {
         stops.sort_unstable();
         stops.dedup();
 
-        let mut split = build_on(&platform);
+        let mut split = build(false);
         for (index, &stop) in stops.iter().enumerate() {
             split.run_until(stop);
             if index == cut.min(stops.len() - 1) {
@@ -361,8 +440,12 @@ proptest! {
         }
         prop_assert_eq!(one.state_hash(), split.state_hash(), "horizon state");
 
+        let snapshot = one.metrics_snapshot_json();
+        prop_assert_eq!(snapshot.is_some(), metrics);
+        prop_assert_eq!(&split.metrics_snapshot_json(), &snapshot, "split metrics differ");
+        prop_assert_eq!(&reversed.metrics_snapshot_json(), &snapshot, "reversed metrics differ");
         let one = one.finish();
-        for (run, label) in [(split.finish(), "split"), (crossed.finish(), "other-engine")] {
+        for (run, label) in [(split.finish(), "split"), (reversed.finish(), "reversed")] {
             prop_assert!(one.conserved() && run.conserved(), "{} ledger leaked", label);
             prop_assert_eq!(&one.cores, &run.cores, "{} per-core reports differ", label);
             prop_assert_eq!(&one.counters, &run.counters, "{} counters differ", label);

@@ -282,23 +282,19 @@ pub enum OverflowPolicy {
     DropOldest,
 }
 
-/// Which simulation engine holds the machine's pending IRQ arrivals (the
-/// machine's own timers keep fixed slots beside it). Chosen in
-/// configuration only.
-///
-/// Both engines are **observation-equivalent**: identical event streams,
-/// identical [`state_hash`](crate::Machine::state_hash) at every point —
-/// the cross-engine differential suite in `rthv-faults` pins this. The
-/// choice therefore only affects speed, and is deliberately *excluded*
-/// from machine state hashing.
+/// An event engine named in configuration. A [`Machine`](crate::Machine)
+/// selects nothing by it: its pending IRQ arrivals wait in one sorted
+/// stream (plus a side heap for arrivals scheduled out of order) and its
+/// own timers in fixed slots. The choice is kept, outside machine state
+/// hashing, for callers that replay a machine's run through an engine of
+/// their own ([`Machine::engine_kind`](crate::Machine::engine_kind)); the
+/// admission fleet chooses its engine through its own configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum EngineChoice {
-    /// The production engine: the timing wheel, faster than the heap on
-    /// every benchmark workload.
+    /// The production engine: the timing wheel.
     #[default]
     Auto,
-    /// Binary-heap reference engine (`O(log n)`, trivially correct): what
-    /// the cross-engine tests pin to compare the wheel against.
+    /// Binary-heap reference engine (`O(log n)`, trivially correct).
     Heap,
     /// Hierarchical timing wheel (`O(1)` amortised, closed-form
     /// fast-forward; levels sized from the TDMA cycle).
@@ -337,8 +333,8 @@ pub struct PolicyOptions {
     /// hysteresis recovery, degraded-mode budgets). `None` — the default —
     /// disables supervision; the machine then behaves exactly as before.
     pub supervision: Option<SupervisionPolicy>,
-    /// Simulation engine holding the pending IRQ arrivals.
-    /// Performance-only: both engines produce byte-identical runs.
+    /// An event engine the machine selects nothing by; see
+    /// [`EngineChoice`].
     pub engine: EngineChoice,
 }
 

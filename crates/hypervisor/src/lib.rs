@@ -23,6 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod arrivals;
 mod config;
 mod ids;
 mod machine;
@@ -48,7 +49,7 @@ pub use record::{
     AdmissionRecord, Counters, HandlingClass, IrqCompletion, PartitionService, ServiceInterval,
     ServiceKind, Span, TraceRecorder,
 };
-pub use rthv_sim::{EngineKind, EngineStats};
+pub use rthv_sim::EngineKind;
 pub use schedule::TdmaSchedule;
 pub use supervise::{
     HealthSignal, HealthState, HealthTracker, HealthTransition, SupervisionEvent,

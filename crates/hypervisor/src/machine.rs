@@ -29,9 +29,10 @@ use std::mem;
 
 use rthv_monitor::{Admission, MonitorStats, Shaper, ShaperConfig};
 use rthv_obs::{MetricsHub, ObsConfig, SourceObs};
-use rthv_sim::{ElementHash, EngineKind, EngineQueue, EngineStats, Fnv1a, SetDigest};
+use rthv_sim::{EngineKind, Fnv1a};
 use rthv_time::{Duration, Instant};
 
+use crate::arrivals::{Arrival, PendingArrivals};
 use crate::{
     AdmissionClock, AdmissionRecord, BoundaryPolicy, ConfigError, Counters, HandlingClass,
     HealthSignal, HealthState, HypervisorConfig, IrqCompletion, IrqHandlingMode, IrqSourceId,
@@ -39,10 +40,9 @@ use crate::{
     SupervisionReport, Supervisor, TdmaSchedule, TraceRecorder,
 };
 
-/// Events driving the machine. Only [`Event::Arrival`]s wait in the event
-/// engine; the other three come from the machine's [timer slots](TimerSlot).
-/// Keeping one enum for both keeps the queued payload at 24 bytes: its tag
-/// is the niche that lets a wheel node hold an `Option<Event>` in 48.
+/// Events driving the machine. [`Event::Arrival`]s come from the pending
+/// [arrivals](PendingArrivals); the other three come from the machine's
+/// [timer slots](TimerSlot).
 #[derive(Debug, Clone)]
 enum Event {
     /// A hardware IRQ fires.
@@ -65,10 +65,8 @@ enum Event {
     Boundary { index: u64 },
 }
 
-const _: () = assert!(std::mem::size_of::<Option<Event>>() == 24);
-
 /// The machine's own timers. At most one of each is ever pending, so each
-/// has a fixed slot on [`Machine`] instead of a place in the event engine.
+/// has a fixed slot on [`Machine`] instead of a place in a queue.
 #[derive(Debug, Clone, Copy)]
 enum TimerSlot {
     /// The running hypervisor block ends ([`Event::HvEnd`]).
@@ -86,9 +84,9 @@ impl TimerSlot {
 /// An armed timer.
 ///
 /// Arrivals and timers fire in one order: by instant, then by when they
-/// were scheduled. The engine orders arrivals among themselves by its
-/// sequence numbers, `order` orders the timers, and `arrivals` places each
-/// timer among the arrivals.
+/// were scheduled. An arrival's own `order` orders the arrivals among
+/// themselves, the timer's `order` orders the timers, and `arrivals`
+/// places each timer among the arrivals.
 #[derive(Debug, Clone, Copy)]
 struct Timer {
     at: Instant,
@@ -96,8 +94,7 @@ struct Timer {
     /// fires first.
     order: u64,
     /// Arrivals scheduled before this timer was armed. An arrival due at
-    /// the same instant fires first iff its engine sequence number is below
-    /// this count.
+    /// the same instant fires first iff its `order` is below this count.
     arrivals: u64,
 }
 
@@ -290,10 +287,11 @@ pub struct Machine {
     schedule: TdmaSchedule,
     /// Current virtual time: the instant of the last processed event.
     now: Instant,
-    /// Pending IRQ arrivals, the only events the engine holds.
-    arrivals: EngineQueue<Event>,
-    /// Arrivals scheduled since construction or the last reset: the
-    /// engine's next sequence number.
+    /// Pending IRQ arrivals: a stream shared with snapshots plus a side
+    /// heap.
+    arrivals: PendingArrivals,
+    /// Arrivals scheduled since construction or the last reset: the next
+    /// arrival's `order`.
     arrivals_scheduled: u64,
     /// The machine's own timers, indexed by [`TimerSlot`].
     timers: [Option<Timer>; 3],
@@ -376,19 +374,12 @@ impl Machine {
             }
             supervisor
         });
-        // The engine holds the pending arrivals. Its kind is a performance
-        // choice only: both kinds produce byte-identical runs (pinned by the
-        // cross-engine differential suite), so the selection is config, not
-        // hashed state. The wheel's level geometry is sized from the TDMA
-        // cycle so a full hypervisor cycle fits in its level-1 rotation.
-        let Ok(engine) = config.policies.engine.try_resolve();
-        let arrivals = EngineQueue::new(engine, schedule.cycle());
         let partition_count = config.partitions.len();
         let source_count = config.sources.len();
         let mut machine = Machine {
             schedule,
             now: Instant::ZERO,
-            arrivals,
+            arrivals: PendingArrivals::default(),
             arrivals_scheduled: 0,
             timers: [None; 3],
             timers_armed: 0,
@@ -659,15 +650,13 @@ impl Machine {
         if at < self.now {
             return Err(ScheduleIrqError::InPast { at, now: self.now });
         }
-        let seq = self.next_seq[source.index()];
-        // The engine's clock is the last arrival popped, never ahead of the
-        // machine's, so it accepts every arrival the machine does.
-        self.arrivals
-            .schedule_at(at, Event::Arrival { source, seq, work })
-            .map_err(|e| ScheduleIrqError::InPast {
-                at: e.at,
-                now: self.now,
-            })?;
+        self.arrivals.push(Arrival {
+            at,
+            order: self.arrivals_scheduled,
+            source,
+            seq: self.next_seq[source.index()],
+            work,
+        });
         self.arrivals_scheduled += 1;
         self.next_seq[source.index()] += 1;
         // Shared sources yield one completion per subscriber.
@@ -688,8 +677,7 @@ impl Machine {
         arrivals: &[Instant],
     ) -> Result<(), ScheduleIrqError> {
         // The trace length is the scenario's own peak-population hint:
-        // pre-sizing here removes heap/id-ring reallocation from the
-        // scheduling path entirely (the heap engine's scaling cliff).
+        // pre-sizing here removes reallocation from the scheduling path.
         self.reserve_events(arrivals.len());
         for &at in arrivals {
             self.schedule_irq(source, at)?;
@@ -697,32 +685,21 @@ impl Machine {
         Ok(())
     }
 
-    /// Pre-sizes the event engine for `additional` more simultaneously
-    /// pending IRQ arrivals, the only events it holds (the machine's own
-    /// timers live in fixed slots). Scenario builders that know their
-    /// arrival count call this once up front so steady-state scheduling
-    /// never reallocates.
+    /// Pre-sizes the arrival stream for `additional` more pending IRQ
+    /// arrivals. Scenario builders that know their arrival count call this
+    /// once up front so steady-state scheduling never reallocates.
     pub fn reserve_events(&mut self, additional: usize) {
         self.arrivals.reserve(additional);
     }
 
-    /// Which simulation engine holds this machine's pending IRQ arrivals.
-    /// The hypervisor-block end, the bottom-segment end and the next TDMA
-    /// boundary never enter it: each has a fixed timer slot.
+    /// The event engine [`PolicyOptions::engine`](crate::PolicyOptions)
+    /// names. The machine selects nothing by it: its arrivals wait in a
+    /// sorted stream and its timers in fixed slots. It remains for callers
+    /// that replay a run through an engine of their own.
     #[must_use]
     pub fn engine_kind(&self) -> EngineKind {
-        self.arrivals.kind()
-    }
-
-    /// Health counters of the engine holding the pending arrivals:
-    /// live/stale population, compactions, and — on the wheel engine —
-    /// cascade, occupancy and closed-form fast-forward activity. The
-    /// machine never cancels an arrival, so `stale` stays zero and `live`
-    /// counts the arrivals not yet fired. Observability only; never part
-    /// of [`state_hash`](Machine::state_hash).
-    #[must_use]
-    pub fn engine_stats(&self) -> EngineStats {
-        self.arrivals.stats()
+        let Ok(kind) = self.config.policies.engine.try_resolve();
+        kind
     }
 
     /// Number of bottom-handler completions still outstanding (one per
@@ -790,7 +767,7 @@ impl Machine {
     /// Rewinds the machine to its just-constructed state — virtual time
     /// zero, partition 0's user task running, no scheduled arrivals, only
     /// the first TDMA boundary armed, empty records — while keeping every
-    /// allocation: the arrival engine's storage and id ring, the
+    /// allocation: the arrival stream (unless a snapshot shares it), the
     /// per-partition IRQ [`VecDeque`]s, the recorder's completion vector
     /// and the trace buffers all retain their capacity, so a
     /// reset-and-rerun executes without heap allocation in steady state.
@@ -888,16 +865,18 @@ impl Machine {
         }
     }
 
-    /// Captures a deep checkpoint of the machine's complete state —
-    /// scheduler position, timer slots, pending arrivals (engine ids and
-    /// generations included), per-source monitor trace rings, supervision
-    /// state machines, partition queues, counters and every record buffer.
+    /// Captures a checkpoint of the machine's complete state — scheduler
+    /// position, timer slots, pending arrivals, per-source monitor trace
+    /// rings, supervision state machines, partition queues, counters and
+    /// every record buffer.
     ///
     /// A machine [`restore`](Machine::restore)d from the snapshot continues
     /// the run exactly as the original would have: same events, same
-    /// decisions, byte-identical [`RunReport`]. Snapshots are plain data —
-    /// cheap to clone, safe to keep across further execution of the source
-    /// machine.
+    /// decisions, byte-identical [`RunReport`]. The pending arrival stream
+    /// is immutable and shared, so a snapshot copies only its cursor and
+    /// the few arrivals scheduled out of order, never the future trace.
+    /// Snapshots are plain data, safe to keep across further execution of
+    /// the source machine.
     #[must_use]
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot(self.clone())
@@ -922,10 +901,15 @@ impl Machine {
     /// states, same counters — hash equal; a restored-vs-fresh divergence
     /// shows up at the first slot boundary where the hashes differ rather
     /// than only in the end-of-run report. The pending arrivals enter as a
-    /// [`SetDigest`] of the engine's live `(time, seq, payload)` tuples,
-    /// which any engine yields in one allocation-free walk over its
-    /// storage; each of the three timer slots enters with its instant,
-    /// arming order and arrival count.
+    /// [`SetDigest`](rthv_sim::SetDigest) of their `(time, source, seq,
+    /// work)` tuples, the same wherever an arrival waits; the stream's
+    /// share is read from a prefix table, so the hash never walks the
+    /// pending trace. An arrival's scheduling `order` stays out, so two
+    /// runs that scheduled the same arrivals in different orders hash
+    /// equal; the one state this cannot tell apart is two arrivals of
+    /// different sources pending at one instant in swapped order. Each of
+    /// the three timer slots enters with its instant, arming order and
+    /// arrival count.
     /// Unbounded record buffers (completions, admissions, window openings)
     /// contribute their length and most recent entry, which pins down the
     /// divergence point without rescanning the whole history on every
@@ -956,14 +940,7 @@ impl Machine {
             IrqHandlingMode::Baseline => 0,
             IrqHandlingMode::Interposed => 1,
         });
-        let mut arrivals = SetDigest::default();
-        self.arrivals.for_each_live(|at, seq, event| {
-            let mut element = ElementHash::default();
-            element.word(at.as_nanos());
-            element.word(seq);
-            event_words(event, &mut |w| element.word(w));
-            arrivals.insert(element);
-        });
+        let arrivals = self.arrivals.digest();
         word(arrivals.count());
         word(arrivals.sum());
         for timer in &self.timers {
@@ -1132,45 +1109,58 @@ impl Machine {
 
     /// Takes the next event due at or before `limit`, advancing
     /// [`now`](Machine::now) to it: the earliest of the three timers and
-    /// the engine's first arrival. At equal instants the one scheduled
-    /// first wins, exactly as if every event waited in one engine.
+    /// the first pending arrival. At equal instants the one scheduled
+    /// first wins, exactly as if every event waited in one queue. Idle
+    /// TDMA rotations on the way are [skipped](Machine::skip_idle_rotations)
+    /// rather than returned.
     fn next_event(&mut self, limit: Instant) -> Option<Event> {
-        let mut first: Option<(TimerSlot, Timer)> = None;
-        for slot in TimerSlot::ALL {
-            if let Some(timer) = self.timers[slot as usize] {
-                if first.is_none_or(|(_, f)| (timer.at, timer.order) < (f.at, f.order)) {
-                    first = Some((slot, timer));
+        loop {
+            let mut first: Option<(TimerSlot, Timer)> = None;
+            for slot in TimerSlot::ALL {
+                if let Some(timer) = self.timers[slot as usize] {
+                    if first.is_none_or(|(_, f)| (timer.at, timer.order) < (f.at, f.order)) {
+                        first = Some((slot, timer));
+                    }
                 }
             }
-        }
-        let arrival = self.arrivals.peek_key();
-        let timer_first = match (first, arrival) {
-            (Some((_, timer)), Some((at, seq))) => {
-                timer.at < at || (timer.at == at && seq >= timer.arrivals)
+            let arrival = self.arrivals.peek().map(Arrival::key);
+            let timer_first = match (first, arrival) {
+                (Some((_, timer)), Some((at, order))) => {
+                    timer.at < at || (timer.at == at && order >= timer.arrivals)
+                }
+                (timer, _) => timer.is_some(),
+            };
+            if timer_first {
+                let (slot, timer) = first?;
+                if timer.at > limit {
+                    return None;
+                }
+                if matches!(slot, TimerSlot::Boundary)
+                    && self.skip_idle_rotations(limit, arrival.map(|(at, _)| at))
+                {
+                    continue;
+                }
+                self.timers[slot as usize] = None;
+                self.now = timer.at;
+                return Some(match slot {
+                    TimerSlot::HvEnd => Event::HvEnd,
+                    TimerSlot::SegEnd => Event::SegEnd,
+                    TimerSlot::Boundary => Event::Boundary {
+                        index: self.next_boundary,
+                    },
+                });
             }
-            (timer, _) => timer.is_some(),
-        };
-        if timer_first {
-            let (slot, timer) = first?;
-            if timer.at > limit {
+            if arrival?.0 > limit {
                 return None;
             }
-            self.timers[slot as usize] = None;
-            self.now = timer.at;
-            return Some(match slot {
-                TimerSlot::HvEnd => Event::HvEnd,
-                TimerSlot::SegEnd => Event::SegEnd,
-                TimerSlot::Boundary => Event::Boundary {
-                    index: self.next_boundary,
-                },
+            let arrival = self.arrivals.pop()?;
+            self.now = arrival.at;
+            return Some(Event::Arrival {
+                source: arrival.source,
+                seq: arrival.seq,
+                work: arrival.work,
             });
         }
-        if arrival?.0 > limit {
-            return None;
-        }
-        let (at, event) = self.arrivals.pop()?;
-        self.now = at;
-        Some(event)
     }
 
     fn handle(&mut self, event: Event) {
@@ -1346,17 +1336,7 @@ impl Machine {
     fn on_boundary(&mut self, index: u64) {
         let boundary_now = self.now();
         if let Some(metrics) = &mut self.metrics {
-            let engine = self.arrivals.stats();
             metrics.record_slot_boundary(boundary_now, index as usize);
-            metrics.record_engine(rthv_obs::EngineObs {
-                live: engine.live as u64,
-                stale: engine.stale as u64,
-                compactions: engine.compactions,
-                fast_forward_jumps: engine.fast_forward_jumps,
-                cascades: engine.cascades,
-                occupied_buckets: engine.occupied_buckets as u64,
-                overflow_len: engine.overflow_len as u64,
-            });
         }
         let next = index + 1;
         let next_at = self.schedule.boundary_time(next);
@@ -1400,6 +1380,99 @@ impl Machine {
             self.preempt_activity();
             self.start_slot_switch(index);
         }
+    }
+
+    /// Whether a TDMA rotation starting now would only switch partitions:
+    /// the active partition's user task runs, no hypervisor block, window,
+    /// deferred rotation, latched IRQ or bottom segment is in flight, and
+    /// every partition's IRQ queue is empty.
+    fn idle(&self) -> bool {
+        matches!(self.activity, Activity::User { .. })
+            && self.hv.is_none()
+            && self.window.is_none()
+            && self.pending_boundary.is_none()
+            && self.latched.is_empty()
+            && self.timers[TimerSlot::HvEnd as usize].is_none()
+            && self.timers[TimerSlot::SegEnd as usize].is_none()
+            && self.partitions.iter().all(|p| p.queue.is_empty())
+    }
+
+    /// Jumps an idle machine over every TDMA rotation whose slot switch
+    /// ends before the next arrival (`next_arrival`), the following
+    /// boundary and the supervisor's next due edge, and no later than
+    /// `limit`. Returns whether it skipped any.
+    ///
+    /// A skipped rotation dispatches no event, yet leaves exactly what its
+    /// `Boundary` and slot-switch `HvEnd` events would have: the outgoing
+    /// partition's user service, the context and slot switch counts, `C_ctx`
+    /// of hypervisor time, two processed events and two armed timers, and
+    /// with tracing or metrics on the same service interval, hypervisor
+    /// span and slot-boundary record. An arrival due at a switch's end
+    /// fires before that end (it was scheduled before the `HvEnd` was
+    /// armed), so the skip stops short of it, and supervision takes no
+    /// edge before its due instant, so the ticks the skipped events would
+    /// have run change nothing.
+    fn skip_idle_rotations(&mut self, limit: Instant, next_arrival: Option<Instant>) -> bool {
+        if !self.idle() {
+            return false;
+        }
+        let Some(boundary) = self.timers[TimerSlot::Boundary as usize] else {
+            return false;
+        };
+        let Activity::User {
+            mut partition,
+            mut since,
+        } = self.activity
+        else {
+            return false;
+        };
+        let due = self.supervisor.as_ref().and_then(Supervisor::next_due);
+        let switch = self.config.costs.context_switch;
+        let first = self.next_boundary;
+        let mut index = first;
+        let mut at = boundary.at;
+        loop {
+            let end = at + switch;
+            let next_at = self.schedule.boundary_time(index + 1);
+            if end > limit
+                || end >= next_at
+                || next_arrival.is_some_and(|arrival| end >= arrival)
+                || due.is_some_and(|due| end >= due)
+            {
+                break;
+            }
+            if let Some(metrics) = &mut self.metrics {
+                metrics.record_slot_boundary(at, index as usize);
+            }
+            self.counters.service[partition.index()].user += at.duration_since(since);
+            self.record_service(partition, since, at, ServiceKind::User);
+            if let Some(trace) = &mut self.hv_trace {
+                trace.push(Span { start: at, end });
+            }
+            partition = self.schedule.owner_of_slot(index);
+            since = end;
+            index += 1;
+            at = next_at;
+        }
+        let skipped = index - first;
+        if skipped == 0 {
+            return false;
+        }
+        self.counters.events_processed += 2 * skipped;
+        self.counters.context_switches += skipped;
+        self.counters.slot_switches += skipped;
+        self.counters.hypervisor_time += switch * skipped;
+        self.timers_armed += 2 * skipped;
+        self.timers[TimerSlot::Boundary as usize] = Some(Timer {
+            at,
+            order: self.timers_armed - 2,
+            arrivals: self.arrivals_scheduled,
+        });
+        self.next_boundary = index;
+        self.current_slot = index - 1;
+        self.activity = Activity::User { partition, since };
+        self.now = since;
+        true
     }
 
     // ------------------------------------------------------------------
@@ -1816,11 +1889,12 @@ impl Machine {
 ///
 /// The snapshot is opaque plain data: a clone of the whole machine —
 /// configuration (including runtime mutations), TDMA schedule position,
-/// the three timer slots, the arrival engine with its id/generation
-/// table, the running hypervisor block, partition queues, per-source
-/// admission monitors with their δ⁻ trace rings, the supervision state
-/// machines, counters, and all record buffers. Because it is the machine itself, a field added to [`Machine`]
-/// is captured and restored without any further code. Restoring it onto
+/// the three timer slots, the pending arrivals (the shared stream by
+/// pointer, its cursor and the side heap), the running hypervisor block,
+/// partition queues, per-source admission monitors with their δ⁻ trace
+/// rings, the supervision state machines, counters, and all record
+/// buffers. Because it is the machine itself, a field added to
+/// [`Machine`] is captured and restored without any further code. Restoring it onto
 /// any machine built from a compatible configuration resumes the run
 /// bit-identically.
 #[derive(Debug, Clone)]
@@ -1831,24 +1905,6 @@ impl MachineSnapshot {
     #[must_use]
     pub fn taken_at(&self) -> Instant {
         self.0.now
-    }
-}
-
-/// Feeds `word` the canonical word encoding of a scheduled [`Event`].
-fn event_words(event: &Event, word: &mut impl FnMut(u64)) {
-    match event {
-        Event::Arrival { source, seq, work } => {
-            word(0);
-            word(source.index() as u64);
-            word(*seq);
-            word(work.as_nanos());
-        }
-        Event::HvEnd => word(1),
-        Event::SegEnd => word(2),
-        Event::Boundary { index } => {
-            word(3);
-            word(*index);
-        }
     }
 }
 

@@ -23,8 +23,9 @@
 //!
 //! Everything stays a pure function of `(platform, fault plan, arrivals)`:
 //! routing, failover and shedding are resolved in global arrival order when
-//! the machine seals, so two runs — or a heap-engine and a wheel-engine
-//! run — produce byte-identical per-core trajectories.
+//! the machine seals, so two runs — even two that scheduled the same
+//! arrivals in different orders — produce byte-identical per-core
+//! trajectories.
 //!
 //! # Stepping
 //!
@@ -987,7 +988,7 @@ impl MultiMachine {
     /// A single-core platform that never crashed, stalled or shed hashes
     /// **identically to its underlying machine**: the degenerate platform
     /// *is* the machine, so every single-machine byte-identity guarantee
-    /// (snapshot/restore, cross-engine, replay journals) transfers
+    /// (snapshot/restore, arrival placement, replay journals) transfers
     /// verbatim. The N = 1 proptest pins this.
     #[must_use]
     pub fn state_hash(&self) -> u64 {

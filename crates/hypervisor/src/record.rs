@@ -175,8 +175,10 @@ pub struct Counters {
     /// Monitor denials (IRQ fell back to delayed handling).
     pub monitor_denied: u64,
     /// Simulation events processed (arrivals, hypervisor block ends,
-    /// segment ends, TDMA boundaries) — the denominator of the engine's
-    /// events-per-second throughput metric.
+    /// segment ends, TDMA boundaries) — the denominator of the step loop's
+    /// events-per-second throughput metric. An idle TDMA rotation the
+    /// machine jumps without dispatching counts its two events
+    /// (`Boundary` and the slot switch's end) all the same.
     pub events_processed: u64,
     /// Arrivals of quarantined sources handled slot-locally instead of
     /// being offered to the activation monitor (supervision only).

@@ -300,6 +300,26 @@ impl HealthTracker {
         self.advance(at)
     }
 
+    /// The first instant at which [`tick`](Self::tick) takes an upgrade
+    /// edge, for ticks that never go back before an observation already
+    /// made: a full probation window after both the state was entered and
+    /// the clean stretch began. `None` while no upgrade is possible
+    /// (Healthy, or Probation with score left to pay back).
+    #[must_use]
+    pub fn next_due(&self) -> Option<Instant> {
+        let upgradable = match self.state {
+            HealthState::Healthy => false,
+            HealthState::Probation => self.score == 0,
+            HealthState::Quarantined | HealthState::Recovering => true,
+        };
+        if !upgradable {
+            return None;
+        }
+        self.entered_at
+            .max(self.clean_since)
+            .checked_add(self.policy.probation_window)
+    }
+
     /// Attempts the single applicable upgrade edge at `at`. Upgrades
     /// require a full probation window both in the current state and since
     /// the last unclean observation — this is the hysteresis that keeps
@@ -529,6 +549,18 @@ impl Supervisor {
                 self.log_transition(source, at, transition, counters);
             }
         }
+    }
+
+    /// The first instant at which [`tick`](Self::tick) takes an edge for
+    /// some source: the earliest [`HealthTracker::next_due`]. Until then a
+    /// tick changes nothing.
+    #[must_use]
+    pub fn next_due(&self) -> Option<Instant> {
+        self.slots
+            .iter()
+            .flatten()
+            .filter_map(|slot| slot.tracker.next_due())
+            .min()
     }
 
     fn log_transition(
@@ -776,6 +808,35 @@ mod tests {
         t.raw_violation(at_ms(20));
         assert_eq!(t.tick(at_ms(23)), None, "clean stretch restarted at 20 ms");
         assert!(t.tick(at_ms(32)).is_some(), "20 ms + 12 ms window");
+    }
+
+    #[test]
+    fn next_due_is_the_first_tick_that_takes_an_edge() {
+        // A pending upgrade falls due exactly at `next_due`, never a
+        // nanosecond earlier.
+        let takes_edge_at_due = |t: &mut HealthTracker, to: HealthState| {
+            let due = t.next_due().expect("an upgrade is pending");
+            assert_eq!(t.tick(due - Duration::from_nanos(1)), None);
+            assert_eq!(t.tick(due).map(|edge| edge.to), Some(to));
+        };
+        let mut t = tracker();
+        assert_eq!(t.next_due(), None, "healthy");
+        for k in 0..4 {
+            let _ = t.signal(HealthSignal::Denied, at_ms(k));
+        }
+        assert_eq!(t.next_due(), None, "probation with score to pay back");
+        for k in 0..8 {
+            assert_eq!(t.conformant(at_ms(4 + k)), None);
+        }
+        takes_edge_at_due(&mut t, HealthState::Healthy);
+        for k in 0..12 {
+            let _ = t.signal(HealthSignal::Denied, at_ms(20 + k));
+        }
+        assert_eq!(t.state(), HealthState::Quarantined);
+        t.raw_violation(at_ms(40));
+        takes_edge_at_due(&mut t, HealthState::Recovering);
+        takes_edge_at_due(&mut t, HealthState::Healthy);
+        assert_eq!(t.next_due(), None, "healthy again");
     }
 
     #[test]

@@ -1087,3 +1087,74 @@ fn arrival_scheduled_during_a_top_handler_fires_after_its_end() {
     assert!(m.run_until_complete(at_us(100_000)));
     assert_eq!(m.counters().latched_irqs, 0);
 }
+
+#[test]
+fn side_heap_arrival_fires_after_a_stream_arrival_and_a_timer_at_its_instant() {
+    // At t = 1 ms + C_TH three events are due. The first IRQ's top-handler
+    // end was armed when it fired. The stream arrival and then the side-heap
+    // arrival were scheduled after that (the latter behind a later stream
+    // arrival at 50 ms). So the handler ends first, the stream arrival finds
+    // the hypervisor idle and starts its own top handler, and the side-heap
+    // arrival latches behind it.
+    let config = two_partition_config();
+    let top = config.costs.top_handler;
+    let mut m = Machine::new(config).expect("valid config");
+    m.schedule_irq(IRQ0, at_us(1_000)).expect("in the future");
+    m.run_until(at_us(1_000));
+    let tie = at_us(1_000) + top;
+    m.schedule_irq(IRQ0, tie).expect("in the future");
+    m.schedule_irq(IRQ0, at_us(50_000)).expect("in the future");
+    m.schedule_irq(IRQ0, tie).expect("in the future");
+    assert!(m.run_until_complete(at_us(100_000)));
+    assert_eq!(m.counters().latched_irqs, 1);
+    let report = m.finish();
+    let seqs: Vec<u64> = report
+        .recorder
+        .completions()
+        .iter()
+        .map(|c| c.seq)
+        .collect();
+    assert_eq!(seqs, [0, 1, 3, 2]);
+}
+
+#[test]
+fn arrival_due_at_the_end_of_an_idle_slot_switch_fires_before_it() {
+    // The machine idles up to the first boundary, so its rotation could be
+    // jumped, but the arrival due the instant the switch ends was scheduled
+    // before that end was armed: it fires first and latches.
+    let config = two_partition_config();
+    let switch = config.costs.context_switch;
+    let mut m = Machine::new(config).expect("valid config");
+    let end = m.schedule().boundary_time(1) + switch;
+    m.schedule_irq(IRQ0, end).expect("in the future");
+    assert!(m.run_until_complete(at_us(100_000)));
+    assert_eq!(m.counters().latched_irqs, 1);
+}
+
+#[test]
+fn slots_shorter_than_their_switch_rotate_alike_in_one_run_and_stepped() {
+    // A 20 µs slot ends inside its own 50 µs context switch, so the next
+    // boundary is deferred to the switch's end. A run stopped at every
+    // boundary dispatches each rotation as events; one long run may jump
+    // idle rotations, and must not jump these.
+    let mut config = two_partition_config();
+    config.partitions.push(PartitionSpec::new("tiny", us(20)));
+    assert!(us(20) < config.costs.context_switch);
+    let horizon = at_us(100_000);
+    let run = |stepped: bool| {
+        let mut m = Machine::new(config.clone()).expect("valid config");
+        m.enable_service_trace();
+        m.schedule_irq(IRQ0, at_us(70_000)).expect("in the future");
+        if stepped {
+            let schedule = m.schedule().clone();
+            for k in (1u64..).take_while(|&k| schedule.boundary_time(k) <= horizon) {
+                m.run_until(schedule.boundary_time(k));
+            }
+        }
+        m.run_until(horizon);
+        m.finish()
+    };
+    let one = run(false);
+    assert_eq!(one.recorder.len(), 1);
+    assert_eq!(one, run(true));
+}

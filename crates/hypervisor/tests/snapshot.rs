@@ -3,9 +3,8 @@
 //! from, and `state_hash()` must expose the first divergence.
 
 use rthv_hypervisor::{
-    CostModel, EngineChoice, EngineKind, HypervisorConfig, IrqHandlingMode, IrqSourceId,
-    IrqSourceSpec, Machine, PartitionId, PartitionSpec, PolicyOptions, RunReport,
-    SupervisionPolicy,
+    CostModel, HypervisorConfig, IrqHandlingMode, IrqSourceId, IrqSourceSpec, Machine, PartitionId,
+    PartitionSpec, PolicyOptions, RunReport, SupervisionPolicy,
 };
 use rthv_monitor::DeltaFunction;
 use rthv_time::{Duration, Instant};
@@ -188,13 +187,11 @@ fn snapshots_are_independent_plain_data() {
     assert_eq!(machine.state_hash(), done);
 }
 
-/// A supervised `busy_config` machine on `engine` with the burst plus three
-/// late arrivals (at 120, 119 and 118 ms) whose bottom-handler work is
-/// `works`, run to `at`.
-fn pending_machine(engine: EngineChoice, works: [u64; 3], at: Instant) -> Machine {
-    let mut config = busy_config(true);
-    config.policies.engine = engine;
-    let mut machine = Machine::new(config).expect("valid config");
+/// A supervised `busy_config` machine with the burst plus three late
+/// arrivals (at 120, 119 and 118 ms, so the last two wait in the side
+/// heap) whose bottom-handler work is `works`, run to `at`.
+fn pending_machine(works: [u64; 3], at: Instant) -> Machine {
+    let mut machine = Machine::new(busy_config(true)).expect("valid config");
     schedule_burst(&mut machine);
     for (k, work) in (0u64..).zip(works) {
         machine
@@ -208,10 +205,10 @@ fn pending_machine(engine: EngineChoice, works: [u64; 3], at: Instant) -> Machin
 #[test]
 fn state_hash_covers_each_pending_payload() {
     let t = at_us(20_000);
-    let base = pending_machine(EngineChoice::Heap, [30, 40, 50], t);
+    let base = pending_machine([30, 40, 50], t);
     for works in [[31, 40, 50], [30, 40, 49], [30, 40, 500]] {
         assert_ne!(
-            pending_machine(EngineChoice::Heap, works, t).state_hash(),
+            pending_machine(works, t).state_hash(),
             base.state_hash(),
             "works={works:?}"
         );
@@ -223,10 +220,10 @@ fn state_hash_binds_each_payload_to_its_event() {
     // The same multiset of pending work values, assigned to different
     // arrivals: an order-independent digest must still tell them apart.
     let t = at_us(20_000);
-    let base = pending_machine(EngineChoice::Heap, [30, 40, 50], t);
+    let base = pending_machine([30, 40, 50], t);
     for works in [[40, 30, 50], [30, 50, 40], [50, 40, 30]] {
         assert_ne!(
-            pending_machine(EngineChoice::Heap, works, t).state_hash(),
+            pending_machine(works, t).state_hash(),
             base.state_hash(),
             "works={works:?}"
         );
@@ -234,16 +231,50 @@ fn state_hash_binds_each_payload_to_its_event() {
 }
 
 #[test]
-fn heap_and_wheel_hash_the_same_pending_content_equal() {
-    // The engines store their events in different orders (a binary heap
-    // against buckets, staging and an overflow map); the digest must not
-    // see the difference at any point of the run.
+fn stream_and_side_heap_hash_the_same_pending_content_equal() {
+    // The burst plus a second source's trace, scheduled two ways. Merged in
+    // time order, every arrival joins one stream. With the second source's
+    // trace scheduled first, the burst lands before the stream's tail and
+    // waits in the side heap. Each arrival keeps its per-source sequence
+    // number, and no two share an instant, so both machines run the same
+    // events, and the digest must not see where they wait at any point of
+    // the run.
+    let mut config = busy_config(true);
+    config
+        .sources
+        .push(IrqSourceSpec::new("nic", PartitionId::new(0), us(20)));
+    let nic = IrqSourceId::new(1);
+    let burst: Vec<Instant> = (0..200u64)
+        .map(|k| at_us(100 + k * 450 + (k % 7) * 40))
+        .collect();
+    let nic_trace: Vec<Instant> = (0..40u64)
+        .map(|k| Instant::from_nanos(1_150_001 + k * 2_900_000))
+        .collect();
+    let build = |merged: bool| {
+        let mut machine = Machine::new(config.clone()).expect("valid config");
+        let mut arrivals: Vec<(Instant, IrqSourceId)> = nic_trace
+            .iter()
+            .map(|&at| (at, nic))
+            .chain(burst.iter().map(|&at| (at, IRQ0)))
+            .collect();
+        if merged {
+            arrivals.sort_unstable();
+        }
+        for (at, source) in arrivals {
+            machine.schedule_irq(source, at).expect("in the future");
+        }
+        machine
+    };
+    let mut stream = build(true);
+    let mut side = build(false);
+    assert_eq!(stream.state_hash(), side.state_hash(), "before the run");
     for step in [0, 1, 7, 20, 55, 119] {
         let t = at_us(step * 1_000 + 300);
-        let heap = pending_machine(EngineChoice::Heap, [30, 40, 50], t);
-        let wheel = pending_machine(EngineChoice::Wheel, [30, 40, 50], t);
-        assert_eq!(heap.engine_kind(), EngineKind::Heap);
-        assert_eq!(wheel.engine_kind(), EngineKind::Wheel);
-        assert_eq!(heap.state_hash(), wheel.state_hash(), "at {t:?}");
+        stream.run_until(t);
+        side.run_until(t);
+        assert_eq!(stream.state_hash(), side.state_hash(), "at {t:?}");
     }
+    assert!(stream.run_until_complete(at_us(HORIZON)));
+    assert!(side.run_until_complete(at_us(HORIZON)));
+    assert_eq!(stream.finish(), side.finish());
 }

@@ -31,6 +31,9 @@ pub struct HeadroomGauge {
     effective_cost: Duration,
     /// Admission timestamps inside the current window, oldest first.
     admissions: VecDeque<Instant>,
+    /// Most timestamps `admissions` retains. Kept apart from the deque's
+    /// capacity, which a clone does not preserve.
+    retain: usize,
     /// Densest window population ever observed.
     max_window_events: u64,
     /// Admissions not retained because the unbudgeted cap was hit.
@@ -52,6 +55,7 @@ impl HeadroomGauge {
             budget_events,
             effective_cost,
             admissions: VecDeque::with_capacity(capacity),
+            retain: capacity,
             max_window_events: 0,
             saturated: 0,
         }
@@ -66,7 +70,7 @@ impl HeadroomGauge {
                 break;
             }
         }
-        if self.admissions.len() == self.admissions.capacity() {
+        if self.admissions.len() == self.retain {
             // Only reachable for unbudgeted sources (or a budget wider than
             // the hard cap): saturate instead of allocating mid-run.
             self.saturated += 1;
@@ -226,6 +230,21 @@ mod tests {
         assert_eq!(gauge.min_headroom_events(), None);
         assert_eq!(gauge.interference_budget(), None);
         assert_eq!(gauge.max_window_events(), 1);
+    }
+
+    #[test]
+    fn a_clone_saturates_where_the_original_does() {
+        // Budget 1 retains two timestamps. A clone's deque holds only as
+        // much as it had to copy, so its capacity must not set the cap.
+        let mut gauge = HeadroomGauge::new(Duration::from_millis(1), Some(1), Duration::ZERO);
+        gauge.record(us(0));
+        let mut copy = gauge.clone();
+        for gauge in [&mut gauge, &mut copy] {
+            gauge.record(us(10));
+            gauge.record(us(20));
+        }
+        assert_eq!(copy, gauge);
+        assert_eq!(copy.max_window_events(), 3);
     }
 
     #[test]

@@ -101,31 +101,6 @@ pub struct ObsCounters {
     pub slot_boundaries: u64,
 }
 
-/// Last-observed event-engine gauge, sampled at slot boundaries. Plain
-/// integers so the hub stays independent of the engine crate; all fields
-/// are pure observation and never feed back into the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineObs {
-    /// Live (scheduled, not cancelled) events in the engine. A machine
-    /// keeps only its pending IRQ arrivals there (its own timers have
-    /// fixed slots), so for a machine this counts the arrivals not yet
-    /// fired.
-    pub live: u64,
-    /// Cancelled-but-not-yet-reclaimed tombstones.
-    pub stale: u64,
-    /// Tombstone compaction passes run so far.
-    pub compactions: u64,
-    /// Cursor fast-forward jumps that skipped more than one granule
-    /// (timing wheel only; zero on the heap engine).
-    pub fast_forward_jumps: u64,
-    /// Higher-level cascade refills (timing wheel only).
-    pub cascades: u64,
-    /// Occupied wheel buckets across all levels (timing wheel only).
-    pub occupied_buckets: u64,
-    /// Entries parked on the far-future overflow level (wheel only).
-    pub overflow_len: u64,
-}
-
 /// Last-observed per-core platform routing/failover gauges, written by the
 /// multi-core machine when its routing ledger is finalized. Plain integers
 /// so the hub stays independent of the hypervisor crate; a single-machine
@@ -172,7 +147,6 @@ pub struct TenantObs {
 pub struct MetricsHub {
     config: ObsConfig,
     counters: ObsCounters,
-    engine: EngineObs,
     platform: Option<PlatformObs>,
     latency: Vec<LatencyHistogram>,
     gauges: Vec<HeadroomGauge>,
@@ -194,7 +168,6 @@ impl MetricsHub {
         MetricsHub {
             config,
             counters: ObsCounters::default(),
-            engine: EngineObs::default(),
             platform: None,
             latency: vec![histogram; sources.len()],
             gauges: sources
@@ -342,19 +315,6 @@ impl MetricsHub {
             .record(at, ObsEventKind::SlotBoundary { slot });
     }
 
-    /// Overwrites the engine gauge with the engine's current stats —
-    /// sample at slot boundaries for a per-cycle occupancy view.
-    #[inline]
-    pub fn record_engine(&mut self, stats: EngineObs) {
-        self.engine = stats;
-    }
-
-    /// The last-recorded engine gauge.
-    #[must_use]
-    pub fn engine(&self) -> &EngineObs {
-        &self.engine
-    }
-
     /// Overwrites the platform routing/failover gauge — the multi-core
     /// machine writes it once per core hub when the routing ledger is
     /// finalized, off the hot path.
@@ -406,7 +366,6 @@ impl MetricsHub {
     /// observability mirror of `Machine::reset`.
     pub fn reset(&mut self) {
         self.counters = ObsCounters::default();
-        self.engine = EngineObs::default();
         self.platform = None;
         self.tenants.clear();
         for histogram in &mut self.latency {
@@ -446,16 +405,6 @@ impl MetricsHub {
         let _ = writeln!(out, "    \"shed\": {},", c.shed);
         let _ = writeln!(out, "    \"health_transitions\": {},", c.health_transitions);
         let _ = writeln!(out, "    \"slot_boundaries\": {}", c.slot_boundaries);
-        let _ = writeln!(out, "  }},");
-        let e = &self.engine;
-        let _ = writeln!(out, "  \"engine\": {{");
-        let _ = writeln!(out, "    \"live\": {},", e.live);
-        let _ = writeln!(out, "    \"stale\": {},", e.stale);
-        let _ = writeln!(out, "    \"compactions\": {},", e.compactions);
-        let _ = writeln!(out, "    \"fast_forward_jumps\": {},", e.fast_forward_jumps);
-        let _ = writeln!(out, "    \"cascades\": {},", e.cascades);
-        let _ = writeln!(out, "    \"occupied_buckets\": {},", e.occupied_buckets);
-        let _ = writeln!(out, "    \"overflow_len\": {}", e.overflow_len);
         let _ = writeln!(out, "  }},");
         if let Some(p) = &self.platform {
             let _ = writeln!(out, "  \"platform\": {{");

@@ -76,6 +76,15 @@ impl SetDigest {
         self.sum = self.sum.wrapping_add(mix64(element.0));
     }
 
+    /// Removes every element of `subset`, which must hold only elements
+    /// this digest holds: a digest of a prefix of the same insertions,
+    /// say. The result is the digest of the remaining elements.
+    #[inline]
+    pub fn remove_all(&mut self, subset: SetDigest) {
+        self.count -= subset.count;
+        self.sum = self.sum.wrapping_sub(subset.sum);
+    }
+
     /// Elements inserted so far.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -136,6 +145,25 @@ mod tests {
         }
         assert_eq!(forward, backward);
         assert_eq!(forward.count(), 3);
+    }
+
+    #[test]
+    fn removing_a_prefix_leaves_the_digest_of_the_rest() {
+        let tuples = [[1, 2], [3, 4], [5, 6], [7, 8]];
+        let mut all = SetDigest::default();
+        let mut prefix = SetDigest::default();
+        let mut rest = SetDigest::default();
+        for (i, tuple) in tuples.iter().enumerate() {
+            all.insert(element(tuple));
+            if i < 2 {
+                prefix.insert(element(tuple));
+            } else {
+                rest.insert(element(tuple));
+            }
+        }
+        all.remove_all(prefix);
+        assert_eq!(all, rest);
+        assert_eq!(all.count(), 2);
     }
 
     #[test]

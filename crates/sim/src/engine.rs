@@ -20,16 +20,18 @@
 //! * identical error behaviour (`SchedulePast`, stale-id detection) and
 //!   identical lazy-cancellation observables (`len`, cancel return values).
 //!
-//! [`EngineQueue`] packages the two behind an enum, so a machine can pick
-//! its engine at construction time from configuration without making every
-//! downstream type generic.
+//! [`EngineQueue`] packages the two behind an enum, so the admission fleet
+//! can pick its engine at construction time from configuration without
+//! making every downstream type generic.
 
 use rthv_time::{Duration, Instant};
 
 use crate::queue::{EventId, EventQueue, SchedulePastError};
 use crate::wheel::WheelEngine;
 
-/// Which event-queue engine backs a simulation.
+/// Which event-queue engine backs a simulation. The admission fleet runs
+/// on the one its configuration names; the hypervisor machine keeps its
+/// arrivals in a sorted stream and selects nothing by it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
     /// Binary-heap reference engine ([`EventQueue`]).
@@ -71,9 +73,9 @@ impl std::fmt::Display for EngineKind {
 /// Engine health and fast-forward counters.
 ///
 /// Purely observational: none of these feed back into scheduling decisions,
-/// so they are excluded from machine state hashing (two engines with
-/// different counters still hash identically when their live event content
-/// matches).
+/// so an order-independent digest of the live events ignores them (two
+/// engines with different counters still hash identically when their live
+/// event content matches).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Live (scheduled, not cancelled) events currently queued.
@@ -96,8 +98,8 @@ pub struct EngineStats {
 }
 
 /// An engine chosen at runtime: the heap or the wheel behind one concrete
-/// type, so embedding types (the hypervisor machine, its snapshots) stay
-/// non-generic while still selecting the engine from configuration.
+/// type, so embedding types (the admission fleet) stay non-generic while
+/// still selecting the engine from configuration.
 ///
 /// Dispatch is a two-way branch per operation — measured noise next to the
 /// queue work itself — and every method forwards to the engine's inherent
@@ -188,13 +190,6 @@ impl<E> EngineQueue<E> {
             Some((t, _)) if t <= limit => self.pop(),
             _ => None,
         }
-    }
-
-    /// Visits every live event once, in the engine's storage order, without
-    /// allocating. The order is engine-specific: consumers must not depend
-    /// on it.
-    pub fn for_each_live<'a>(&'a self, f: impl FnMut(Instant, u64, &'a E)) {
-        dispatch!(self, q => q.for_each_live(f));
     }
 
     /// Health and fast-forward counters.

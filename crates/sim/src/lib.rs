@@ -1,10 +1,9 @@
 //! Deterministic discrete-event simulation engine.
 //!
-//! The hypervisor model in `rthv-hypervisor` keeps its pending IRQ arrivals
-//! in an [`EngineQueue`] and advances virtual time by taking the earliest
-//! of them and of its own three timers, which sit in fixed slots beside
-//! the engine ([`EngineQueue::peek_key`] gives the arrival's place in the
-//! order). Every engine guarantees:
+//! The sharded admission fleet in `rthv-admit` keeps its time-ordered
+//! events in an [`EngineQueue`]. The hypervisor machine in
+//! `rthv-hypervisor` uses no engine: its arrivals wait in one sorted
+//! stream and its timers in fixed slots. Every engine guarantees:
 //!
 //! * **monotonic time** — events pop in non-decreasing timestamp order and
 //!   scheduling in the past is an error;

@@ -579,8 +579,7 @@ impl<E: Clone> Clone for EventQueue<E> {
     /// Deep-copies the queue, preserving event ids, generations and the
     /// lazy-cancellation bookkeeping: the clone pops exactly the same
     /// `(time, event)` stream as the original would, and ids issued by the
-    /// original remain valid (cancellable) on the clone. This is the
-    /// foundation of machine checkpointing.
+    /// original remain valid (cancellable) on the clone.
     fn clone(&self) -> Self {
         EventQueue {
             heap: self.heap.clone(),

@@ -1,14 +1,12 @@
 //! Hierarchical timing-wheel engine with closed-form fast-forward — the
 //! production engine.
 //!
-//! Every machine and platform core keeps its pending IRQ arrivals on this
-//! wheel, and every admission fleet all of its events, unless its
+//! Every admission fleet keeps all of its events on this wheel unless its
 //! configuration pins the binary-heap [`EventQueue`](crate::EventQueue),
 //! which stays as the reference the cross-engine differential suites
-//! compare against. A machine's own
-//! timers (hypervisor-block end, bottom-segment end, next TDMA boundary)
-//! never enter the wheel: each has a fixed slot on the machine. While the
-//! machine still queued those timers here, the wheel took 36 % less
+//! compare against. The hypervisor machine no longer uses an engine: its
+//! arrivals wait in a sorted stream and its timers in fixed slots. While
+//! the machine still queued every event here, the wheel took 36 % less
 //! `fig6c` wall time than the heap on the repo benchmark, and less on every
 //! other workload too (see EXPERIMENTS.md § *Event-engine throughput*).
 //!
@@ -28,8 +26,8 @@
 //! level** (an ordered map) and are pulled onto the wheel when the cursor
 //! enters their rotation. The tick is sized from the TDMA cycle (see
 //! [`WheelEngine::with_tick_hint`]) so one full hypervisor cycle fits in
-//! the level-1 rotation: the arrivals due within the current cycle — the
-//! machine's hot set — always live on the two cheapest levels.
+//! the level-1 rotation: the events due within the current cycle — the
+//! hot set — always live on the two cheapest levels.
 //!
 //! # Storage: one node slab
 //!
@@ -715,8 +713,7 @@ impl<E> Default for WheelEngine<E> {
 
 impl<E: Clone> Clone for WheelEngine<E> {
     /// Deep copy preserving ids, generations and lazy-cancellation state —
-    /// the clone pops exactly the stream the original would (the machine
-    /// checkpointing contract).
+    /// the clone pops exactly the stream the original would.
     ///
     /// Only filed nodes are copied: each bucket chain lands contiguously,
     /// in chain order, in a slab sized to fit, with an empty free list.

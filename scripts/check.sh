@@ -9,8 +9,10 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test -q"
-# The whole tier-1 suite, once. Tests that compare the heap reference
-# engine with the production wheel pin each engine in their config.
+# The whole tier-1 suite, once. The fleet tests that compare the heap
+# reference engine with the production wheel pin each engine in their
+# config; the machine's arrival-placement tests schedule one plan both as
+# a sorted stream and through the side heap.
 cargo test --workspace -q
 
 echo "==> cargo test --release (benchmark package)"
