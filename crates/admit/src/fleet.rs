@@ -3,6 +3,12 @@
 //! path, bounded fail-closed retry, a load-shedding ladder and
 //! checkpoint-based shard failover.
 //!
+//! The loop needs no event engine. Arrivals and shard faults are known
+//! before a run starts, so [`AdmitFleet::run`] reads both slices in place
+//! through two cursors; only the events a run creates itself — each
+//! lane's service completions and the retry ladder's re-attempts — wait
+//! in a small heap.
+//!
 //! Every arrival takes one admission decision — the paper's top-handler
 //! δ⁻ check on the arrival timestamp, scaled to the fleet — and ends
 //! admitted, denied (by the source's δ⁻ monitor or, in a tenanted fleet,
@@ -14,12 +20,14 @@
 //! fleet-wide oracle re-checks both identities plus per-victim Eq. 13–16
 //! independence over the union of all shards' admitted streams.
 
+use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use rthv_hypervisor::{HealthSignal, HealthState, HealthTransition, SupervisionPolicy};
 use rthv_monitor::{Admission, DeltaFunction};
 use rthv_obs::MetricsHub;
-use rthv_sim::{EngineKind, EngineQueue};
 use rthv_stats::LatencyHistogram;
 use rthv_time::{Duration, Instant};
 use rthv_workload::FloodEvent;
@@ -126,11 +134,6 @@ pub enum FleetError {
     ZeroBackoff,
     /// `shed_watermark_permille > 1000`.
     BadWatermark,
-    /// `engine` names no known event engine.
-    UnknownEngine {
-        /// The rejected engine name.
-        value: String,
-    },
     /// The tenant hierarchy was rejected — zero or overflowing budgets,
     /// budget sums escaping the global budget, or a bad source split.
     /// Never silently clamped.
@@ -149,9 +152,6 @@ impl fmt::Display for FleetError {
             FleetError::ZeroServiceCost => f.write_str("service cost must be positive"),
             FleetError::ZeroBackoff => f.write_str("retry backoff must be positive"),
             FleetError::BadWatermark => f.write_str("shed watermark must be at most 1000 permille"),
-            FleetError::UnknownEngine { value } => {
-                write!(f, "unknown event engine {value:?} (expected heap or wheel)")
-            }
             FleetError::TenantBudget { error } => write!(f, "tenant budget rejected: {error}"),
         }
     }
@@ -187,9 +187,6 @@ pub struct FleetConfig {
     pub checkpoint_every: u64,
     /// What a crash does to shard state.
     pub failover: FailoverMode,
-    /// Event-engine name (`"heap"` or `"wheel"`); rejected values become
-    /// [`FleetError::UnknownEngine`], never a silent fallback.
-    pub engine: String,
     /// Ingress-to-completion latency histogram bin width.
     pub latency_bin_width: Duration,
     /// Latency histogram range.
@@ -222,7 +219,6 @@ impl FleetConfig {
             supervision: SupervisionPolicy::default(),
             checkpoint_every: 32,
             failover: FailoverMode::Checkpoint,
-            engine: "wheel".to_owned(),
             latency_bin_width: Duration::from_micros(50),
             latency_range: Duration::from_millis(20),
             tenancy: None,
@@ -258,8 +254,7 @@ pub enum ShardFaultKind {
 
 /// Routes a global source id to its shard: a splitmix64 finalizer over the
 /// id, reduced mod `shards`. Pure and stable — the same `(source, shards)`
-/// pair routes identically across fleet reconstructions, engines and
-/// processes.
+/// pair routes identically across fleet reconstructions and processes.
 #[must_use]
 pub fn route(source: u32, shards: u32) -> u32 {
     let mut z = u64::from(source).wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -269,23 +264,119 @@ pub fn route(source: u32, shards: u32) -> u32 {
     (z % u64::from(shards)) as u32
 }
 
-/// What flows through the fleet's event engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FleetEvent {
-    /// An ingress arrival from `source`.
-    Arrival { source: u32 },
+/// One step of a fleet run, in time order.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// An ingress attempt from `source`: an arrival (`attempt == 0`) or a
+    /// retry-ladder re-attempt after it hit a stalled shard (tenanted
+    /// fleets only).
+    Ingress { source: u32, attempt: u32 },
     /// Shard crash.
     Crash { shard: u32 },
-    /// Shard stall `faults[fault]` strikes now; it ends at the fault's `at`
-    /// plus its duration. An index instead of the end instant keeps the
-    /// event at 12 bytes.
-    Stall { fault: u32 },
-    /// Service completion at the head of one lane of `shard`'s in-flight
-    /// queues.
+    /// A stall of `shard` strikes; it ends at `until`.
+    Stall { shard: u32, until: Instant },
+    /// Service completion of in-flight entry `seq`, which heads one lane
+    /// of `shard` unless a crash cleared that lane since.
+    Drain { shard: u32, lane: u32, seq: u64 },
+}
+
+/// An event the run schedules for itself. Ordered only so it can sit in a
+/// heap entry; entries are unique by their `(at, seq)` prefix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Scheduled {
+    /// Service completion at the head of one lane of `shard`.
     Drain { shard: u32, lane: u32 },
-    /// Retry-ladder re-attempt for an arrival that hit a stalled shard
-    /// (tenanted fleets only).
+    /// A retry-ladder re-attempt.
     Retry { source: u32, attempt: u32 },
+}
+
+/// Everything a run will process, in time order: the arrival and fault
+/// slices read in place through two cursors, and the events the run
+/// schedules (completions and retries) in a small heap. Every scheduled
+/// event lies strictly after the instant that schedules it, since service
+/// cost and retry backoff are positive; so taking, at equal instants,
+/// arrivals first, then faults, then scheduled events by `seq`, is the
+/// `(at, seq)` order of one queue filled with every arrival, then every
+/// fault, then each event as it is scheduled.
+struct Timeline<'a> {
+    arrivals: Cow<'a, [FloodEvent]>,
+    next_arrival: usize,
+    faults: Cow<'a, [ShardFault]>,
+    next_fault: usize,
+    /// `(at, seq, event)`, earliest first.
+    pending: BinaryHeap<Reverse<(Instant, u64, Scheduled)>>,
+    scheduled: u64,
+}
+
+impl<'a> Timeline<'a> {
+    fn new(arrivals: &'a [FloodEvent], faults: &'a [ShardFault]) -> Self {
+        Timeline {
+            arrivals: in_time_order(arrivals, |e| e.at),
+            next_arrival: 0,
+            faults: in_time_order(faults, |f| f.at),
+            next_fault: 0,
+            pending: BinaryHeap::new(),
+            scheduled: 0,
+        }
+    }
+
+    /// Schedules `event` at `at`, which must lie after the current
+    /// instant; returns its sequence number.
+    fn schedule(&mut self, at: Instant, event: Scheduled) -> u64 {
+        let seq = self.scheduled;
+        self.scheduled += 1;
+        self.pending.push(Reverse((at, seq, event)));
+        seq
+    }
+
+    /// The next step and its instant, or `None` once everything ran.
+    fn pop(&mut self) -> Option<(Instant, Step)> {
+        let fault = self.faults.get(self.next_fault).map(|f| f.at);
+        let pending = self.pending.peek().map(|Reverse((at, ..))| *at);
+        let first = |at: Instant, later: Option<Instant>| later.is_none_or(|t| at <= t);
+        if let Some(&event) = self.arrivals.get(self.next_arrival) {
+            if first(event.at, fault) && first(event.at, pending) {
+                self.next_arrival += 1;
+                let step = Step::Ingress {
+                    source: event.source,
+                    attempt: 0,
+                };
+                return Some((event.at, step));
+            }
+        }
+        if let Some(&ShardFault { at, shard, kind }) = self.faults.get(self.next_fault) {
+            if first(at, pending) {
+                self.next_fault += 1;
+                let step = match kind {
+                    ShardFaultKind::Crash => Step::Crash { shard },
+                    ShardFaultKind::Stall { duration } => Step::Stall {
+                        shard,
+                        until: at + duration,
+                    },
+                };
+                return Some((at, step));
+            }
+        }
+        let Reverse((at, seq, event)) = self.pending.pop()?;
+        let step = match event {
+            Scheduled::Drain { shard, lane } => Step::Drain { shard, lane, seq },
+            Scheduled::Retry { source, attempt } => Step::Ingress { source, attempt },
+        };
+        Some((at, step))
+    }
+}
+
+/// `items` in the order a time-ordered queue would pop them: by `at`,
+/// equal instants in slice order. Sorted input, the normal case, is
+/// borrowed after one pass.
+fn in_time_order<T: Clone>(items: &[T], at: impl Fn(&T) -> Instant) -> Cow<'_, [T]> {
+    if items.is_sorted_by_key(&at) {
+        Cow::Borrowed(items)
+    } else {
+        let mut sorted = items.to_vec();
+        sorted.sort_by_key(at);
+        Cow::Owned(sorted)
+    }
 }
 
 /// The sharded admission fleet. Construction validates the geometry and
@@ -294,7 +385,6 @@ enum FleetEvent {
 #[derive(Debug)]
 pub struct AdmitFleet {
     config: FleetConfig,
-    engine: EngineKind,
     /// `router[source] = (shard, local index within the shard's arena)`.
     router: Vec<(u32, u32)>,
     /// Sources per shard.
@@ -322,10 +412,6 @@ impl AdmitFleet {
         if config.shed_watermark_permille > 1000 {
             return Err(FleetError::BadWatermark);
         }
-        let engine =
-            EngineKind::parse(&config.engine).ok_or_else(|| FleetError::UnknownEngine {
-                value: config.engine.clone(),
-            })?;
         if let Some(tenancy) = &config.tenancy {
             tenancy
                 .validate(config.sources)
@@ -342,7 +428,6 @@ impl AdmitFleet {
             .collect();
         Ok(AdmitFleet {
             config,
-            engine,
             router,
             locals,
         })
@@ -364,6 +449,12 @@ impl AdmitFleet {
     /// [`rthv_workload::open_loop_flood`] / [`rthv_workload::ecu_fleet`])
     /// against `faults`, over fresh shard state. Pure in everything except
     /// `hub`, which — when given — receives the observability event stream.
+    ///
+    /// Either slice may come in any order: an unsorted one is processed as
+    /// if stably sorted by `at`. At equal instants arrivals come before
+    /// faults, so same-tick ingress beats the crash that would shed it,
+    /// which is both deterministic and the adversarial-maximal ordering
+    /// (the crash then kills it in flight instead).
     pub fn run(
         &self,
         arrivals: &[FloodEvent],
@@ -380,30 +471,7 @@ impl AdmitFleet {
             .map(|&n| ShardState::new(n as usize, lanes, &cfg.delta, cfg.supervision))
             .collect();
         let mut tenancy = cfg.tenancy.as_ref().map(TenancyRuntime::new);
-        let tick_hint = cfg.delta.dmin().max(Duration::from_micros(64));
-        let mut queue: EngineQueue<FleetEvent> = EngineQueue::new(self.engine, tick_hint);
-        queue.reserve(arrivals.len() + faults.len());
-
-        // Arrivals before faults: at equal instants the FIFO tie-break
-        // lets same-tick ingress beat the crash that would shed it, which
-        // is both deterministic and the adversarial-maximal ordering (the
-        // crash then kills it in flight instead).
-        for ev in arrivals {
-            queue
-                .schedule_at(ev.at, FleetEvent::Arrival { source: ev.source })
-                .expect("arrival streams start at the epoch");
-        }
-        for (index, fault) in faults.iter().enumerate() {
-            let event = match fault.kind {
-                ShardFaultKind::Crash => FleetEvent::Crash { shard: fault.shard },
-                ShardFaultKind::Stall { .. } => FleetEvent::Stall {
-                    fault: u32::try_from(index).expect("fault plans hold fewer than 2^32 faults"),
-                },
-            };
-            queue
-                .schedule_at(fault.at, event)
-                .expect("fault plans start at the epoch");
-        }
+        let mut timeline = Timeline::new(arrivals, faults);
 
         let mut admitted: Vec<Vec<Instant>> = vec![Vec::new(); cfg.sources as usize];
         let mut latency = LatencyHistogram::new(cfg.latency_bin_width, cfg.latency_range)
@@ -411,50 +479,46 @@ impl AdmitFleet {
         let mut max_latency = Duration::ZERO;
 
         let mut end_of_run = Instant::ZERO;
-        while let Some((now, event)) = queue.pop() {
-            end_of_run = now;
-            match event {
-                FleetEvent::Arrival { source } => self.ingress(
-                    tenancy.as_mut(),
-                    &mut shards,
-                    &mut queue,
-                    &mut admitted,
-                    &mut hub,
-                    now,
-                    source,
-                    0,
-                ),
-                FleetEvent::Retry { source, attempt } => self.ingress(
-                    tenancy.as_mut(),
-                    &mut shards,
-                    &mut queue,
-                    &mut admitted,
-                    &mut hub,
-                    now,
-                    source,
-                    attempt,
-                ),
-                FleetEvent::Drain { shard, lane } => {
+        while let Some((now, step)) = timeline.pop() {
+            match step {
+                Step::Ingress { source, attempt } => {
+                    end_of_run = now;
+                    self.ingress(
+                        tenancy.as_mut(),
+                        &mut shards,
+                        &mut timeline,
+                        &mut admitted,
+                        &mut hub,
+                        now,
+                        source,
+                        attempt,
+                    );
+                }
+                Step::Drain { shard, lane, seq } => {
                     let s = &mut shards[shard as usize];
-                    if let Some(flight) = s.in_flight[lane as usize].pop_front() {
-                        s.counters.completed += 1;
-                        let lat = now - flight.arrival;
-                        latency.add(lat);
-                        max_latency = max_latency.max(lat);
-                        if let Some(rt) = tenancy.as_mut() {
-                            let t = rt.tenant_of[flight.source as usize] as usize;
-                            rt.tenants[t].counters.completed += 1;
-                        }
-                        if let Some(h) = hub.as_deref_mut() {
-                            h.record_completion(now, flight.source as usize, lat);
-                        }
+                    // Void if a crash cleared the lane since it was
+                    // scheduled: it completes nothing and is not an event
+                    // of the run, so it does not move the run's end either.
+                    let head = s.in_flight[lane as usize].pop_front_if(|f| f.seq == seq);
+                    let Some(flight) = head else { continue };
+                    end_of_run = now;
+                    s.counters.completed += 1;
+                    let lat = now - flight.arrival;
+                    latency.add(lat);
+                    max_latency = max_latency.max(lat);
+                    if let Some(rt) = tenancy.as_mut() {
+                        let t = rt.tenant_of[flight.source as usize] as usize;
+                        rt.tenants[t].counters.completed += 1;
+                    }
+                    if let Some(h) = hub.as_deref_mut() {
+                        h.record_completion(now, flight.source as usize, lat);
                     }
                 }
-                FleetEvent::Crash { shard } => {
+                Step::Crash { shard } => {
+                    end_of_run = now;
                     let s = &mut shards[shard as usize];
                     let dropped = s.crash(now, cfg.failover, &cfg.delta, cfg.supervision);
                     for flight in dropped {
-                        queue.cancel(flight.id);
                         if let Some(rt) = tenancy.as_mut() {
                             let t = rt.tenant_of[flight.source as usize] as usize;
                             rt.tenants[t].counters.lost_in_flight += 1;
@@ -464,16 +528,8 @@ impl AdmitFleet {
                         }
                     }
                 }
-                FleetEvent::Stall { fault } => {
-                    let ShardFault {
-                        at,
-                        shard,
-                        kind: ShardFaultKind::Stall { duration },
-                    } = faults[fault as usize]
-                    else {
-                        continue; // only stall faults schedule stall events
-                    };
-                    let until = at + duration;
+                Step::Stall { shard, until } => {
+                    end_of_run = now;
                     let s = &mut shards[shard as usize];
                     s.counters.stalls += 1;
                     s.stalled_until = Some(s.stalled_until.map_or(until, |u| u.max(until)));
@@ -524,7 +580,7 @@ impl AdmitFleet {
         &self,
         tenancy: Option<&mut TenancyRuntime>,
         shards: &mut [ShardState],
-        queue: &mut EngineQueue<FleetEvent>,
+        timeline: &mut Timeline<'_>,
         admitted: &mut [Vec<Instant>],
         hub: &mut Option<&mut MetricsHub>,
         now: Instant,
@@ -637,15 +693,13 @@ impl AdmitFleet {
                 if let Some((_, tn, _)) = tenant {
                     tn.counters.retries += 1;
                 }
-                queue
-                    .schedule_at(
-                        now + cfg.retry_backoff,
-                        FleetEvent::Retry {
-                            source,
-                            attempt: attempt + 1,
-                        },
-                    )
-                    .expect("retries are in the future");
+                timeline.schedule(
+                    now + cfg.retry_backoff,
+                    Scheduled::Retry {
+                        source,
+                        attempt: attempt + 1,
+                    },
+                );
             }
             Gate::Shed(reason) => {
                 if let Some((_, tn, _)) = tenant {
@@ -715,17 +769,13 @@ impl AdmitFleet {
                 let start = s.busy_until[lane].max(now);
                 let completion = start + cfg.service_cost;
                 s.busy_until[lane] = completion;
-                let id = queue
-                    .schedule_at(
-                        completion,
-                        FleetEvent::Drain {
-                            shard: shard_id,
-                            lane: lane as u32,
-                        },
-                    )
-                    .expect("completions are in the future");
+                let drain = Scheduled::Drain {
+                    shard: shard_id,
+                    lane: lane as u32,
+                };
+                let seq = timeline.schedule(completion, drain);
                 s.in_flight[lane].push_back(InFlight {
-                    id,
+                    seq,
                     source,
                     arrival: now,
                 });
@@ -885,7 +935,7 @@ impl FleetReport {
 
     /// Canonical byte encoding of [`merged_admitted`](Self::merged_admitted)
     /// (`"<at_ns> <source>\n"` lines) — the thing that must be
-    /// byte-identical across shard counts and engines.
+    /// byte-identical across shard counts.
     #[must_use]
     pub fn merged_bytes(&self) -> String {
         let mut out = String::new();
@@ -1004,17 +1054,5 @@ impl FleetReport {
             out.extend(check_global_budget(&union, tc.global_budget, tc.window));
         }
         out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fleet_event_fits_in_twelve_bytes() {
-        // Beside the 16-byte packed key, a 12-byte event keeps the wheel's
-        // slab node at 32 bytes, the size of the heap engine's entry.
-        assert!(std::mem::size_of::<FleetEvent>() <= 12);
     }
 }

@@ -4,7 +4,10 @@
 //! interrupt line on one machine. This crate scales the same test to a
 //! *fleet*: dense source ids hash-routed across N shards, each shard an
 //! arena of monitors, driven open-loop by Poisson floods, CAN-style ECU
-//! fleets and adversarial fault plans. Three robustness layers ride on top:
+//! fleets and adversarial fault plans. Like the paper's traces, arrivals
+//! and fault plans exist before a run: [`AdmitFleet::run`] reads them in
+//! place in time order, and only the service completions and retries a run
+//! creates wait in a small heap. Three robustness layers ride on top:
 //!
 //! * **Failover** ([`FailoverMode`]) — shards crash (seeded
 //!   [`ShardFault`]s); checkpointed monitor state plus a journal-tail

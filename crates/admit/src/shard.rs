@@ -16,7 +16,6 @@ use std::collections::VecDeque;
 
 use rthv_hypervisor::{HealthTracker, SupervisionPolicy};
 use rthv_monitor::{ActivationMonitor, DeltaFunction};
-use rthv_sim::EventId;
 use rthv_time::Instant;
 
 use crate::fleet::FailoverMode;
@@ -87,12 +86,13 @@ impl ShardCounters {
     }
 }
 
-/// An admitted activation awaiting its service completion, with the engine
-/// id of the pending drain event so a crash can cancel it.
+/// An admitted activation awaiting its service completion.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InFlight {
-    /// Pending drain event in the fleet's engine queue.
-    pub id: EventId,
+    /// Sequence number of the completion scheduled for it; a completion
+    /// whose entry a crash cleared finds another sequence number (or none)
+    /// at its lane's head and is skipped.
+    pub seq: u64,
     /// Global source id.
     pub source: u32,
     /// Hardware arrival timestamp (latency = completion − arrival).
@@ -195,9 +195,9 @@ impl ShardState {
     }
 
     /// Crashes the shard at `at`: the in-flight queue is lost (returned so
-    /// the fleet can cancel the pending drain events and count each loss as
-    /// a typed outcome), and the monitor arena is rebuilt according to
-    /// `mode`:
+    /// the fleet can count each loss as a typed outcome; their scheduled
+    /// completions find the lanes cleared and do nothing), and the monitor
+    /// arena is rebuilt according to `mode`:
     ///
     /// * [`FailoverMode::Checkpoint`] — monitors and trackers restore from
     ///   the last checkpoint, then the journal tail is replayed through

@@ -47,10 +47,9 @@ impl StormConfig {
     /// drain rate, so campaign sheds come from faults (fail-closed stall
     /// sheds, crash drops), not queue overflow — the budget bounds those.
     #[must_use]
-    pub fn standard(engine: &str) -> Self {
+    pub fn standard_campaign() -> Self {
         let mut base = FleetConfig::paper(8, 64);
         base.queue_capacity = 16;
-        base.engine = engine.to_owned();
         StormConfig {
             horizon: Duration::from_millis(1000),
             shed_budget_permille: 120,
@@ -61,15 +60,28 @@ impl StormConfig {
     /// The smoke campaign: 4 shards × 16 sources over 250 ms — small
     /// enough for CI, same families and verdict.
     #[must_use]
-    pub fn smoke(engine: &str) -> Self {
+    pub fn smoke_campaign() -> Self {
         let mut base = FleetConfig::paper(4, 16);
         base.queue_capacity = 16;
-        base.engine = engine.to_owned();
         StormConfig {
             horizon: Duration::from_millis(250),
             shed_budget_permille: 120,
             base,
         }
+    }
+
+    /// [`standard_campaign`](Self::standard_campaign). The fleet has no
+    /// event engine to choose any more, so the name is ignored.
+    #[must_use]
+    pub fn standard(_engine: &str) -> Self {
+        Self::standard_campaign()
+    }
+
+    /// [`smoke_campaign`](Self::smoke_campaign). The fleet has no event
+    /// engine to choose any more, so the name is ignored.
+    #[must_use]
+    pub fn smoke(_engine: &str) -> Self {
+        Self::smoke_campaign()
     }
 }
 
@@ -391,8 +403,8 @@ pub fn fleet_faults(fault: &FaultScenario, shards: u32, horizon: Duration) -> Ve
 
 /// One arm's distilled result: the ledger, the fleet-oracle verdict and
 /// bin-quantized latency percentiles. Everything is an integer or a stable
-/// slug, so the serialized form is byte-identical across hosts, engines
-/// and resumes.
+/// slug, so the serialized form is byte-identical across hosts and
+/// resumes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArmOutcome {
     /// Fleet-aggregated ledger.
@@ -793,7 +805,6 @@ pub struct TenantStormConfig {
 fn tenant_fleet_base(
     shards: u32,
     sources: u32,
-    engine: &str,
     victim_budget: u64,
     aggressor_budget: u64,
 ) -> FleetConfig {
@@ -808,7 +819,6 @@ fn tenant_fleet_base(
     // ablation shows the raw shared-queue interference; the hierarchy arm
     // must win on group budgets and lanes alone.
     base.shed_watermark_permille = 1000;
-    base.engine = engine.to_owned();
     let half = sources / 2;
     base.tenancy = Some(TenantConfig {
         window: Duration::from_millis(10),
@@ -832,26 +842,40 @@ fn tenant_fleet_base(
 impl TenantStormConfig {
     /// The standard tenant campaign: 8 shards × 64 sources over 1 s.
     #[must_use]
-    pub fn standard(engine: &str) -> Self {
+    pub fn standard_campaign() -> Self {
         TenantStormConfig {
             horizon: Duration::from_millis(1000),
             victim_mean: Duration::from_millis(6),
             overlay_mean: Duration::from_micros(300),
             overlay_onset: Duration::from_millis(150),
-            base: tenant_fleet_base(8, 64, engine, 120, 160),
+            base: tenant_fleet_base(8, 64, 120, 160),
         }
     }
 
     /// The smoke tenant campaign: 4 shards × 16 sources over 250 ms.
     #[must_use]
-    pub fn smoke(engine: &str) -> Self {
+    pub fn smoke_campaign() -> Self {
         TenantStormConfig {
             horizon: Duration::from_millis(250),
             victim_mean: Duration::from_millis(6),
             overlay_mean: Duration::from_micros(300),
             overlay_onset: Duration::from_millis(40),
-            base: tenant_fleet_base(4, 16, engine, 40, 60),
+            base: tenant_fleet_base(4, 16, 40, 60),
         }
+    }
+
+    /// [`standard_campaign`](Self::standard_campaign). The fleet has no
+    /// event engine to choose any more, so the name is ignored.
+    #[must_use]
+    pub fn standard(_engine: &str) -> Self {
+        Self::standard_campaign()
+    }
+
+    /// [`smoke_campaign`](Self::smoke_campaign). The fleet has no event
+    /// engine to choose any more, so the name is ignored.
+    #[must_use]
+    pub fn smoke(_engine: &str) -> Self {
+        Self::smoke_campaign()
     }
 
     /// The tenancy this campaign runs under.
@@ -1187,9 +1211,8 @@ pub fn tenant_storm_hub(config: &TenantStormConfig) -> MetricsHub {
 ///
 /// # Errors
 ///
-/// Propagates [`FleetError`] from fleet construction (invalid tenancy,
-/// unknown engine) — the campaign config is validated loudly, never
-/// silently repaired.
+/// Propagates [`FleetError`] from fleet construction (invalid tenancy) —
+/// the campaign config is validated loudly, never silently repaired.
 pub fn run_tenant_scenario(
     config: &TenantStormConfig,
     scenario: &TenantScenario,

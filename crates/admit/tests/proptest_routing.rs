@@ -1,6 +1,6 @@
 //! Property tests for the fleet's structural invariants: the hash route
 //! is a pure stable function, admitted streams are invariant under the
-//! shard count, the engine choice and the checkpoint cadence, and
+//! shard count and the checkpoint cadence, and
 //! checkpoint failover is admission-transparent — a crashed-and-restored
 //! fleet admits exactly what an uncrashed one does.
 
@@ -21,12 +21,11 @@ use rthv_workload::{flood_overlay, open_loop_flood, FloodSpec, OverlaySpec};
 /// requires the victim never to hit its *own* lane cap, because a crash
 /// drains in-flight work and thereby moves queue-full timing —
 /// self-saturation is not an isolation failure.
-fn tenancy_config(shards: u32, engine: &str, checkpoint_every: u64) -> FleetConfig {
+fn tenancy_config(shards: u32, checkpoint_every: u64) -> FleetConfig {
     let mut config = FleetConfig::paper(shards, 16);
     config.queue_capacity = 64;
     config.service_cost = Duration::from_micros(800);
     config.shed_watermark_permille = 1000;
-    config.engine = engine.to_owned();
     config.checkpoint_every = checkpoint_every;
     config.tenancy = Some(TenantConfig {
         window: Duration::from_millis(10),
@@ -50,15 +49,9 @@ fn tenancy_config(shards: u32, engine: &str, checkpoint_every: u64) -> FleetConf
 /// A fleet config whose sheds cannot fire: admissions depend only on each
 /// source's own monitor and arrival times, which is exactly the
 /// sharding-invariance precondition.
-fn unshedding_config(
-    shards: u32,
-    sources: u32,
-    engine: &str,
-    checkpoint_every: u64,
-) -> FleetConfig {
+fn unshedding_config(shards: u32, sources: u32, checkpoint_every: u64) -> FleetConfig {
     let mut config = FleetConfig::paper(shards, sources);
     config.queue_capacity = 1 << 20;
-    config.engine = engine.to_owned();
     config.checkpoint_every = checkpoint_every;
     config
 }
@@ -80,23 +73,23 @@ proptest! {
             prop_assert!(first < shards);
             prop_assert_eq!(first, route(source, shards));
         }
-        let a = AdmitFleet::new(unshedding_config(shards, sources, "heap", 32)).unwrap();
-        let b = AdmitFleet::new(unshedding_config(shards, sources, "wheel", 7)).unwrap();
+        let a = AdmitFleet::new(unshedding_config(shards, sources, 32)).unwrap();
+        let b = AdmitFleet::new(unshedding_config(shards, sources, 7)).unwrap();
         for source in 0..sources {
             let (shard_a, _) = a.route_of(source).unwrap();
             let (shard_b, _) = b.route_of(source).unwrap();
             prop_assert_eq!(shard_a, route(source, shards));
             prop_assert_eq!(shard_a, shard_b,
-                "routing must not depend on engine or checkpoint cadence");
+                "routing must not depend on checkpoint cadence");
         }
     }
 
     /// The merged admitted stream is byte-identical across shard counts
-    /// {1, 4, 16}, both engines and arbitrary checkpoint cadences: with
-    /// sheds structurally impossible, admission is a per-source property
-    /// and sharding is pure routing.
+    /// {1, 4, 16} and arbitrary checkpoint cadences: with sheds
+    /// structurally impossible, admission is a per-source property and
+    /// sharding is pure routing.
     #[test]
-    fn merged_streams_survive_resharding_engines_and_cadence(
+    fn merged_streams_survive_resharding_and_cadence(
         seed in any::<u64>(),
         mean_us in 150u64..1500,
         checkpoint_every in 1u64..64,
@@ -110,21 +103,19 @@ proptest! {
         });
         let mut reference: Option<String> = None;
         for shards in [1u32, 4, 16] {
-            for engine in ["heap", "wheel"] {
-                let fleet = AdmitFleet::new(
-                    unshedding_config(shards, sources, engine, checkpoint_every),
-                ).unwrap();
-                let report = fleet.run(&arrivals, &[], None);
-                prop_assert_eq!(report.counters.shed_total(), 0);
-                let bytes = report.merged_bytes();
-                match &reference {
-                    None => reference = Some(bytes),
-                    Some(r) => prop_assert_eq!(
-                        r, &bytes,
-                        "admitted stream changed under shards={} engine={}",
-                        shards, engine
-                    ),
-                }
+            let fleet = AdmitFleet::new(
+                unshedding_config(shards, sources, checkpoint_every),
+            ).unwrap();
+            let report = fleet.run(&arrivals, &[], None);
+            prop_assert_eq!(report.counters.shed_total(), 0);
+            let bytes = report.merged_bytes();
+            match &reference {
+                None => reference = Some(bytes),
+                Some(r) => prop_assert_eq!(
+                    r, &bytes,
+                    "admitted stream changed under shards={}",
+                    shards
+                ),
             }
         }
     }
@@ -152,7 +143,7 @@ proptest! {
             shard: crashed_shard,
             kind: ShardFaultKind::Crash,
         };
-        let config = unshedding_config(4, sources, "heap", checkpoint_every);
+        let config = unshedding_config(4, sources, checkpoint_every);
         let calm = AdmitFleet::new(config.clone()).unwrap().run(&arrivals, &[], None);
         let crashed = AdmitFleet::new(config).unwrap().run(&arrivals, &[fault], None);
         prop_assert_eq!(
@@ -165,7 +156,7 @@ proptest! {
         // The fresh-state ablation of the same cut is NOT transparent
         // whenever the crashed shard had admitted anything before the cut
         // with traffic still pending after it — the δ⁻ history is gone.
-        let mut fresh_cfg = unshedding_config(4, sources, "heap", checkpoint_every);
+        let mut fresh_cfg = unshedding_config(4, sources, checkpoint_every);
         fresh_cfg.failover = FailoverMode::FreshState;
         let fresh = AdmitFleet::new(fresh_cfg).unwrap().run(&arrivals, &[fault], None);
         prop_assert!(fresh.counters.admitted >= crashed.counters.admitted,
@@ -173,31 +164,29 @@ proptest! {
     }
 
     /// Routing ignores the tenancy: attaching a tenant hierarchy never
-    /// moves a source to a different shard, across shard counts {1, 4, 16}
-    /// and both engines — tenancy partitions budgets, not placement.
+    /// moves a source to a different shard, across shard counts
+    /// {1, 4, 16} — tenancy partitions budgets, not placement.
     #[test]
     fn routing_is_stable_under_tenant_assignment(
         checkpoint_every in 1u64..48,
     ) {
         for shards in [1u32, 4, 16] {
-            for engine in ["heap", "wheel"] {
-                let flat = AdmitFleet::new(
-                    unshedding_config(shards, 16, engine, checkpoint_every),
-                ).unwrap();
-                let tenanted = AdmitFleet::new(
-                    tenancy_config(shards, engine, checkpoint_every),
-                ).unwrap();
-                for source in 0..16 {
-                    prop_assert_eq!(
-                        flat.route_of(source), tenanted.route_of(source),
-                        "tenancy moved source {} under shards={} engine={}",
-                        source, shards, engine
-                    );
-                    prop_assert_eq!(
-                        flat.route_of(source).unwrap().0,
-                        route(source, shards)
-                    );
-                }
+            let flat = AdmitFleet::new(
+                unshedding_config(shards, 16, checkpoint_every),
+            ).unwrap();
+            let tenanted = AdmitFleet::new(
+                tenancy_config(shards, checkpoint_every),
+            ).unwrap();
+            for source in 0..16 {
+                prop_assert_eq!(
+                    flat.route_of(source), tenanted.route_of(source),
+                    "tenancy moved source {} under shards={}",
+                    source, shards
+                );
+                prop_assert_eq!(
+                    flat.route_of(source).unwrap().0,
+                    route(source, shards)
+                );
             }
         }
     }
@@ -209,13 +198,13 @@ proptest! {
     /// The isolation theorem: a seeded aggressor flood plus correlated
     /// crash cuts in tenant 1 leave tenant 0's admitted stream
     /// byte-identical to the fault-free, flood-free run — at every shard
-    /// count in {1, 4, 16}, on both engines, under arbitrary checkpoint
-    /// cadences. The stream is also engine-invariant per shard count (it
-    /// is *not* shard-count-invariant: lane capacity and drain rate are
-    /// per-shard physical resources, so resharding may move it — what must
-    /// never move it is another tenant's behavior).
+    /// count in {1, 4, 16}, under arbitrary checkpoint cadences. (The
+    /// stream is *not* shard-count-invariant: lane capacity and drain rate
+    /// are per-shard physical resources, so resharding may move it — what
+    /// must never move it is another tenant's behavior.) The two crashes
+    /// come in either order, so the fault slice is often unsorted.
     #[test]
-    fn tenant_isolation_survives_floods_crashes_resharding_and_engines(
+    fn tenant_isolation_survives_floods_crashes_and_resharding(
         seed in any::<u64>(),
         checkpoint_every in 1u64..48,
         crash_a_us in 12_000u64..55_000,
@@ -251,27 +240,14 @@ proptest! {
                     kind: ShardFaultKind::Crash,
                 },
             ];
-            let mut reference: Option<String> = None;
-            for engine in ["heap", "wheel"] {
-                let config = tenancy_config(shards, engine, checkpoint_every);
-                let fleet = AdmitFleet::new(config).unwrap();
-                let calm_victim = fleet.run(&calm, &[], None).tenant_bytes(0);
-                let storm_victim = fleet.run(&storm, &faults, None).tenant_bytes(0);
-                prop_assert_eq!(
-                    &calm_victim, &storm_victim,
-                    "aggressor flood + crashes moved the victim stream \
-                     under shards={} engine={}",
-                    shards, engine
-                );
-                match &reference {
-                    None => reference = Some(calm_victim),
-                    Some(r) => prop_assert_eq!(
-                        r, &calm_victim,
-                        "victim stream differs across engines at shards={}",
-                        shards
-                    ),
-                }
-            }
+            let fleet = AdmitFleet::new(tenancy_config(shards, checkpoint_every)).unwrap();
+            let calm_victim = fleet.run(&calm, &[], None).tenant_bytes(0);
+            let storm_victim = fleet.run(&storm, &faults, None).tenant_bytes(0);
+            prop_assert_eq!(
+                &calm_victim, &storm_victim,
+                "aggressor flood + crashes moved the victim stream under shards={}",
+                shards
+            );
         }
     }
 }

@@ -12,10 +12,7 @@
 //! the first scenario's failover-arm (or hierarchy-storm-arm) hub snapshot.
 //!
 //! `--smoke` swaps the 8×64-source 1 s geometry for the CI-sized
-//! 4×16-source 250 ms one; families and verdict are unchanged. The fleet
-//! runs on the production timing wheel; the report bytes never depend on
-//! the engine (the `heap` reference is pinned only by tests, through
-//! `StormConfig`/`TenantStormConfig`).
+//! 4×16-source 250 ms one; families and verdict are unchanged.
 //!
 //! `--tenants` runs the tenant-isolation campaign instead: each scenario
 //! drives four arms (hierarchy calm/storm, flat-ablation calm/storm)
@@ -48,9 +45,6 @@ const CLI: Cli = Cli {
 };
 
 const VALIDATED: &str = "fleet config was validated before the sweep";
-
-/// The fleet's event engine: the production wheel.
-const ENGINE: &str = "wheel";
 
 struct Flat {
     config: StormConfig,
@@ -145,9 +139,9 @@ fn main() -> ExitCode {
     if args.switch("--tenants") {
         return drive(&CLI, &args, || {
             let config = if smoke {
-                TenantStormConfig::smoke(ENGINE)
+                TenantStormConfig::smoke_campaign()
             } else {
-                TenantStormConfig::standard(ENGINE)
+                TenantStormConfig::standard_campaign()
             };
             AdmitFleet::new(config.base.clone())?;
             let scenarios = tenant_scenarios(args.count.unwrap_or(3), seed, config.horizon);
@@ -160,9 +154,9 @@ fn main() -> ExitCode {
     }
     drive(&CLI, &args, || {
         let config = if smoke {
-            StormConfig::smoke(ENGINE)
+            StormConfig::smoke_campaign()
         } else {
-            StormConfig::standard(ENGINE)
+            StormConfig::standard_campaign()
         };
         AdmitFleet::new(config.base.clone())?;
         let scenarios = storm_scenarios(args.count.unwrap_or(7), seed, config.horizon);

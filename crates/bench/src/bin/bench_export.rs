@@ -362,26 +362,25 @@ fn tenant_probe_arrivals() -> Vec<FloodEvent> {
 }
 
 /// The probe fleet: deep queues so sheds are structurally impossible, and
-/// — when hierarchical — a 2-tenant split whose budgets (9 admissions per
-/// 500 µs window against an 8-arrival burst per tenant per millisecond) never deny a conformant stream.
-/// The short window also keeps the group's aggregate δ⁻ short — the
-/// group check is O(budget) per decision — so the probe prices the
-/// hierarchy's bookkeeping, not a degenerate monitor scan.
+/// — when hierarchical — the tenant campaign's 2-tenant budgets (120 and
+/// 160 admissions per 10 ms window, global 280). Each tenant offers 80
+/// arrivals per window, so the hierarchy never denies this conformant
+/// stream.
 fn tenant_probe_fleet(hierarchical: bool) -> AdmitFleet {
     let mut config = FleetConfig::paper(4, TENANT_SOURCES);
     config.queue_capacity = 1 << 20;
     if hierarchical {
         config.tenancy = Some(TenantConfig {
-            window: SimDuration::from_micros(500),
-            global_budget: 18,
+            window: SimDuration::from_millis(10),
+            global_budget: 280,
             tenants: vec![
                 TenantSpec {
                     sources: TENANT_SOURCES / 2,
-                    budget: 9,
+                    budget: 120,
                 },
                 TenantSpec {
                     sources: TENANT_SOURCES / 2,
-                    budget: 9,
+                    budget: 160,
                 },
             ],
             brownout: Default::default(),

@@ -100,7 +100,7 @@ fn sequential_and_parallel<S: Sync, R: Send>(
 
 #[test]
 fn admit_storm_report_is_identical_across_thread_counts() {
-    let config = StormConfig::smoke("wheel");
+    let config = StormConfig::smoke_campaign();
     let scenarios = storm_scenarios(5, 16_392_212, config.horizon);
     let (sequential, parallel) = sequential_and_parallel(
         &scenarios,
@@ -116,7 +116,7 @@ fn admit_storm_report_is_identical_across_thread_counts() {
 
 #[test]
 fn tenant_storm_report_is_identical_across_thread_counts() {
-    let config = TenantStormConfig::smoke("wheel");
+    let config = TenantStormConfig::smoke_campaign();
     let scenarios = tenant_scenarios(3, 16_392_212, config.horizon);
     let (sequential, parallel) = sequential_and_parallel(
         &scenarios,

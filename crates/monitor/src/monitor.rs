@@ -93,6 +93,10 @@ impl MonitorStats {
 #[derive(Debug, Clone)]
 pub struct ActivationMonitor {
     delta: DeltaFunction,
+    /// Leading zero entries of `delta`. A zero distance can never be
+    /// violated, so the check starts after them: a group budget's
+    /// `budget − 1` zeros and one window cost a single compare.
+    zeros: usize,
     /// Timestamps of the most recent admitted activations; at most
     /// `delta.len()` entries.
     trace: TraceRing,
@@ -165,7 +169,12 @@ impl TraceRing {
     #[inline]
     fn get(&self, i: usize) -> Instant {
         debug_assert!(i < self.len);
-        self.slots()[(self.head + self.cap - i) % self.cap]
+        let slot = if i <= self.head {
+            self.head - i
+        } else {
+            self.head + self.cap - i
+        };
+        self.slots()[slot]
     }
 
     /// Records a new most-recent timestamp, evicting the oldest when full.
@@ -201,6 +210,7 @@ impl ActivationMonitor {
     pub fn new(delta: DeltaFunction) -> Self {
         let trace = TraceRing::new(delta.len());
         ActivationMonitor {
+            zeros: leading_zeros(&delta),
             delta,
             trace,
             stats: MonitorStats::default(),
@@ -219,6 +229,7 @@ impl ActivationMonitor {
         if delta.len() != self.trace.cap {
             self.trace.resize(delta.len());
         }
+        self.zeros = leading_zeros(&delta);
         self.delta = delta;
     }
 
@@ -265,9 +276,10 @@ impl ActivationMonitor {
         self.check_multi(now)
     }
 
-    /// The general `l > 1` check, kept out of the inlined fast path.
+    /// The general `l > 1` check, kept out of the inlined fast path. It
+    /// skips the leading zero entries, which no activation can violate.
     fn check_multi(&self, now: Instant) -> Admission {
-        for i in 0..self.trace.len() {
+        for i in self.zeros..self.trace.len() {
             let distance = now.saturating_duration_since(self.trace.get(i));
             if distance < self.delta.entries()[i] {
                 return Admission::Denied {
@@ -342,6 +354,12 @@ impl ActivationMonitor {
         word(self.stats.admitted);
         word(self.stats.denied);
     }
+}
+
+/// The number of leading zero entries of `delta` (its entries are
+/// non-decreasing, so these are all of its zeros).
+fn leading_zeros(delta: &DeltaFunction) -> usize {
+    delta.entries().iter().take_while(|d| d.is_zero()).count()
 }
 
 impl fmt::Display for ActivationMonitor {

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use rthv_monitor::{ActivationMonitor, DeltaFunction, DeltaLearner, TokenBucket};
+use rthv_monitor::{ActivationMonitor, Admission, DeltaFunction, DeltaLearner, TokenBucket};
 use rthv_time::{Duration, Instant};
 
 /// Strategy: a normalized (non-decreasing) δ⁻ with 1..=5 entries in
@@ -371,5 +371,64 @@ proptest! {
         let t = Instant::from_micros(7);
         let admitted = (0..burst).filter(|_| bucket.try_admit(t)).count();
         prop_assert_eq!(admitted, burst.min(capacity as usize));
+    }
+}
+
+/// Strategy: a δ⁻ shaped like a group budget — up to 12 leading zero
+/// entries, then up to 4 positive, non-decreasing ones (an all-zero δ⁻
+/// when there are none).
+fn zero_padded_delta_strategy() -> impl Strategy<Value = DeltaFunction> {
+    (0usize..=12, prop::collection::vec(1u64..3_000, 0..=4)).prop_map(|(zeros, raw)| {
+        let mut entries = vec![Duration::ZERO; zeros.max(usize::from(raw.is_empty()))];
+        let mut sum = 0u64;
+        for gap in raw {
+            sum += gap;
+            entries.push(Duration::from_micros(sum));
+        }
+        DeltaFunction::new(entries).expect("zeros then cumulative sums are monotonic")
+    })
+}
+
+/// The check straight from the definition: the first `i` whose distance
+/// to the `i`-th previous admission (newest first) is below δ⁻[i].
+fn reference_check(delta: &DeltaFunction, admitted: &[Instant], now: Instant) -> Admission {
+    for (i, &prev) in admitted.iter().rev().take(delta.len()).enumerate() {
+        if now.saturating_duration_since(prev) < delta.entries()[i] {
+            return Admission::Denied {
+                violated_distance: i,
+            };
+        }
+    }
+    Admission::Admitted
+}
+
+proptest! {
+    /// Skipping δ⁻'s leading zero entries changes no decision and no
+    /// reported violated distance, also after `set_delta` swaps in a δ⁻
+    /// with another zero count mid-stream (the monitor then remembers
+    /// only the admissions its old ring held).
+    #[test]
+    fn zero_padded_checks_match_the_definition(
+        first in zero_padded_delta_strategy(),
+        second in zero_padded_delta_strategy(),
+        arrivals in adversarial_strategy(),
+    ) {
+        let mut monitor = ActivationMonitor::new(first.clone());
+        let mut delta = first;
+        let mut admitted: Vec<Instant> = Vec::new();
+        let swap_at = arrivals.len() / 2;
+        for (k, t) in arrivals.into_iter().enumerate() {
+            if k == swap_at {
+                let forgotten = admitted.len().saturating_sub(delta.len());
+                admitted.drain(..forgotten);
+                monitor.set_delta(second.clone());
+                delta = second.clone();
+            }
+            let expected = reference_check(&delta, &admitted, t);
+            prop_assert_eq!(monitor.check(t), expected);
+            if monitor.try_admit_detailed(t) == Admission::Admitted {
+                admitted.push(t);
+            }
+        }
     }
 }

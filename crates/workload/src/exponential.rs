@@ -74,18 +74,25 @@ impl ExponentialArrivals {
     /// to different phases of the TDMA cycle can be produced via `start`.
     #[must_use]
     pub fn generate(&self, count: usize, start: Instant) -> ArrivalTrace {
+        let arrivals = self.stream(start).take(count).collect();
+        ArrivalTrace::new(arrivals).expect("monotone construction")
+    }
+
+    /// The arrivals of [`generate`](Self::generate) one at a time, without
+    /// end: `generate(count, start)` is the first `count` of them, so a
+    /// caller can stop sampling at a horizon instead of at a count.
+    pub(crate) fn stream(&self, start: Instant) -> impl Iterator<Item = Instant> {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut arrivals = Vec::with_capacity(count);
+        let (mean, min_distance) = (self.mean, self.min_distance);
         let mut t = start;
-        for _ in 0..count {
-            let mut gap = sample_exponential(&mut rng, self.mean);
-            if let Some(dmin) = self.min_distance {
+        std::iter::repeat_with(move || {
+            let mut gap = sample_exponential(&mut rng, mean);
+            if let Some(dmin) = min_distance {
                 gap = gap.max(dmin);
             }
             t += gap;
-            arrivals.push(t);
-        }
-        ArrivalTrace::new(arrivals).expect("monotone construction")
+            t
+        })
     }
 }
 

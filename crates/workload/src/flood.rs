@@ -56,16 +56,13 @@ pub struct FloodSpec {
 pub fn open_loop_flood(spec: &FloodSpec) -> Vec<FloodEvent> {
     assert!(spec.sources > 0, "flood needs at least one source");
     assert!(!spec.horizon.is_zero(), "flood horizon must be positive");
-    // Enough samples that truncation at the horizon, not the count, ends
-    // every stream: 2× the expected count plus slack for seed variance.
-    let expected = (spec.horizon.as_nanos() / spec.mean.as_nanos().max(1)) as usize;
-    let count = expected * 2 + 32;
+    let (expected, cap) = stream_cap(spec.horizon, spec.mean);
     let mut events = Vec::with_capacity(expected * spec.sources as usize);
     for source in 0..spec.sources {
         let stream = ExponentialArrivals::new(spec.mean, derive_seed(spec.seed, source))
             .with_min_distance(Duration::from_nanos(1))
-            .generate(count, Instant::ZERO);
-        collect_until(&mut events, stream.as_slice(), source, spec.horizon);
+            .stream(Instant::ZERO);
+        collect_until(&mut events, stream.take(cap), source, spec.horizon);
     }
     merge(events)
 }
@@ -89,7 +86,7 @@ pub fn ecu_fleet(sources: u32, horizon: Duration, seed: u64) -> Vec<FloodEvent> 
     let mut events = Vec::with_capacity(expected * sources as usize);
     for source in 0..sources {
         let trace = AutomotiveTraceBuilder::typical_ecu(derive_seed(seed, source)).build(count);
-        collect_until(&mut events, trace.as_slice(), source, horizon);
+        collect_until(&mut events, trace.iter().copied(), source, horizon);
     }
     merge(events)
 }
@@ -131,38 +128,53 @@ pub fn flood_overlay(base: &[FloodEvent], spec: &OverlaySpec) -> Vec<FloodEvent>
         spec.onset < spec.horizon,
         "overlay onset must precede the horizon"
     );
-    let span = spec.horizon - spec.onset;
-    let expected = (span.as_nanos() / spec.mean.as_nanos().max(1)) as usize;
-    let count = expected * 2 + 32;
-    let mut events = base.to_vec();
+    let (expected, cap) = stream_cap(spec.horizon - spec.onset, spec.mean);
+    let mut events = Vec::with_capacity(base.len() + expected * spec.sources as usize);
+    events.extend_from_slice(base);
     for source in spec.first_source..spec.first_source + spec.sources {
         // A distinct lane space (high bit) keeps overlay streams
         // independent of the base flood's per-source streams.
         let lane_seed = derive_seed(spec.seed ^ 0x0E7A_11AD, source);
         let stream = ExponentialArrivals::new(spec.mean, lane_seed)
             .with_min_distance(Duration::from_nanos(1))
-            .generate(count, Instant::ZERO + spec.onset);
-        collect_until(&mut events, stream.as_slice(), source, spec.horizon);
+            .stream(Instant::ZERO + spec.onset);
+        collect_until(&mut events, stream.take(cap), source, spec.horizon);
     }
     merge(events)
 }
 
-/// Appends `(at, source)` events for every timestamp below the horizon.
-fn collect_until(events: &mut Vec<FloodEvent>, times: &[Instant], source: u32, horizon: Duration) {
+/// The expected arrivals of one Poisson stream over `span`, and the cap on
+/// the samples it may draw: 2× the expected count plus slack for seed
+/// variance, so the horizon, not the cap, ends every stream.
+fn stream_cap(span: Duration, mean: Duration) -> (usize, usize) {
+    let expected = (span.as_nanos() / mean.as_nanos().max(1)) as usize;
+    (expected, expected * 2 + 32)
+}
+
+/// Appends `(at, source)` events for every timestamp before the first one
+/// at or past the horizon; nothing after it is read, so a lazy stream
+/// draws no further sample.
+fn collect_until(
+    events: &mut Vec<FloodEvent>,
+    times: impl Iterator<Item = Instant>,
+    source: u32,
+    horizon: Duration,
+) {
     let end = Instant::ZERO + horizon;
-    for &at in times {
-        if at >= end {
-            break;
-        }
-        events.push(FloodEvent { at, source });
-    }
+    events.extend(
+        times
+            .take_while(|&at| at < end)
+            .map(|at| FloodEvent { at, source }),
+    );
 }
 
 /// Sorts by `(time, source)`. Ties across sources are allowed — the fleet
 /// breaks them by schedule order, which this sort pins — but a single
 /// source's sub-stream is already strictly increasing by construction.
+/// Events with equal keys are equal values (an overlay may repeat a base
+/// event), so the unstable sort yields the one sorted vector.
 fn merge(mut events: Vec<FloodEvent>) -> Vec<FloodEvent> {
-    events.sort_by_key(|e| (e.at, e.source));
+    events.sort_unstable_by_key(|e| (e.at, e.source));
     events
 }
 

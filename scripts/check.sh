@@ -9,10 +9,9 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test -q"
-# The whole tier-1 suite, once. The fleet tests that compare the heap
-# reference engine with the production wheel pin each engine in their
-# config; the machine's arrival-placement tests schedule one plan both as
-# a sorted stream and through the side heap.
+# The whole tier-1 suite, once. The machine's arrival-placement tests
+# schedule one plan both as a sorted stream and through the side heap;
+# the fleet's smoke reports are pinned by digest.
 cargo test --workspace -q
 
 echo "==> cargo test --release (benchmark package)"
