@@ -71,17 +71,11 @@ impl StormConfig {
     }
 
     /// [`standard_campaign`](Self::standard_campaign). The fleet has no
-    /// event engine to choose any more, so the name is ignored.
+    /// event engine to choose, so the name is ignored. It is kept for the
+    /// benchmark package and goes with ROADMAP item 7.
     #[must_use]
     pub fn standard(_engine: &str) -> Self {
         Self::standard_campaign()
-    }
-
-    /// [`smoke_campaign`](Self::smoke_campaign). The fleet has no event
-    /// engine to choose any more, so the name is ignored.
-    #[must_use]
-    pub fn smoke(_engine: &str) -> Self {
-        Self::smoke_campaign()
     }
 }
 
@@ -865,17 +859,11 @@ impl TenantStormConfig {
     }
 
     /// [`standard_campaign`](Self::standard_campaign). The fleet has no
-    /// event engine to choose any more, so the name is ignored.
+    /// event engine to choose, so the name is ignored. It is kept for the
+    /// benchmark package and goes with ROADMAP item 7.
     #[must_use]
     pub fn standard(_engine: &str) -> Self {
         Self::standard_campaign()
-    }
-
-    /// [`smoke_campaign`](Self::smoke_campaign). The fleet has no event
-    /// engine to choose any more, so the name is ignored.
-    #[must_use]
-    pub fn smoke(_engine: &str) -> Self {
-        Self::smoke_campaign()
     }
 
     /// The tenancy this campaign runs under.

@@ -1,9 +1,8 @@
 //! Timing exporter for what the repo benchmark (`benchmark/`) cannot
 //! measure inside its workloads: the [`SweepRunner`] fan-out of the
 //! Figure-6c conformant scenario, sequential against parallel, at three
-//! scales on the default event engine, and three on/off overhead ratios
-//! (health supervision, the observability layer and the tenant hierarchy).
-//! Writes `BENCH_sim.json`.
+//! scales, and three on/off overhead ratios (health supervision, the
+//! observability layer and the tenant hierarchy). Writes `BENCH_sim.json`.
 //!
 //! Usage: `cargo run --release -p rthv-experiments --bin bench_export
 //! [output-path] [--metrics <json>]` (default `BENCH_sim.json` in the
@@ -504,7 +503,7 @@ fn main() {
         0,
         &[
             ("benchmark", "\"fig6c_conformant_scenario\"".to_string()),
-            ("description", "\"Fig. 6c (monitored, d_min-conformant arrivals) at three scales on the default event engine, sequential vs fanned over host cores (verified identical), plus three on/off overhead ratios; every timing is the median, min and max over the timed repetitions after the discarded warm-up ones, and every ratio the median, min and max of the per-repetition ratios\"".to_string()),
+            ("description", "\"Fig. 6c (monitored, d_min-conformant arrivals) at three scales, sequential vs fanned over host cores (verified identical), plus three on/off overhead ratios; every timing is the median, min and max over the timed repetitions after the discarded warm-up ones, and every ratio the median, min and max of the per-repetition ratios\"".to_string()),
             ("host_cores", cores.to_string()),
             supervision,
             obs,

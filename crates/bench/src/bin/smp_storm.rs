@@ -14,9 +14,7 @@
 //! scenario's first enabled case.
 //!
 //! `--smoke` swaps the 1 s horizon for the CI-sized 250 ms one; families
-//! and verdict are unchanged. Every core runs on the production timing
-//! wheel; the report bytes never depend on the engine (tests pin the
-//! `heap` reference through each core's `PolicyOptions::engine`).
+//! and verdict are unchanged.
 //!
 //! The verdict passes on zero monitored per-victim-core violations (with
 //! conservation), victim streams byte-identical across core counts on

@@ -137,10 +137,8 @@ pub mod stats {
     };
 }
 
-/// The deterministic event engines ([`rthv_sim`]).
+/// What callers name of [`rthv_sim`]: the benchmark's engine-probe queue
+/// and the FNV-1a digest.
 pub mod sim {
-    pub use rthv_sim::{
-        EngineKind, EngineQueue, EngineStats, EventId, EventQueue, Fnv1a, SchedulePastError,
-        WheelEngine,
-    };
+    pub use rthv_sim::{EngineQueue, Fnv1a};
 }

@@ -57,9 +57,8 @@ pub struct Fig6Config {
     pub range: Duration,
     /// Base RNG seed; each load perturbs it.
     pub seed: u64,
-    /// Copied into every load's
-    /// [`PolicyOptions::engine`](rthv_hypervisor::PolicyOptions), which
-    /// selects nothing for a machine: the outputs never depend on it.
+    /// An engine name the scenario selects nothing by; see
+    /// [`EngineChoice`]. It goes with ROADMAP item 7.
     pub engine: EngineChoice,
 }
 
@@ -192,8 +191,7 @@ fn load_machine(
             Some(DeltaFunction::from_dmin(lambda).expect("positive d_min")),
         ),
     };
-    let mut hv = config.setup.config(mode, monitor);
-    hv.policies.engine = config.engine;
+    let hv = config.setup.config(mode, monitor);
     let machine = Machine::new(hv).expect("paper setup is a valid configuration");
     (machine, trace)
 }

@@ -47,9 +47,8 @@ pub struct CampaignConfig {
     pub queue_capacity: Option<usize>,
     /// What a full bounded queue does with the excess.
     pub overflow: OverflowPolicy,
-    /// Copied into every campaign machine's
-    /// [`PolicyOptions::engine`](rthv::PolicyOptions), which selects
-    /// nothing for a machine: it never changes any outcome.
+    /// An engine name the campaign selects nothing by; see
+    /// [`EngineChoice`]. It goes with ROADMAP item 7.
     pub engine: EngineChoice,
     /// The scenarios to run.
     pub scenarios: Vec<FaultScenario>,
@@ -144,10 +143,9 @@ pub struct IdleReference {
 /// invalid.
 pub fn idle_reference(config: &CampaignConfig) -> Result<IdleReference, CampaignConfigError> {
     let delta = campaign_delta(config.dmin)?;
-    let mut hv = config
+    let hv = config
         .setup
         .config(IrqHandlingMode::Interposed, Some(delta));
-    hv.policies.engine = config.engine;
     let mut machine = Machine::new(hv)?;
     machine.run_until(Instant::ZERO + config.horizon);
     let report = machine.finish();
@@ -252,7 +250,6 @@ pub fn scenario_machine(
     hv.policies.admission_clock = plan.admission_clock;
     hv.policies.overflow = config.overflow;
     hv.policies.supervision = supervision;
-    hv.policies.engine = config.engine;
     hv.partitions[config.setup.subscriber().index()].queue_capacity = config.queue_capacity;
 
     let mut machine = Machine::new(hv)?;

@@ -282,40 +282,29 @@ pub enum OverflowPolicy {
     DropOldest,
 }
 
-/// An event engine named in configuration. A [`Machine`](crate::Machine)
-/// selects nothing by it: its pending IRQ arrivals wait in one sorted
-/// stream (plus a side heap for arrivals scheduled out of order) and its
-/// own timers in fixed slots. The choice is kept, outside machine state
-/// hashing, for callers that replay a machine's run through an engine of
-/// their own ([`Machine::engine_kind`](crate::Machine::engine_kind)); the
-/// admission fleet chooses its engine through its own configuration.
+/// The event engine a configuration names. It has one value, and a
+/// [`Machine`](crate::Machine) selects nothing by it: its pending IRQ
+/// arrivals wait in one sorted stream and its own timers in fixed slots.
+/// It goes with ROADMAP item 7, when the benchmark package stops naming
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum EngineChoice {
-    /// The production engine: the timing wheel.
+    /// The heap [`EventQueue`](rthv_sim::EventQueue), the only engine.
     #[default]
     Auto,
-    /// Binary-heap reference engine (`O(log n)`, trivially correct).
-    Heap,
-    /// Hierarchical timing wheel (`O(1)` amortised, closed-form
-    /// fast-forward; levels sized from the TDMA cycle).
-    Wheel,
 }
 
 impl EngineChoice {
-    /// The concrete engine this choice selects: [`EngineChoice::Auto`] is
-    /// the wheel.
+    /// The engine this choice names: always [`EngineKind::Heap`].
     ///
-    /// It never fails. It keeps its fallible shape only until the engine
-    /// selection types go, because the benchmark package still unwraps it.
+    /// It keeps its fallible shape because the benchmark package unwraps
+    /// it.
     ///
     /// # Errors
     ///
     /// None: the error type is [`Infallible`](std::convert::Infallible).
     pub fn try_resolve(self) -> Result<EngineKind, std::convert::Infallible> {
-        Ok(match self {
-            EngineChoice::Heap => EngineKind::Heap,
-            EngineChoice::Auto | EngineChoice::Wheel => EngineKind::Wheel,
-        })
+        Ok(EngineKind::Heap)
     }
 }
 
@@ -333,8 +322,8 @@ pub struct PolicyOptions {
     /// hysteresis recovery, degraded-mode budgets). `None` — the default —
     /// disables supervision; the machine then behaves exactly as before.
     pub supervision: Option<SupervisionPolicy>,
-    /// An event engine the machine selects nothing by; see
-    /// [`EngineChoice`].
+    /// An engine name the machine selects nothing by; see
+    /// [`EngineChoice`]. It goes with ROADMAP item 7.
     pub engine: EngineChoice,
 }
 
@@ -754,10 +743,6 @@ mod tests {
 
     #[test]
     fn pinned_engine_choices_always_resolve() {
-        // The default choice is the production wheel; the heap is only
-        // ever picked by pinning it.
-        assert_eq!(EngineChoice::Auto.try_resolve(), Ok(EngineKind::Wheel));
-        assert_eq!(EngineChoice::Heap.try_resolve(), Ok(EngineKind::Heap));
-        assert_eq!(EngineChoice::Wheel.try_resolve(), Ok(EngineKind::Wheel));
+        assert_eq!(EngineChoice::default().try_resolve(), Ok(EngineKind::Heap));
     }
 }

@@ -693,9 +693,9 @@ impl Machine {
     }
 
     /// The event engine [`PolicyOptions::engine`](crate::PolicyOptions)
-    /// names. The machine selects nothing by it: its arrivals wait in a
-    /// sorted stream and its timers in fixed slots. It remains for callers
-    /// that replay a run through an engine of their own.
+    /// names: always [`EngineKind::Heap`]. The machine selects nothing by
+    /// it. It goes with ROADMAP item 7, when the benchmark package's
+    /// engine probe stops naming it.
     #[must_use]
     pub fn engine_kind(&self) -> EngineKind {
         let Ok(kind) = self.config.policies.engine.try_resolve();

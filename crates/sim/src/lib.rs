@@ -1,33 +1,27 @@
-//! Deterministic discrete-event simulation engine.
+//! A minimal deterministic event queue, and the digests that checkpoint
+//! state-hashing builds on.
 //!
-//! The sharded admission fleet in `rthv-admit` keeps its time-ordered
-//! events in an [`EngineQueue`]. The hypervisor machine in
-//! `rthv-hypervisor` uses no engine: its arrivals wait in one sorted
-//! stream and its timers in fixed slots. Every engine guarantees:
+//! No production path runs an event queue. The hypervisor machine in
+//! `rthv-hypervisor` keeps its pending arrivals in one sorted stream and
+//! its timers in fixed slots; the admission fleet in `rthv-admit` reads its
+//! sorted inputs through cursors. [`EventQueue`] is left for the benchmark
+//! package's engine probe, which calls it as [`EngineQueue`]. It
+//! guarantees:
 //!
 //! * **monotonic time** — events pop in non-decreasing timestamp order and
 //!   scheduling in the past is an error;
 //! * **deterministic tie-breaking** — events with equal timestamps pop in the
 //!   order they were scheduled (FIFO), so a simulation is a pure function of
-//!   its inputs;
-//! * **stable identifiers under lazy cancellation** — cancelling leaves a
-//!   tombstone that is drained (and, past 2× the live population, compacted)
-//!   later, so ids never dangle.
+//!   its inputs.
 //!
-//! Two engines satisfy the contract: [`WheelEngine`], a hierarchical
-//! timing wheel with `O(1)` amortised operations and closed-form
-//! fast-forward across empty virtual time (the production default), and
-//! [`EventQueue`], the `O(log n)` binary-heap reference the cross-engine
-//! tests compare it against. [`EngineQueue`] selects between them from
-//! configuration; the two are observation-equivalent bit for bit (see
-//! [`engine`] for the exact obligations). The [`digest`] module holds the
-//! streaming hashes that checkpoint state-hashing builds on.
+//! The [`digest`] module holds the streaming hashes that machine and
+//! platform state hashing use.
 //!
 //! # Examples
 //!
 //! ```
 //! use rthv_sim::EventQueue;
-//! use rthv_time::{Duration, Instant};
+//! use rthv_time::Instant;
 //!
 //! #[derive(Debug, PartialEq)]
 //! enum Ev { SlotEnd, Irq(u32) }
@@ -45,11 +39,9 @@
 #![warn(missing_docs)]
 
 pub mod digest;
-pub mod engine;
+mod engine;
 mod queue;
-mod wheel;
 
 pub use digest::{ElementHash, Fnv1a, SetDigest};
-pub use engine::{EngineKind, EngineQueue, EngineStats};
-pub use queue::{EventId, EventQueue, SchedulePastError, SimError};
-pub use wheel::WheelEngine;
+pub use engine::{EngineKind, EngineQueue};
+pub use queue::{EventQueue, SchedulePastError};

@@ -1,4 +1,4 @@
-//! Property tests for the event queue: ordering, FIFO ties, cancellation.
+//! Property tests for the event queue: ordering and FIFO ties.
 
 use proptest::prelude::*;
 
@@ -23,62 +23,5 @@ proptest! {
             }
             last = Some((t, idx));
         }
-    }
-
-    /// Cancelled events never pop; everything else pops exactly once.
-    #[test]
-    fn cancellation_is_exact(
-        times in prop::collection::vec(0u64..50, 1..100),
-        cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut q = EventQueue::new();
-        let mut expected = Vec::new();
-        let mut ids = Vec::new();
-        for (i, &t) in times.iter().enumerate() {
-            ids.push((q.schedule_at(Instant::from_nanos(t), i).expect("future"), i));
-        }
-        let mut cancelled = std::collections::HashSet::new();
-        for ((id, i), &do_cancel) in ids.iter().zip(cancel_mask.iter().cycle()) {
-            if do_cancel {
-                prop_assert!(q.cancel(*id), "live event must be cancellable");
-                cancelled.insert(*i);
-            }
-        }
-        for (i, _) in times.iter().enumerate() {
-            if !cancelled.contains(&i) {
-                expected.push(i);
-            }
-        }
-        let mut popped = Vec::new();
-        while let Some((_, idx)) = q.pop() {
-            popped.push(idx);
-        }
-        popped.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(popped, expected);
-    }
-
-    /// `len` always equals the number of events that will still pop.
-    #[test]
-    fn len_is_consistent(ops in prop::collection::vec(0u64..30, 1..60)) {
-        let mut q = EventQueue::new();
-        let mut ids = Vec::new();
-        for (i, &t) in ops.iter().enumerate() {
-            ids.push(q.schedule_at(Instant::from_nanos(t + 100), i).expect("future"));
-        }
-        // Cancel every third event.
-        let mut live = ops.len();
-        for id in ids.iter().step_by(3) {
-            if q.cancel(*id) {
-                live -= 1;
-            }
-        }
-        prop_assert_eq!(q.len(), live);
-        let mut count = 0;
-        while q.pop().is_some() {
-            count += 1;
-        }
-        prop_assert_eq!(count, live);
-        prop_assert!(q.is_empty());
     }
 }

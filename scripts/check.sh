@@ -15,10 +15,12 @@ echo "==> cargo test -q"
 cargo test --workspace -q
 
 echo "==> cargo test --release (benchmark package)"
-# The benchmark is a package of its own (benchmark/Cargo.toml). Its
-# per-workload smoke tests run every workload's output check, traced and
-# untraced, so a library change that breaks a workload fails here before
-# any benchmark run.
+# The benchmark is a package of its own (benchmark/Cargo.toml). Building
+# it proves that the library names it compiles against still build:
+# EngineQueue, EngineKind, EngineChoice, Machine::engine_kind and the
+# &str storm constructors, kept only for it. Its per-workload smoke tests
+# run every workload's output check, traced and untraced, so a library
+# change that breaks a workload fails here before any benchmark run.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
