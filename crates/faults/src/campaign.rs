@@ -254,6 +254,7 @@ pub fn scenario_machine(
 
     let mut machine = Machine::new(hv)?;
     machine.enable_service_trace();
+    machine.reserve_events(plan.arrivals.len());
     for arrival in &plan.arrivals {
         machine
             .schedule_irq_with_work(IrqSourceId::new(0), arrival.at, arrival.work)

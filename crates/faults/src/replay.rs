@@ -4,12 +4,14 @@
 //! boundary by slot boundary, recording the machine's
 //! [`state_hash`](rthv::Machine::state_hash) at every boundary and a full
 //! [`MachineSnapshot`] every [`ReplayConfig::checkpoint_every`] boundaries.
-//! [`verify_from`] then re-executes the run from the nearest checkpoint at
-//! or before a chosen slot and compares hashes boundary by boundary, then
-//! the finished [`RunReport`] with `==`: the first mismatch is reported as
-//! [`Violation::ReplayDivergence`] carrying the diverging slot, both
-//! hashes (for the report, digests of its `Debug` rendering, computed only
-//! on a mismatch), and the scenario seed that reproduces the run.
+//! The snapshots share the run's recorded history, so each costs what the
+//! machine's live state costs. [`verify_from`] then resumes the run from
+//! the nearest checkpoint at or before a chosen slot and compares hashes
+//! boundary by boundary, then the finished [`RunReport`] with `==`: the
+//! first mismatch is reported as [`Violation::ReplayDivergence`] carrying
+//! the diverging slot, both hashes (for the report, digests of its `Debug`
+//! rendering, computed only on a mismatch), and the scenario seed that
+//! reproduces the run.
 //!
 //! Because scenario plans are pure seed functions and the machine is a
 //! pure function of `(config, plan)`, a clean replay proves the recorded
@@ -18,18 +20,18 @@
 //! slot granularity, not merely "the final report differs".
 
 use rthv::time::Instant;
-use rthv::{Machine, MachineSnapshot, RunReport, SupervisionPolicy, TdmaSchedule};
+use rthv::{Machine, MachineSnapshot, RunReport, SupervisionPolicy};
 
 use crate::campaign::{scenario_machine, CampaignConfig, CampaignConfigError};
 use crate::inject::FaultScenario;
 use crate::oracle::Violation;
 
-/// Why a replay verification failed: the campaign configuration is
-/// invalid, or the re-execution diverged from the recording.
+/// Why a replay verification failed: the re-execution diverged from the
+/// recording. The configuration needs no second check: the recording
+/// validated it when it built the machine, and the replay resumes that
+/// machine's checkpoints.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReplayError {
-    /// The campaign configuration could not build a machine at all.
-    Config(CampaignConfigError),
     /// The re-execution went off the recorded trajectory; always a
     /// [`Violation::ReplayDivergence`].
     Divergence(Violation),
@@ -38,19 +40,12 @@ pub enum ReplayError {
 impl std::fmt::Display for ReplayError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ReplayError::Config(error) => write!(f, "{error}"),
             ReplayError::Divergence(violation) => write!(f, "replay diverged: {violation}"),
         }
     }
 }
 
 impl std::error::Error for ReplayError {}
-
-impl From<CampaignConfigError> for ReplayError {
-    fn from(error: CampaignConfigError) -> Self {
-        ReplayError::Config(error)
-    }
-}
 
 /// How a scenario is recorded and replayed.
 #[derive(Debug, Clone)]
@@ -136,14 +131,13 @@ pub fn record_scenario(
     }
     let plan = scenario.plan(config.horizon, config.setup.bottom_cost);
     let mut machine = scenario_machine(config, &plan, replay.monitored, replay.supervision)?;
-    let schedule = machine.schedule().clone();
     let horizon = Instant::ZERO + config.horizon;
 
     let mut checkpoints = vec![(0, machine.snapshot())];
     let mut boundary_hashes = Vec::new();
     let mut k = 1u64;
-    while schedule.boundary_time(k) <= horizon {
-        machine.run_until(schedule.boundary_time(k));
+    while machine.schedule().boundary_time(k) <= horizon {
+        machine.run_until(machine.schedule().boundary_time(k));
         boundary_hashes.push(machine.state_hash());
         if k.is_multiple_of(replay.checkpoint_every) {
             checkpoints.push((k, machine.snapshot()));
@@ -164,9 +158,7 @@ pub fn record_scenario(
 ///
 /// # Errors
 ///
-/// The first diverging boundary, as
-/// [`ReplayError::Divergence`], or [`ReplayError::Config`] if the
-/// configuration cannot build a machine.
+/// The first diverging boundary, as [`ReplayError::Divergence`].
 pub fn verify(
     config: &CampaignConfig,
     scenario: &FaultScenario,
@@ -181,21 +173,26 @@ pub fn verify(
 /// the recording at every subsequent boundary and the finished report at
 /// the horizon.
 ///
+/// The replay resumes the checkpoint's own machine
+/// ([`MachineSnapshot::resume`]): a checkpoint holds the whole machine,
+/// configuration and pending plan arrivals included, so the replay
+/// regenerates nothing. `config` sets the horizon; the scenario and replay
+/// configuration the trace was recorded with are not read again.
+///
 /// # Errors
 ///
 /// The first diverging boundary, as [`ReplayError::Divergence`] carrying
 /// a [`Violation::ReplayDivergence`] with `(slot, expected hash, actual
 /// hash, scenario seed)` — slot `boundaries() + 1` for a report-only
-/// divergence at the horizon; [`ReplayError::Config`] if the configuration
-/// cannot build a machine.
+/// divergence at the horizon.
 pub fn verify_from(
     config: &CampaignConfig,
-    scenario: &FaultScenario,
-    replay: &ReplayConfig,
+    _scenario: &FaultScenario,
+    _replay: &ReplayConfig,
     trace: &ReplayTrace,
     from_slot: u64,
 ) -> Result<(), ReplayError> {
-    verify_from_with(config, scenario, replay, trace, from_slot, |_, _| {})
+    verify_from_with(config, trace, from_slot, |_, _| {})
 }
 
 /// [`verify_from`] with a state-mutation hook, called as `mutate(k,
@@ -209,8 +206,6 @@ pub fn verify_from(
 /// See [`verify_from`].
 pub fn verify_from_with(
     config: &CampaignConfig,
-    scenario: &FaultScenario,
-    replay: &ReplayConfig,
     trace: &ReplayTrace,
     from_slot: u64,
     mut mutate: impl FnMut(u64, &mut Machine),
@@ -222,15 +217,12 @@ pub fn verify_from_with(
         .find(|(k, _)| *k <= from_slot)
         .expect("checkpoint 0 always exists");
 
-    let plan = scenario.plan(config.horizon, config.setup.bottom_cost);
-    let mut machine = scenario_machine(config, &plan, replay.monitored, replay.supervision)?;
-    machine.restore(snapshot);
-    let schedule: TdmaSchedule = machine.schedule().clone();
+    let mut machine = snapshot.resume();
     let horizon = Instant::ZERO + config.horizon;
 
     for k in (start + 1)..=trace.boundaries() {
         mutate(k, &mut machine);
-        machine.run_until(schedule.boundary_time(k));
+        machine.run_until(machine.schedule().boundary_time(k));
         let actual = machine.state_hash();
         let expected = trace.boundary_hashes[(k - 1) as usize];
         if actual != expected {
@@ -319,6 +311,36 @@ mod tests {
         }
     }
 
+    /// The benchmark's unit: every standard scenario at the default 500 ms
+    /// horizon, recorded, then verified from the start, the middle and the
+    /// last boundary.
+    #[test]
+    fn standard_scenarios_replay_from_start_middle_and_end() {
+        let config = CampaignConfig {
+            scenarios: Vec::new(),
+            ..CampaignConfig::default()
+        };
+        assert_eq!(config.horizon, Duration::from_millis(500));
+        let replay = ReplayConfig::default();
+        for scenario in crate::standard_scenarios(21, 0x5107) {
+            let label = scenario.label();
+            let trace = record_scenario(&config, &scenario, &replay).expect("valid config");
+            assert!(trace.boundaries() > 0, "{label}");
+            assert_eq!(
+                trace.checkpoints(),
+                trace.boundaries() / replay.checkpoint_every + 1,
+                "{label}"
+            );
+            for from_slot in [0, trace.boundaries() / 2, trace.boundaries()] {
+                assert_eq!(
+                    verify_from(&config, &scenario, &replay, &trace, from_slot),
+                    Ok(()),
+                    "{label} from slot {from_slot}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn supervised_replay_verifies() {
         let config = config();
@@ -351,7 +373,7 @@ mod tests {
         // Corrupt the machine right before the segment ending at boundary
         // 11: a δ⁻ swap silently changes future admissions. The oracle
         // must report slot 11 — not the end of the run.
-        let verdict = verify_from_with(&config, &storm(), &replay, &trace, 0, |k, machine| {
+        let verdict = verify_from_with(&config, &trace, 0, |k, machine| {
             if k == 11 {
                 let delta = rthv::monitor::DeltaFunction::from_dmin(Duration::from_millis(9))
                     .expect("valid δ⁻");
@@ -391,18 +413,11 @@ mod tests {
         let baseline = |machine: &mut Machine| machine.set_mode(IrqHandlingMode::Baseline);
         let mutations: [&dyn Fn(&mut Machine); 2] = [&extra_irq, &baseline];
         for (i, mutation) in mutations.into_iter().enumerate() {
-            let verdict = verify_from_with(
-                &config,
-                &storm(),
-                &replay,
-                &trace,
-                trace.boundaries(),
-                |k, machine| {
-                    if k == end_slot {
-                        mutation(machine);
-                    }
-                },
-            );
+            let verdict = verify_from_with(&config, &trace, trace.boundaries(), |k, machine| {
+                if k == end_slot {
+                    mutation(machine);
+                }
+            });
             match verdict {
                 Err(ReplayError::Divergence(Violation::ReplayDivergence {
                     slot,

@@ -1,12 +1,13 @@
-//! Property test: for every fault family, checkpointing a campaign run at
+//! Property tests: for every fault family, checkpointing a campaign run at
 //! a random slot boundary and restoring it yields a byte-identical end
 //! state — the tentpole guarantee the replay oracle and the resumable
-//! sweep runner are built on.
+//! sweep runner are built on — and so does every one of many checkpoints
+//! that share one recorded history.
 
 use proptest::prelude::*;
 
 use rthv::time::{Duration, Instant};
-use rthv::{IrqSourceId, Machine, RunReport, SupervisionPolicy};
+use rthv::{IrqSourceId, Machine, MachineSnapshot, RunReport, SupervisionPolicy};
 use rthv_faults::{scenario_machine, standard_scenarios, CampaignConfig, FaultKind, FaultScenario};
 
 /// All eleven fault families with representative tier-1 geometry.
@@ -114,6 +115,65 @@ proptest! {
         let actual = finish_fingerprint(restored, horizon);
         prop_assert_eq!(actual.0, expected.0, "state hash diverged after restore");
         prop_assert_eq!(actual.1, expected.1, "report diverged after restore");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Snapshot every few slot boundaries and keep running, so the
+    /// checkpoints share one recorded history. Each checkpoint, restored
+    /// onto a fresh machine, onto the machine that ran ahead to the horizon
+    /// and onto that machine after `reset()`, resumes the uninterrupted
+    /// run: equal state hash at the checkpoint and at the horizon, and an
+    /// equal report.
+    #[test]
+    fn many_checkpoints_share_one_history(
+        kind_index in 0usize..11,
+        seed in any::<u64>(),
+        every in 1u64..5,
+        monitored in prop::bool::ANY,
+        supervised in prop::bool::ANY,
+    ) {
+        let config = campaign();
+        let scenario = FaultScenario { id: 0, kind: kind(kind_index), seed };
+        let plan = scenario.plan(config.horizon, config.setup.bottom_cost);
+        let supervision = supervised.then(SupervisionPolicy::default);
+        let horizon = Instant::ZERO + config.horizon;
+        let build = || scenario_machine(&config, &plan, monitored, supervision)
+            .expect("valid config");
+        let (end_hash, end_report) = finish_fingerprint(build(), horizon);
+
+        let mut ahead = build();
+        let mut checkpoints = vec![(ahead.state_hash(), ahead.snapshot())];
+        let mut k = 1u64;
+        while ahead.schedule().boundary_time(k) <= horizon {
+            ahead.run_until(ahead.schedule().boundary_time(k));
+            if k.is_multiple_of(every) {
+                let hash = ahead.state_hash();
+                checkpoints.push((hash, ahead.snapshot()));
+                prop_assert_eq!(ahead.state_hash(), hash, "snapshot at {} moved the state", k);
+            }
+            k += 1;
+        }
+        ahead.run_until(horizon);
+        prop_assert_eq!(ahead.state_hash(), end_hash, "snapshots changed the run");
+
+        let resume = |machine: &mut Machine, hash: u64, checkpoint: &MachineSnapshot, label: &str| {
+            let at = checkpoint.taken_at();
+            machine.restore(checkpoint);
+            assert_eq!(machine.state_hash(), hash, "{label} at {at:?}");
+            machine.run_until(horizon);
+            assert_eq!(machine.state_hash(), end_hash, "{label} from {at:?}");
+            assert_eq!(machine.clone().finish(), end_report, "{label} from {at:?}");
+        };
+        for (hash, checkpoint) in &checkpoints {
+            resume(&mut build(), *hash, checkpoint, "fresh");
+            resume(&mut ahead, *hash, checkpoint, "ran ahead");
+            ahead.reset();
+            resume(&mut ahead, *hash, checkpoint, "reset");
+        }
+        prop_assert_eq!(ahead.finish(), end_report);
     }
 }
 

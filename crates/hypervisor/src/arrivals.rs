@@ -5,10 +5,11 @@
 //! wait in one immutable, shared stream sorted by `(at, order)` and read
 //! through a cursor. An arrival scheduled before the stream's tail (fault
 //! work, multi-core deliveries, arrivals injected mid-run) waits in a
-//! small side heap instead. Once the run starts, a snapshot shares the
-//! stream and copies only the cursor and the side heap, and the state
-//! hash reads the stream's share of the pending set from a table of
-//! prefix digests instead of walking it.
+//! small side heap instead. A snapshot shares the stream and copies only
+//! the cursor and the side heap (one taken before the first step first
+//! makes the scheduled trace the stream), and the state hash reads the
+//! stream's share of the pending set from a table of prefix digests
+//! instead of walking it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -149,9 +150,7 @@ impl PendingArrivals {
 
     /// Removes and returns the earliest pending arrival.
     pub(crate) fn pop(&mut self) -> Option<Arrival> {
-        if self.cursor == self.stream.arrivals.len() && !self.fresh.is_empty() {
-            self.start_next_stream();
-        }
+        self.advance_stream();
         let head = self.stream.arrivals.get(self.cursor).copied();
         match (head, self.side.peek()) {
             (Some(head), Some(Reverse(side))) if side < &head => {
@@ -162,6 +161,16 @@ impl PendingArrivals {
                 Some(head)
             }
             (None, _) => self.side.pop().map(|Reverse(arrival)| arrival),
+        }
+    }
+
+    /// Makes the fresh arrivals the stream once the current one has run
+    /// out, so that clones share them. [`pop`](Self::pop) does this before
+    /// it reads the stream; a snapshot does it for a machine that has not
+    /// stepped yet, whose whole trace is still fresh.
+    pub(crate) fn advance_stream(&mut self) {
+        if self.cursor == self.stream.arrivals.len() && !self.fresh.is_empty() {
+            self.start_next_stream();
         }
     }
 
@@ -185,6 +194,13 @@ impl PendingArrivals {
             }
         }
         self.cursor = 0;
+    }
+
+    /// Whether both hold every pending arrival outside the side heap in
+    /// one shared stream.
+    #[cfg(test)]
+    pub(crate) fn shares_stream_with(&self, other: &PendingArrivals) -> bool {
+        Arc::ptr_eq(&self.stream, &other.stream) && self.fresh.is_empty() && other.fresh.is_empty()
     }
 
     /// Order-independent digest of the pending arrivals: equal for the
@@ -275,6 +291,22 @@ mod tests {
         assert!(!Arc::ptr_eq(&pending.stream, &snapshot.stream));
         assert_eq!(snapshot.digest(), digest);
         assert_eq!(drain(&mut snapshot.clone()).len(), 3);
+    }
+
+    #[test]
+    fn advancing_before_the_first_pop_shares_the_scheduled_trace() {
+        let mut pending = PendingArrivals::default();
+        for order in 0..4 {
+            pending.push(arrival(10 * (order + 1), order));
+        }
+        let digest = pending.digest();
+        pending.advance_stream();
+        assert!(pending.fresh.is_empty());
+        assert_eq!(pending.stream.arrivals.len(), 4);
+        assert_eq!(pending.digest(), digest);
+        let snapshot = pending.clone();
+        assert!(pending.shares_stream_with(&snapshot));
+        assert_eq!(drain(&mut pending), drain(&mut snapshot.clone()));
     }
 
     #[test]

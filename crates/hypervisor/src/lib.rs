@@ -25,6 +25,7 @@
 
 mod arrivals;
 mod config;
+mod history;
 mod ids;
 mod machine;
 mod platform;

@@ -29,10 +29,11 @@ use std::mem;
 
 use rthv_monitor::{Admission, MonitorStats, Shaper, ShaperConfig};
 use rthv_obs::{MetricsHub, ObsConfig, SourceObs};
-use rthv_sim::{EngineKind, Fnv1a};
+use rthv_sim::{ElementHash, EngineKind};
 use rthv_time::{Duration, Instant};
 
 use crate::arrivals::{Arrival, PendingArrivals};
+use crate::history::History;
 use crate::{
     AdmissionClock, AdmissionRecord, BoundaryPolicy, ConfigError, Counters, HandlingClass,
     HealthSignal, HealthState, HypervisorConfig, IrqCompletion, IrqHandlingMode, IrqSourceId,
@@ -189,9 +190,22 @@ struct PendingIrq {
 }
 
 /// Per-partition run-time state.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct PartitionRt {
     queue: VecDeque<PendingIrq>,
+}
+
+impl Clone for PartitionRt {
+    fn clone(&self) -> Self {
+        PartitionRt {
+            queue: self.queue.clone(),
+        }
+    }
+
+    /// Reuses this queue's buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.queue.clone_from(&source.queue);
+    }
 }
 
 /// Final result of a simulation run; returned by [`Machine::finish`].
@@ -314,23 +328,24 @@ pub struct Machine {
     /// Runtime health supervision, when enabled by
     /// [`PolicyOptions::supervision`](crate::PolicyOptions).
     supervisor: Option<Supervisor>,
-    recorder: TraceRecorder,
+    /// Bottom-handler completions, in completion order.
+    completions: History<IrqCompletion>,
     counters: Counters,
     /// Per-source next sequence number.
     next_seq: Vec<u64>,
     /// Bottom-handler completions still expected (one per subscriber per
     /// scheduled arrival).
     expected_completions: u64,
-    window_openings: Vec<Instant>,
-    admissions: Vec<AdmissionRecord>,
+    window_openings: History<Instant>,
+    admissions: History<AdmissionRecord>,
     /// First detected internal-invariant violation; halts the run loops.
     defect: Option<MachineError>,
     /// Per-partition service intervals, populated when tracing is enabled.
-    service_trace: Option<Vec<Vec<ServiceInterval>>>,
+    service_trace: Option<Vec<History<ServiceInterval>>>,
     /// Hypervisor block spans, populated when tracing is enabled.
-    hv_trace: Option<Vec<Span>>,
+    hv_trace: Option<History<Span>>,
     /// Interposed window spans, populated when tracing is enabled.
-    window_trace: Option<Vec<Span>>,
+    window_trace: Option<History<Span>>,
     /// Observability hub (counters, latency histograms, headroom gauges,
     /// flight recorder), when enabled by
     /// [`enable_metrics`](Machine::enable_metrics). Pure observation: it
@@ -398,12 +413,12 @@ impl Machine {
                 .collect(),
             monitors,
             supervisor,
-            recorder: TraceRecorder::new(),
+            completions: History::default(),
             counters: Counters::new(partition_count),
             next_seq: vec![0; source_count],
             expected_completions: 0,
-            window_openings: Vec::new(),
-            admissions: Vec::new(),
+            window_openings: History::default(),
+            admissions: History::default(),
             defect: None,
             service_trace: None,
             hv_trace: None,
@@ -434,10 +449,10 @@ impl Machine {
         self.now
     }
 
-    /// Completion records collected so far.
+    /// Bottom-handler completions recorded so far.
     #[must_use]
-    pub fn recorder(&self) -> &TraceRecorder {
-        &self.recorder
+    pub fn completed_irqs(&self) -> u64 {
+        self.completions.len() as u64
     }
 
     /// Counters collected so far.
@@ -479,9 +494,10 @@ impl Machine {
     /// processor time the partition actually received.
     pub fn enable_service_trace(&mut self) {
         if self.service_trace.is_none() {
-            self.service_trace = Some(vec![Vec::new(); self.config.partitions.len()]);
-            self.hv_trace = Some(Vec::new());
-            self.window_trace = Some(Vec::new());
+            let partitions = self.config.partitions.len();
+            self.service_trace = Some((0..partitions).map(|_| History::default()).collect());
+            self.hv_trace = Some(History::default());
+            self.window_trace = Some(History::default());
         }
     }
 
@@ -513,10 +529,7 @@ impl Machine {
             })
             .collect();
         self.metrics = Some(MetricsHub::new(config, &sources));
-        self.obs_supervision_seen = self
-            .supervisor
-            .as_ref()
-            .map_or(0, |supervisor| supervisor.events().len());
+        self.obs_supervision_seen = self.supervisor.as_ref().map_or(0, Supervisor::event_count);
     }
 
     /// The default observability geometry for this machine: standard ring
@@ -709,7 +722,7 @@ impl Machine {
     #[must_use]
     pub fn outstanding_irqs(&self) -> u64 {
         self.expected_completions
-            - self.recorder.len() as u64
+            - self.completed_irqs()
             - self.counters.coalesced_irqs
             - self.counters.overflow_rejected
             - self.counters.overflow_dropped
@@ -767,10 +780,10 @@ impl Machine {
     /// Rewinds the machine to its just-constructed state — virtual time
     /// zero, partition 0's user task running, no scheduled arrivals, only
     /// the first TDMA boundary armed, empty records — while keeping every
-    /// allocation: the arrival stream (unless a snapshot shares it), the
-    /// per-partition IRQ [`VecDeque`]s, the recorder's completion vector
-    /// and the trace buffers all retain their capacity, so a
-    /// reset-and-rerun executes without heap allocation in steady state.
+    /// allocation: the arrival stream and the records' buffers (unless a
+    /// snapshot shares them) and the per-partition IRQ [`VecDeque`]s all
+    /// retain their capacity, so a reset-and-rerun executes without heap
+    /// allocation in steady state.
     ///
     /// Determinism: a reset machine fed the same arrival trace reproduces
     /// the original run event for event (asserted by the
@@ -804,7 +817,7 @@ impl Machine {
         if let Some(supervisor) = &mut self.supervisor {
             supervisor.reset();
         }
-        self.recorder.clear();
+        self.completions.clear();
         self.counters.reset();
         self.next_seq.fill(0);
         self.expected_completions = 0;
@@ -840,13 +853,9 @@ impl Machine {
         if let Some(block) = self.hv.take() {
             self.counters.hypervisor_time += end.duration_since(block.started);
         }
-        let outstanding = self.expected_completions
-            - self.recorder.len() as u64
-            - self.counters.coalesced_irqs
-            - self.counters.overflow_rejected
-            - self.counters.overflow_dropped;
+        let outstanding = self.outstanding_irqs();
         RunReport {
-            recorder: self.recorder,
+            recorder: TraceRecorder::from(self.completions.into_vec()),
             counters: self.counters,
             end,
             monitor_stats: self
@@ -854,13 +863,15 @@ impl Machine {
                 .iter()
                 .map(|m| m.as_ref().map(Shaper::stats))
                 .collect(),
-            window_openings: self.window_openings,
-            admissions: self.admissions,
+            window_openings: self.window_openings.into_vec(),
+            admissions: self.admissions.into_vec(),
             outstanding,
             defect: self.defect,
-            service_intervals: self.service_trace,
-            hv_spans: self.hv_trace,
-            window_spans: self.window_trace,
+            service_intervals: self
+                .service_trace
+                .map(|trace| trace.into_iter().map(History::into_vec).collect()),
+            hv_spans: self.hv_trace.map(History::into_vec),
+            window_spans: self.window_trace.map(History::into_vec),
             supervision: self.supervisor.as_ref().map(Supervisor::report),
         }
     }
@@ -868,18 +879,84 @@ impl Machine {
     /// Captures a checkpoint of the machine's complete state — scheduler
     /// position, timer slots, pending arrivals, per-source monitor trace
     /// rings, supervision state machines, partition queues, counters and
-    /// every record buffer.
+    /// every record.
     ///
-    /// A machine [`restore`](Machine::restore)d from the snapshot continues
-    /// the run exactly as the original would have: same events, same
-    /// decisions, byte-identical [`RunReport`]. The pending arrival stream
-    /// is immutable and shared, so a snapshot copies only its cursor and
-    /// the few arrivals scheduled out of order, never the future trace.
-    /// Snapshots are plain data, safe to keep across further execution of
-    /// the source machine.
+    /// A machine [`restore`](Machine::restore)d or
+    /// [resumed](MachineSnapshot::resume) from the snapshot continues the
+    /// run exactly as the original would have: same events, same decisions,
+    /// byte-identical [`RunReport`]. Snapshots are plain data, safe to keep
+    /// across further execution of the source machine.
+    ///
+    /// A snapshot costs O(state), not O(history). The records —
+    /// completions, admissions, window openings, service intervals,
+    /// hypervisor and window spans, the supervision event log — are
+    /// append-only, so taking a snapshot moves each one's entries since the
+    /// last snapshot, without copying them, into a frozen segment that the
+    /// machine and all its snapshots share. The pending arrival stream is
+    /// shared as well; a snapshot taken before the first step makes the
+    /// scheduled arrivals that stream. What is copied is the live state —
+    /// timers, queues, monitors, supervision trackers, counters — and the
+    /// configuration with its TDMA schedule, which the step loop reads in
+    /// place rather than through a pointer. That move is why this takes
+    /// `&mut self`; the machine's state, its
+    /// [`state_hash`](Machine::state_hash) and its eventual report are
+    /// unchanged.
     #[must_use]
-    pub fn snapshot(&self) -> MachineSnapshot {
+    pub fn snapshot(&mut self) -> MachineSnapshot {
+        self.freeze();
         MachineSnapshot(self.clone())
+    }
+
+    /// Moves every record's entries into frozen segments that clones share,
+    /// and arrivals scheduled before the first step into the shared stream.
+    pub(crate) fn freeze(&mut self) {
+        self.arrivals.advance_stream();
+        self.completions.freeze();
+        self.window_openings.freeze();
+        self.admissions.freeze();
+        if let Some(supervisor) = &mut self.supervisor {
+            supervisor.freeze();
+        }
+        if let Some(per_partition) = &mut self.service_trace {
+            for intervals in per_partition {
+                intervals.freeze();
+            }
+        }
+        if let Some(spans) = &mut self.hv_trace {
+            spans.freeze();
+        }
+        if let Some(spans) = &mut self.window_trace {
+            spans.freeze();
+        }
+    }
+
+    /// Whether every record of this machine shares its newest frozen
+    /// segment with `other`'s. An empty record shares nothing.
+    #[cfg(test)]
+    pub(crate) fn shares_records_with(&self, other: &Machine) -> bool {
+        fn both<T>(a: &Option<T>, b: &Option<T>, shared: impl Fn(&T, &T) -> bool) -> bool {
+            match (a, b) {
+                (Some(a), Some(b)) => shared(a, b),
+                (a, b) => a.is_none() && b.is_none(),
+            }
+        }
+        self.completions.shares_frozen(&other.completions)
+            && self.admissions.shares_frozen(&other.admissions)
+            && self.window_openings.shares_frozen(&other.window_openings)
+            && both(&self.service_trace, &other.service_trace, |a, b| {
+                a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.shares_frozen(b))
+            })
+            && both(&self.hv_trace, &other.hv_trace, History::shares_frozen)
+            && both(
+                &self.window_trace,
+                &other.window_trace,
+                History::shares_frozen,
+            )
+            && both(
+                &self.supervisor,
+                &other.supervisor,
+                Supervisor::shares_events_with,
+            )
     }
 
     /// Rewinds the machine to the state captured by
@@ -888,13 +965,83 @@ impl Machine {
     /// [`set_monitor_delta`](Machine::set_monitor_delta)) made before the
     /// snapshot was taken. Arrivals scheduled after the snapshot are
     /// forgotten; arrivals that were pending at snapshot time fire again.
+    ///
+    /// Like the snapshot, a restore copies the live state and shares the
+    /// records, and it copies into this machine's own buffers (partition
+    /// queues, latched IRQs, record tails), keeping their capacity.
     pub fn restore(&mut self, snapshot: &MachineSnapshot) {
-        self.clone_from(&snapshot.0);
+        // Exhaustive: a field added to `Machine` fails to compile here
+        // until it is restored.
+        let Machine {
+            config,
+            schedule,
+            now,
+            arrivals,
+            arrivals_scheduled,
+            timers,
+            timers_armed,
+            next_boundary,
+            hv,
+            activity,
+            window,
+            pending_boundary,
+            latched,
+            current_slot,
+            partitions,
+            monitors,
+            supervisor,
+            completions,
+            counters,
+            next_seq,
+            expected_completions,
+            window_openings,
+            admissions,
+            defect,
+            service_trace,
+            hv_trace,
+            window_trace,
+            metrics,
+            obs_supervision_seen,
+        } = &snapshot.0;
+        self.config.clone_from(config);
+        self.schedule.clone_from(schedule);
+        self.now = *now;
+        self.arrivals.clone_from(arrivals);
+        self.arrivals_scheduled = *arrivals_scheduled;
+        self.timers = *timers;
+        self.timers_armed = *timers_armed;
+        self.next_boundary = *next_boundary;
+        self.hv.clone_from(hv);
+        self.activity.clone_from(activity);
+        self.window = *window;
+        self.pending_boundary = *pending_boundary;
+        self.latched.clone_from(latched);
+        self.current_slot = *current_slot;
+        self.partitions.clone_from(partitions);
+        self.monitors.clone_from(monitors);
+        self.supervisor.clone_from(supervisor);
+        self.completions.clone_from(completions);
+        self.counters.clone_from(counters);
+        self.next_seq.clone_from(next_seq);
+        self.expected_completions = *expected_completions;
+        self.window_openings.clone_from(window_openings);
+        self.admissions.clone_from(admissions);
+        self.defect.clone_from(defect);
+        self.service_trace.clone_from(service_trace);
+        self.hv_trace.clone_from(hv_trace);
+        self.window_trace.clone_from(window_trace);
+        self.metrics.clone_from(metrics);
+        self.obs_supervision_seen = *obs_supervision_seen;
     }
 
     /// A cheap deterministic digest of the machine's live execution state:
-    /// 64-bit FNV-1a over its canonical state words, streamed with no
-    /// buffer.
+    /// its canonical state words folded by an
+    /// [`ElementHash`](rthv_sim::ElementHash) — one multiply and one
+    /// xor-shift per word — and finished with the splitmix64 finaliser,
+    /// streamed with no buffer. Every fold step is a bijection of the
+    /// running value for a fixed word, and so is the finaliser, so two
+    /// states whose word streams have equal length and differ in exactly
+    /// one word never hash equal.
     ///
     /// Two machines in behaviourally identical states — same virtual time,
     /// same scheduled events, same monitor histories, same supervision
@@ -917,7 +1064,7 @@ impl Machine {
     /// never persisted.
     #[must_use]
     pub fn state_hash(&self) -> u64 {
-        let mut hash = Fnv1a::new();
+        let mut hash = ElementHash::default();
         self.state_words(&mut |word| hash.word(word));
         hash.finish()
     }
@@ -1032,8 +1179,8 @@ impl Machine {
             word(seq);
         }
         word(self.expected_completions);
-        word(self.recorder.len() as u64);
-        if let Some(last) = self.recorder.completions().last() {
+        word(self.completions.len() as u64);
+        if let Some(last) = self.completions.last() {
             word(last.source.index() as u64);
             word(last.seq);
             word(last.partition.index() as u64);
@@ -1072,8 +1219,7 @@ impl Machine {
             // mid-event (signals) are captured in the same tick as
             // time-based recovery edges.
             if let Some(metrics) = &mut self.metrics {
-                let events = supervisor.events();
-                for event in &events[self.obs_supervision_seen..] {
+                for event in supervisor.events_since(self.obs_supervision_seen) {
                     if let SupervisionEventKind::Transition(transition) = event.kind {
                         metrics.record_health(
                             event.at,
@@ -1083,7 +1229,7 @@ impl Machine {
                         );
                     }
                 }
-                self.obs_supervision_seen = events.len();
+                self.obs_supervision_seen = supervisor.event_count();
             }
         }
     }
@@ -1278,7 +1424,7 @@ impl Machine {
                     now.duration_since(pending.arrival),
                 );
             }
-            self.recorder.record(IrqCompletion {
+            self.completions.push(IrqCompletion {
                 source: pending.source,
                 seq: pending.seq,
                 partition,
@@ -1884,19 +2030,21 @@ impl Machine {
     }
 }
 
-/// A deep checkpoint of a [`Machine`]'s complete execution state, produced
-/// by [`Machine::snapshot`] and consumed by [`Machine::restore`].
+/// A checkpoint of a [`Machine`]'s complete execution state, produced by
+/// [`Machine::snapshot`] and consumed by [`Machine::restore`] or
+/// [`resume`](MachineSnapshot::resume).
 ///
-/// The snapshot is opaque plain data: a clone of the whole machine —
+/// The snapshot is opaque plain data: a copy of the whole machine —
 /// configuration (including runtime mutations), TDMA schedule position,
 /// the three timer slots, the pending arrivals (the shared stream by
 /// pointer, its cursor and the side heap), the running hypervisor block,
 /// partition queues, per-source admission monitors with their δ⁻ trace
-/// rings, the supervision state machines, counters, and all record
-/// buffers. Because it is the machine itself, a field added to
-/// [`Machine`] is captured and restored without any further code. Restoring it onto
-/// any machine built from a compatible configuration resumes the run
-/// bit-identically.
+/// rings, the supervision state machines, counters, and all records.
+/// Because it is the machine itself, a field added to [`Machine`] is
+/// captured without any further code. It costs O(state): the records and
+/// the arrival stream are frozen segments shared with the machine it was
+/// taken from, by pointer. Restoring it onto any machine built from a
+/// compatible configuration resumes the run bit-identically.
 #[derive(Debug, Clone)]
 pub struct MachineSnapshot(Machine);
 
@@ -1905,6 +2053,14 @@ impl MachineSnapshot {
     #[must_use]
     pub fn taken_at(&self) -> Instant {
         self.0.now
+    }
+
+    /// A machine in the snapshot's state, ready to run on: the same as
+    /// [`restore`](Machine::restore)ing it onto a machine built from the
+    /// same configuration, without building that machine first.
+    #[must_use]
+    pub fn resume(&self) -> Machine {
+        self.0.clone()
     }
 }
 
@@ -2068,3 +2224,91 @@ impl std::fmt::Display for ScheduleIrqError {
 }
 
 impl std::error::Error for ScheduleIrqError {}
+
+#[cfg(test)]
+mod tests {
+    use rthv_monitor::DeltaFunction;
+
+    use super::*;
+    use crate::{CostModel, IrqSourceSpec, PartitionSpec, SupervisionPolicy};
+
+    const HORIZON: Instant = Instant::from_micros(150_000);
+
+    /// Two 6 ms partitions and one monitored, supervised source subscribed
+    /// by the second, every record traced, fed a stream 700 µs apart
+    /// against a 1 ms `d_min`: windows open, admissions are denied and the
+    /// supervisor logs signals.
+    fn traced_machine() -> Machine {
+        let mut source =
+            IrqSourceSpec::new("timer", PartitionId::new(1), Duration::from_micros(30));
+        let delta = DeltaFunction::from_dmin(Duration::from_micros(1_000)).expect("positive d_min");
+        source.monitor = Some(ShaperConfig::Delta(delta));
+        let mut config = HypervisorConfig {
+            partitions: vec![
+                PartitionSpec::new("app1", Duration::from_micros(6_000)),
+                PartitionSpec::new("app2", Duration::from_micros(6_000)),
+            ],
+            sources: vec![source],
+            costs: CostModel::paper_arm926ejs(),
+            mode: IrqHandlingMode::Interposed,
+            policies: Default::default(),
+            windows: None,
+        };
+        config.policies.supervision = Some(SupervisionPolicy::default());
+        let mut machine = Machine::new(config).expect("valid config");
+        machine.enable_service_trace();
+        let arrivals: Vec<Instant> = (1..200).map(|i| Instant::from_micros(700 * i)).collect();
+        machine
+            .schedule_irq_trace(IrqSourceId::new(0), &arrivals)
+            .expect("arrivals lie in the future");
+        machine
+    }
+
+    #[test]
+    fn snapshot_leaves_the_state_hash_and_the_report_unchanged() {
+        let mut plain = traced_machine();
+        let mut checkpointed = traced_machine();
+        let hash = checkpointed.state_hash();
+        let _ = checkpointed.snapshot();
+        assert_eq!(checkpointed.state_hash(), hash, "before the first step");
+        for step in 1..=10 {
+            let at = Instant::from_micros(12_345 * step);
+            plain.run_until(at);
+            checkpointed.run_until(at);
+            let hash = checkpointed.state_hash();
+            assert_eq!(plain.state_hash(), hash, "at {at:?}");
+            let _ = checkpointed.snapshot();
+            assert_eq!(checkpointed.state_hash(), hash, "snapshot at {at:?}");
+        }
+        plain.run_until(HORIZON);
+        checkpointed.run_until(HORIZON);
+        assert_eq!(checkpointed.finish(), plain.finish());
+    }
+
+    #[test]
+    fn snapshots_share_the_recorded_history() {
+        let mut machine = traced_machine();
+        // Before the first step the scheduled trace becomes the stream
+        // that the machine and the snapshot share.
+        let initial = machine.snapshot();
+        assert!(machine.arrivals.shares_stream_with(&initial.0.arrivals));
+        machine.run_until(Instant::from_micros(60_000));
+        let snapshot = machine.snapshot();
+        assert!(machine.shares_records_with(&snapshot.0));
+
+        // The run goes on in its own tail; the next snapshot freezes that
+        // into a newer segment, which the first snapshot does not hold.
+        machine.run_until(Instant::from_micros(90_000));
+        let later = machine.snapshot();
+        assert!(machine.shares_records_with(&later.0));
+        assert!(later.0.completions.len() > snapshot.0.completions.len());
+        assert!(!later.0.completions.shares_frozen(&snapshot.0.completions));
+
+        // Restoring and resuming copy pointers to the same segments.
+        let mut restored = traced_machine();
+        restored.restore(&snapshot);
+        assert!(restored.shares_records_with(&snapshot.0));
+        assert!(snapshot.resume().shares_records_with(&snapshot.0));
+        assert_eq!(restored.state_hash(), snapshot.resume().state_hash());
+    }
+}

@@ -37,7 +37,7 @@
 //! core to `min(until, crash_at)` and freezes it at its crash instant.
 
 use rthv_obs::{ObsConfig, PlatformObs};
-use rthv_sim::Fnv1a;
+use rthv_sim::ElementHash;
 use rthv_time::{Duration, Instant};
 
 use crate::{ConfigError, HypervisorConfig, IrqSourceId, Machine, RunReport, ScheduleIrqError};
@@ -488,7 +488,8 @@ struct PendingArrival {
     seq: u64,
 }
 
-/// A deep copy of a [`MultiMachine`]'s complete state; see
+/// A copy of a [`MultiMachine`]'s complete state, sharing each core's
+/// records with the platform it was taken from; see
 /// [`MultiMachine::snapshot`].
 #[derive(Debug, Clone)]
 pub struct MultiSnapshot(MultiMachine);
@@ -983,7 +984,8 @@ impl MultiMachine {
 
     /// A cheap deterministic digest of the whole platform state: the
     /// per-core [`Machine::state_hash`]es folded **in core order**, plus
-    /// the platform's own words (frozen set, ledger, clock).
+    /// the platform's own words (frozen set, ledger, clock), by the same
+    /// one-multiply-per-word fold the machine uses.
     ///
     /// A single-core platform that never crashed, stalled or shed hashes
     /// **identically to its underlying machine**: the degenerate platform
@@ -995,7 +997,7 @@ impl MultiMachine {
         if self.cores.len() == 1 && self.platform_pristine() {
             return self.cores[0].state_hash();
         }
-        let mut hash = Fnv1a::new();
+        let mut hash = ElementHash::default();
         hash.word(self.cores.len() as u64);
         for machine in &self.cores {
             hash.word(machine.state_hash());
@@ -1034,8 +1036,17 @@ impl MultiMachine {
     /// Captures the complete platform state (every core's [`Machine`]
     /// plus the platform words) for later
     /// [`restore`](MultiMachine::restore).
+    ///
+    /// Each core is captured as [`Machine::snapshot`] captures it: its
+    /// records move into frozen segments that the platform and its
+    /// snapshots share, so the snapshot costs O(state) per core, not
+    /// O(history). The state and its
+    /// [`state_hash`](MultiMachine::state_hash) are unchanged.
     #[must_use]
-    pub fn snapshot(&self) -> MultiSnapshot {
+    pub fn snapshot(&mut self) -> MultiSnapshot {
+        for machine in &mut self.cores {
+            machine.freeze();
+        }
         MultiSnapshot(self.clone())
     }
 
@@ -1602,6 +1613,26 @@ mod tests {
             report.sheds[0].at,
             ms(20) + window - Duration::from_nanos(1)
         );
+    }
+
+    #[test]
+    fn snapshot_shares_every_cores_history_and_keeps_the_hash() {
+        let mut multi = MultiMachine::new(two_core_platform(), &[]).expect("valid platform");
+        multi.enable_service_trace();
+        for k in 1..=20u64 {
+            multi.schedule_irq(0, ms(7 * k)).expect("scheduled");
+            multi.schedule_irq(1, ms(5 * k)).expect("scheduled");
+        }
+        multi.run_until(ms(70));
+        let hash = multi.state_hash();
+        let snapshot = multi.snapshot();
+        assert_eq!(multi.state_hash(), hash);
+        for (live, kept) in multi.cores.iter().zip(&snapshot.0.cores) {
+            assert!(live.shares_records_with(kept));
+        }
+        multi.run_until(ms(140));
+        multi.restore(&snapshot);
+        assert_eq!(multi.state_hash(), hash);
     }
 
     #[test]

@@ -332,6 +332,13 @@ impl Extend<IrqCompletion> for TraceRecorder {
     }
 }
 
+impl From<Vec<IrqCompletion>> for TraceRecorder {
+    /// A recorder holding `completions`, in their order.
+    fn from(completions: Vec<IrqCompletion>) -> Self {
+        TraceRecorder { completions }
+    }
+}
+
 impl FromIterator<IrqCompletion> for TraceRecorder {
     fn from_iter<T: IntoIterator<Item = IrqCompletion>>(iter: T) -> Self {
         TraceRecorder {

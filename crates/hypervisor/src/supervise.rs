@@ -33,6 +33,7 @@ use rthv_monitor::ConformanceWatch;
 use rthv_time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
+use crate::history::History;
 use crate::record::Counters;
 
 /// Health state of a supervised IRQ source.
@@ -419,7 +420,7 @@ pub struct Supervisor {
     policy: SupervisionPolicy,
     slots: Vec<Option<SourceSupervision>>,
     partition_penalties: Vec<u64>,
-    events: Vec<SupervisionEvent>,
+    events: History<SupervisionEvent>,
 }
 
 impl Supervisor {
@@ -432,7 +433,7 @@ impl Supervisor {
             policy,
             slots: (0..n_sources).map(|_| None).collect(),
             partition_penalties: vec![0; n_partitions],
-            events: Vec::new(),
+            events: History::default(),
         }
     }
 
@@ -636,11 +637,29 @@ impl Supervisor {
         }
     }
 
-    /// The event log so far, oldest first — cheap (no clone) access for
-    /// observability consumers that tail new entries incrementally.
+    /// Entries in the event log so far.
     #[must_use]
-    pub fn events(&self) -> &[SupervisionEvent] {
-        &self.events
+    pub fn event_count(&self) -> usize {
+        self.events.len()
+    }
+
+    /// The event log from entry `start` on, oldest first — cheap (no
+    /// clone) access for observability consumers that tail new entries
+    /// incrementally.
+    pub fn events_since(&self, start: usize) -> impl Iterator<Item = &SupervisionEvent> {
+        self.events.iter_from(start)
+    }
+
+    /// Moves the event log into a frozen segment that clones share (see
+    /// [`Machine::snapshot`](crate::Machine::snapshot)).
+    pub(crate) fn freeze(&mut self) {
+        self.events.freeze();
+    }
+
+    /// Whether both event logs share their newest frozen segment.
+    #[cfg(test)]
+    pub(crate) fn shares_events_with(&self, other: &Supervisor) -> bool {
+        self.events.shares_frozen(&other.events)
     }
 
     /// Snapshot for the run report.
@@ -648,7 +667,7 @@ impl Supervisor {
     pub fn report(&self) -> SupervisionReport {
         SupervisionReport {
             policy: self.policy,
-            events: self.events.clone(),
+            events: self.events.to_vec(),
             final_states: self
                 .slots
                 .iter()

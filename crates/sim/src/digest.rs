@@ -1,13 +1,16 @@
 //! Streaming state digests for checkpoint hashing.
 //!
-//! [`Fnv1a`] is standard 64-bit FNV-1a over the little-endian bytes of an
-//! ordered word stream, fed word by word with no buffer. [`SetDigest`]
-//! hashes an unordered set of word tuples — the live events of a queue —
-//! in any visiting order: each element's words are folded by an
-//! [`ElementHash`], finished with a full-avalanche mix, and summed, so the
-//! digest depends on which elements are present, not on where the engine
-//! happens to store them. Set digests are only compared within one process
-//! and never persisted, so their definition may change between versions.
+//! [`ElementHash`] folds an ordered word stream, one multiply and one
+//! xor-shift per word, and [`finish`](ElementHash::finish)es it with a
+//! full-avalanche mix: it digests a machine's canonical state words, and
+//! each element of a set. [`SetDigest`] hashes an unordered set of word
+//! tuples — the pending arrivals of a machine — in any visiting order:
+//! each element's finished [`ElementHash`] is summed, so the digest
+//! depends on which elements are present, not on where they happen to be
+//! stored. [`Fnv1a`] is standard 64-bit FNV-1a over the little-endian
+//! bytes of a word stream, for digests that reach a report. State and set
+//! digests are only compared within one process and never persisted, so
+//! their definition may change between versions.
 
 /// 64-bit FNV-1a over the little-endian bytes of a word stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,11 +45,13 @@ impl Default for Fnv1a {
     }
 }
 
-/// Folds one set element's words, in a fixed order, into 64 bits.
+/// Folds an ordered word stream — one set element's words, or a machine's
+/// canonical state words — into 64 bits.
 ///
 /// Each [`word`](Self::word) step is a bijection of the running state for
-/// a fixed word, so two tuples of the same length that differ in exactly
-/// one word never fold to the same value.
+/// a fixed word, and [`finish`](Self::finish) is a bijection too, so two
+/// streams of the same length that differ in exactly one word never fold
+/// to the same value.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ElementHash(u64);
 
@@ -57,11 +62,19 @@ impl ElementHash {
         let h = (self.0 ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         self.0 = h ^ (h >> 32);
     }
+
+    /// The fold of every word fed so far, finished with a full-avalanche
+    /// mix (the splitmix64 finaliser).
+    #[inline]
+    #[must_use]
+    pub fn finish(self) -> u64 {
+        mix64(self.0)
+    }
 }
 
 /// Order-independent digest of a set of elements: the element count plus
-/// the wrapping sum of each element's [`ElementHash`], finished with a
-/// full-avalanche mix (the splitmix64 finaliser) before it is added.
+/// the wrapping sum of each element's [finished](ElementHash::finish)
+/// [`ElementHash`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SetDigest {
     count: u64,
@@ -73,7 +86,7 @@ impl SetDigest {
     #[inline]
     pub fn insert(&mut self, element: ElementHash) {
         self.count += 1;
-        self.sum = self.sum.wrapping_add(mix64(element.0));
+        self.sum = self.sum.wrapping_add(element.finish());
     }
 
     /// Removes every element of `subset`, which must hold only elements
@@ -130,6 +143,31 @@ mod tests {
             hash = hash.wrapping_mul(0x100_0000_01b3);
         }
         assert_eq!(fnv.finish(), hash);
+    }
+
+    /// Every stream of `LEN` words over `VALUES`, each compared with every
+    /// stream that differs from it in exactly one word.
+    #[test]
+    fn streams_differing_in_one_word_never_fold_equal() {
+        const VALUES: [u64; 4] = [0, 1, u64::MAX, 1 << 63];
+        const LEN: u32 = 5;
+        let fold = |words: &[u64]| element(words).finish();
+        for code in 0..VALUES.len().pow(LEN) {
+            let stream: Vec<u64> = (0..LEN)
+                .map(|i| VALUES[code / VALUES.len().pow(i) % VALUES.len()])
+                .collect();
+            let hash = fold(&stream);
+            for position in 0..stream.len() {
+                for value in VALUES {
+                    if value == stream[position] {
+                        continue;
+                    }
+                    let mut changed = stream.clone();
+                    changed[position] = value;
+                    assert_ne!(fold(&changed), hash, "{stream:?} vs {changed:?}");
+                }
+            }
+        }
     }
 
     #[test]

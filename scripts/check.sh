@@ -18,7 +18,8 @@ echo "==> cargo test --release (benchmark package)"
 # The benchmark is a package of its own (benchmark/Cargo.toml). Building
 # it proves that the library names it compiles against still build:
 # EngineQueue, EngineKind, EngineChoice, Machine::engine_kind and the
-# &str storm constructors, kept only for it. Its per-workload smoke tests
+# &str storm constructors, kept only for it, and its checkpoint_replay
+# replica's calls to Machine::snapshot(&mut self). Its per-workload smoke tests
 # run every workload's output check, traced and untraced, so a library
 # change that breaks a workload fails here before any benchmark run.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
