@@ -36,8 +36,8 @@ use rthv_faults::{check_admitted_stream, check_global_budget, check_group_budget
 
 use crate::shard::{InFlight, ShardCounters, ShardState};
 use crate::tenant::{
-    BrownoutController, BrownoutLevel, GroupBudget, TenantBudgetError, TenantConfig,
-    TenantCounters, TenantLedger, WindowBudget,
+    BrownoutController, BrownoutLevel, TenantBudgetError, TenantConfig, TenantCounters,
+    TenantLedger, WindowBudget,
 };
 
 /// Why an arrival was shed instead of reaching (or surviving) an admission
@@ -803,7 +803,9 @@ fn record_health(
 /// Per-tenant live state inside one fleet run.
 #[derive(Debug)]
 struct TenantRt {
-    group: GroupBudget,
+    /// The group budget, checked at the brownout controller's effective
+    /// limit.
+    group: WindowBudget,
     brownout: BrownoutController,
     counters: TenantCounters,
 }
@@ -828,7 +830,7 @@ impl TenancyRuntime {
             .iter()
             .enumerate()
             .map(|(i, spec)| TenantRt {
-                group: GroupBudget::new(spec.budget, tc.window),
+                group: WindowBudget::new(tc.window, spec.budget),
                 brownout: BrownoutController::new(
                     tc.brownout,
                     tc.window,
@@ -872,7 +874,7 @@ impl TenancyRuntime {
                 final_level: rt.brownout.level(),
                 escalations: rt.brownout.escalations(),
                 recoveries: rt.brownout.recoveries(),
-                headroom_at_end: rt.group.headroom(end),
+                headroom_at_end: rt.group.max() - rt.group.occupancy(end),
             })
             .collect();
         if let Some(h) = hub {

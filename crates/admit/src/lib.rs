@@ -29,9 +29,9 @@
 //!   ledger conservation identities.
 //!
 //! * **Tenant isolation** ([`tenant`]) — a two-level admission hierarchy:
-//!   every source belongs to a tenant with its own δ⁻ group budget (an
-//!   aggregate monitor / window-budget pair), all tenants draw from a
-//!   global interference budget, and an adaptive brownout controller
+//!   every source belongs to a tenant with its own group budget (a
+//!   sliding-window admission count), all tenants draw from a global
+//!   interference budget, and an adaptive brownout controller
 //!   degrades overloaded tenants through a ladder (shrink → best-effort →
 //!   quarantine) with seed-jittered hysteresis. Overload in one tenant
 //!   provably never moves another tenant's admitted stream.
@@ -62,6 +62,6 @@ pub use storm::{
 };
 pub use tenant::{
     global_budget_for_bound, group_delta, BrownoutController, BrownoutLevel, BrownoutPolicy,
-    GroupBudget, TenantBudgetError, TenantConfig, TenantCounters, TenantLedger, TenantSpec,
-    WindowBudget, MAX_GROUP_BUDGET,
+    TenantBudgetError, TenantConfig, TenantCounters, TenantLedger, TenantSpec, WindowBudget,
+    MAX_GROUP_BUDGET,
 };

@@ -3,10 +3,10 @@
 //!
 //! Every source belongs to exactly one tenant. An arrival is admitted only
 //! if three levels pass, in order: the source's own δ⁻ monitor, the
-//! tenant's *group budget* (an aggregate [`ActivationMonitor`] /
-//! [`WindowBudget`] pair enforcing "at most B admissions in any window W"
-//! over the tenant's merged stream), and the fleet's *global budget*
-//! (a [`WindowBudget`] over the union of all tenants, sized from the
+//! tenant's *group budget* (a [`WindowBudget`] enforcing "at most B
+//! admissions in any window W" over the tenant's merged stream, at a limit
+//! brownout may shrink), and the fleet's *global budget* (a
+//! [`WindowBudget`] over the union of all tenants, sized from the
 //! Eq. 13–16 interference bound). Each refusal is typed by the level that
 //! refused; nothing is silently clamped or silently admitted.
 //!
@@ -29,13 +29,13 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use rthv_monitor::{ActivationMonitor, Admission, DeltaFunction};
+use rthv_monitor::DeltaFunction;
 use rthv_time::{Duration, Instant};
 
-/// Largest accepted per-tenant group budget (admissions per window). The
-/// aggregate monitor keeps one trace slot per budgeted admission, so an
-/// unbounded budget would be an unbounded arena — reject it as a typed
-/// overflow instead of clamping.
+/// Largest accepted per-tenant group budget (admissions per window). A
+/// group's [`WindowBudget`] keeps one entry per admission inside its
+/// window, so an unbounded budget would be an unbounded deque — reject it
+/// as a typed overflow instead of clamping.
 pub const MAX_GROUP_BUDGET: u64 = 4096;
 
 /// One tenant: how many of the fleet's dense source ids it owns (tenants
@@ -237,8 +237,11 @@ pub fn global_budget_for_bound(bound: Duration, effective_cost: Duration) -> u64
 /// by the window — exactly "any `budget + 1` consecutive admissions span
 /// at least `window`", i.e. at most `budget` admissions in any sliding
 /// window. Zero entries are valid δ⁻ entries (the superadditive closure
-/// keeps them), so the whole budget hierarchy reuses the paper's monitor
-/// unchanged.
+/// keeps them), so the paper's [`ActivationMonitor`] over this δ⁻ decides
+/// exactly as a [`WindowBudget`] of `budget` does at its nominal limit; a
+/// property test holds the group budget to that monitor.
+///
+/// [`ActivationMonitor`]: rthv_monitor::ActivationMonitor
 ///
 /// # Panics
 ///
@@ -257,7 +260,8 @@ pub fn group_delta(budget: u64, window: Duration) -> DeltaFunction {
 }
 
 /// A sliding-window admission counter: at most `max` events in any window
-/// of `width`. This is the *primary* budget enforcement — unlike a
+/// of `width`. Each tenant's group budget is one, checked at the
+/// brownout-shrunk limit, and so is the fleet's global budget. Unlike a
 /// monitor rebuild it keeps its history across brownout shrinks, so a
 /// recovered tenant can never have over-admitted against its nominal
 /// budget.
@@ -313,51 +317,6 @@ impl WindowBudget {
     #[must_use]
     pub fn max(&self) -> u64 {
         self.max
-    }
-}
-
-/// A tenant's group budget: the [`WindowBudget`] (primary, shrink-aware)
-/// paired with an aggregate [`ActivationMonitor`] over the tenant's merged
-/// admitted stream (independent second enforcement of the *nominal*
-/// budget). Both must pass; the pair agreeing is itself an invariant the
-/// tests pin.
-#[derive(Debug, Clone)]
-pub struct GroupBudget {
-    /// Nominal budget (admissions per window) before any brownout shrink.
-    pub nominal: u64,
-    window: WindowBudget,
-    aggregate: ActivationMonitor,
-}
-
-impl GroupBudget {
-    /// A group budget of `nominal` admissions per sliding `width`.
-    #[must_use]
-    pub fn new(nominal: u64, width: Duration) -> Self {
-        GroupBudget {
-            nominal,
-            window: WindowBudget::new(width, nominal),
-            aggregate: ActivationMonitor::new(group_delta(nominal, width)),
-        }
-    }
-
-    /// Checks one candidate admission at `now` against the shrunk limit
-    /// `effective` (≤ nominal) *and* the aggregate monitor at the nominal
-    /// budget. `true` only when both levels of the pair agree to admit.
-    pub fn admits(&mut self, now: Instant, effective: u64) -> bool {
-        let window_ok = self.window.admits(now, effective);
-        let monitor_ok = matches!(self.aggregate.check(now), Admission::Admitted);
-        window_ok && monitor_ok
-    }
-
-    /// Records an admission in both halves of the pair.
-    pub fn record(&mut self, now: Instant) {
-        self.window.record(now);
-        self.aggregate.record_admitted(now);
-    }
-
-    /// Remaining nominal headroom in the window ending at `now`.
-    pub fn headroom(&mut self, now: Instant) -> u64 {
-        self.nominal.saturating_sub(self.window.occupancy(now))
     }
 }
 
@@ -702,6 +661,9 @@ pub struct TenantLedger {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use rthv_monitor::{ActivationMonitor, Admission};
+
     use super::*;
 
     const W: Duration = Duration::from_millis(10);
@@ -722,25 +684,45 @@ mod tests {
         assert!(wb.admits(at(W.as_nanos()), 2));
     }
 
-    #[test]
-    fn group_pair_agrees_with_the_window_budget() {
-        // The aggregate monitor's zero-padded δ⁻ and the sliding window
-        // must make identical decisions at the nominal limit.
-        let budget = 3;
-        let mut group = GroupBudget::new(budget, W);
-        let mut window = WindowBudget::new(W, budget);
-        let mut t = 0u64;
-        let mut z = 0x5EEDu64;
-        for _ in 0..4000 {
-            z = z.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            t += z % (W.as_nanos() / 2) + 1;
-            let now = at(t);
-            let a = group.admits(now, budget);
-            let b = window.admits(now, budget);
-            assert_eq!(a, b, "pair disagreed at {t}");
-            if a {
-                group.record(now);
-                window.record(now);
+    proptest! {
+        /// A group budget is one `WindowBudget`, and the paper's monitor is
+        /// its oracle. At an effective limit that shrinks and recovers
+        /// between decisions, as brownout's does, every window decision
+        /// equals the pair of the window at that limit and an
+        /// `ActivationMonitor` over `group_delta(nominal)`; the monitor
+        /// alone agrees with the window's nominal count.
+        #[test]
+        fn group_pair_agrees_with_the_window_budget(
+            nominal in prop_oneof![1u64..=200, Just(120u64), Just(160u64)],
+            decisions in prop::collection::vec(
+                (0..=2 * W.as_nanos(), 0u32..=21, 0u64..=1500),
+                1..=800,
+            ),
+        ) {
+            let mut window = WindowBudget::new(W, nominal);
+            let mut aggregate = ActivationMonitor::new(group_delta(nominal, W));
+            let mut t = 0u64;
+            // Shift 21 lands exactly one window after the oldest admission
+            // the window holds, the instant it expires. Any other shift
+            // scales a gap of up to 2W down by up to 2^20, so dense
+            // stretches fill even a 200-admission window. The limit is
+            // shrunk to `permille` of nominal (floor 1), or nominal from
+            // 1000 on.
+            for (gap, shift, permille) in decisions {
+                t = match window.recent.front() {
+                    Some(&oldest) if shift == 21 => (oldest + W).as_nanos(),
+                    _ => t + (gap >> shift.min(20)),
+                };
+                let now = at(t);
+                let effective = (nominal * permille.min(1000) / 1000).max(1);
+                let monitor_ok = matches!(aggregate.check(now), Admission::Admitted);
+                prop_assert_eq!(monitor_ok, window.occupancy(now) < nominal, "at {}", t);
+                let admitted = window.admits(now, effective);
+                prop_assert_eq!(admitted, admitted && monitor_ok, "at {}", t);
+                if admitted {
+                    window.record(now);
+                    aggregate.record_admitted(now);
+                }
             }
         }
     }

@@ -337,8 +337,8 @@ const TENANT_ARRIVALS_PER_SOURCE: u64 = 4_000;
 const TENANT_SOURCES: u32 = 16;
 
 /// The hierarchical admission path (tenant table, brownout roll, group
-/// window + aggregate monitor, global window) must stay within this factor
-/// of the flat path's per-decision cost.
+/// window, global window) must stay within this factor of the flat path's
+/// per-decision cost.
 const TENANT_OVERHEAD_BUDGET: f64 = 1.3;
 
 /// A conformant fleet trace: every source fires exactly at `d_min`, with a
@@ -490,7 +490,7 @@ fn main() {
     let tenant = on_off_json(
         &OnOff {
             key: "tenant_hierarchy_overhead",
-            description: "conformant 16-source fleet trace run through the flat fleet vs the 2-tenant budget hierarchy; both shapes admit byte-identically (asserted), so the delta is the tenant table, brownout roll, group window + aggregate monitor and global window on the admission hot path",
+            description: "conformant 16-source fleet trace run through the flat fleet vs the 2-tenant budget hierarchy; both shapes admit byte-identically (asserted), so the delta is the tenant table, brownout roll, group window and global window on the admission hot path",
             arms: ["flat", "hierarchical"],
             arrivals: arrivals.len() as u64,
             decisions: flat.counters.scheduled,

@@ -28,10 +28,9 @@ use crate::IrqSourceId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Arrival {
     pub(crate) at: Instant,
-    /// Arrivals scheduled before this one since construction or the last
-    /// reset. It orders arrivals due at one instant, and an arrival due
-    /// with a timer fires first iff its `order` is below the timer's
-    /// arrival count.
+    /// Arrivals scheduled before this one since construction. It orders
+    /// arrivals due at one instant, and an arrival due with a timer fires
+    /// first iff its `order` is below the timer's arrival count.
     pub(crate) order: u64,
     pub(crate) source: IrqSourceId,
     /// Per-source sequence number.
@@ -126,14 +125,6 @@ impl PendingArrivals {
         self.fresh.reserve(additional);
     }
 
-    /// Forgets every pending arrival. An unshared stream hands its buffer
-    /// to the fresh run, so a reset machine reruns without allocating.
-    pub(crate) fn clear(&mut self) {
-        self.side.clear();
-        self.fresh.clear();
-        self.start_next_stream();
-    }
-
     /// The earliest pending arrival by `(at, order)`.
     pub(crate) fn peek(&self) -> Option<&Arrival> {
         let head = self
@@ -177,6 +168,12 @@ impl PendingArrivals {
     /// Makes the fresh arrivals the stream, dropping what is left of the
     /// current one. An unshared stream trades buffers with the fresh run;
     /// a shared one stays with the snapshots that hold it.
+    ///
+    /// Cold and out of line: it runs once per stream, and inlined into
+    /// [`advance_stream`](Self::advance_stream) it makes that check too
+    /// large to inline into [`pop`](Self::pop), which then pays a call on
+    /// every arrival.
+    #[cold]
     fn start_next_stream(&mut self) {
         match Arc::get_mut(&mut self.stream) {
             Some(stream) => {
@@ -307,28 +304,5 @@ mod tests {
         let snapshot = pending.clone();
         assert!(pending.shares_stream_with(&snapshot));
         assert_eq!(drain(&mut pending), drain(&mut snapshot.clone()));
-    }
-
-    #[test]
-    fn a_cleared_queue_reruns_in_the_same_buffers() {
-        let mut pending = PendingArrivals::default();
-        let run = |pending: &mut PendingArrivals| {
-            for order in 0..3 {
-                pending.push(arrival(10 * (order + 1), order));
-            }
-            let digest = pending.digest();
-            assert_eq!(drain(pending).len(), 3);
-            digest
-        };
-        let first = run(&mut pending);
-        pending.clear();
-        let buffers = (pending.stream.arrivals.capacity(), pending.fresh.capacity());
-        assert_eq!(run(&mut pending), first);
-        pending.clear();
-        assert_eq!(
-            (pending.stream.arrivals.capacity(), pending.fresh.capacity()),
-            buffers
-        );
-        assert!(buffers.1 >= 3);
     }
 }

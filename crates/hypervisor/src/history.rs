@@ -89,13 +89,6 @@ impl<T> History<T> {
             .or_else(|| self.frozen.as_ref()?.entries.last())
     }
 
-    /// Forgets every entry. The tail keeps its buffer; frozen segments
-    /// stay with the snapshots that share them.
-    pub(crate) fn clear(&mut self) {
-        self.frozen = None;
-        self.tail.clear();
-    }
-
     /// Moves the tail into a new frozen segment, so clones from here on
     /// share every entry recorded so far. The new tail is sized like the
     /// segment: checkpoints come at a steady rate, so it rarely regrows.
@@ -215,10 +208,6 @@ mod tests {
         let mut restored = history.clone();
         restored.clone_from(&snapshot);
         assert_eq!(restored.into_vec(), [0, 1, 2, 3]);
-        history.clear();
-        assert_eq!(history.len(), 0);
-        assert_eq!(history.last(), None);
-        assert_eq!(snapshot.len(), 4);
     }
 
     #[test]

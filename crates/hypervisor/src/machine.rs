@@ -304,13 +304,11 @@ pub struct Machine {
     /// Pending IRQ arrivals: a stream shared with snapshots plus a side
     /// heap.
     arrivals: PendingArrivals,
-    /// Arrivals scheduled since construction or the last reset: the next
-    /// arrival's `order`.
+    /// Arrivals scheduled since construction: the next arrival's `order`.
     arrivals_scheduled: u64,
     /// The machine's own timers, indexed by [`TimerSlot`].
     timers: [Option<Timer>; 3],
-    /// Timers armed since construction or the last reset: the next
-    /// timer's `order`.
+    /// Timers armed since construction: the next timer's `order`.
     timers_armed: u64,
     /// Index of the TDMA boundary the [`TimerSlot::Boundary`] timer stands
     /// for.
@@ -580,10 +578,10 @@ impl Machine {
     /// the Appendix-A learn-then-run scenario).
     ///
     /// The stored configuration is updated alongside the live shaper, so
-    /// [`config`](Machine::config) keeps describing the effective monitor
-    /// and a machine built from that configuration matches this one after
-    /// [`reset`](Machine::reset). The supervision conformance watch (when
-    /// enabled) is rebuilt from the new δ⁻ as well.
+    /// [`config`](Machine::config) keeps describing the effective monitor:
+    /// a machine built from it runs like one whose δ⁻ was replaced before
+    /// its first step. The supervision conformance watch (when enabled) is
+    /// rebuilt from the new δ⁻ as well.
     ///
     /// Returns `false` if the source is unmonitored (or throttled by a
     /// token bucket, which has no δ⁻ to replace).
@@ -775,70 +773,6 @@ impl Machine {
             self.supervise_tick();
         }
         true
-    }
-
-    /// Rewinds the machine to its just-constructed state — virtual time
-    /// zero, partition 0's user task running, no scheduled arrivals, only
-    /// the first TDMA boundary armed, empty records — while keeping every
-    /// allocation: the arrival stream and the records' buffers (unless a
-    /// snapshot shares them) and the per-partition IRQ [`VecDeque`]s all
-    /// retain their capacity, so a reset-and-rerun executes without heap
-    /// allocation in steady state.
-    ///
-    /// Determinism: a reset machine fed the same arrival trace reproduces
-    /// the original run event for event (asserted by the
-    /// `reset_rerun_matches_fresh_machine` integration test). Runtime
-    /// mutations made through [`set_mode`](Machine::set_mode) or
-    /// [`set_monitor_delta`](Machine::set_monitor_delta) are configuration,
-    /// not run state, and deliberately survive the reset.
-    pub fn reset(&mut self) {
-        self.now = Instant::ZERO;
-        self.arrivals.clear();
-        self.arrivals_scheduled = 0;
-        self.timers = [None; 3];
-        self.timers_armed = 0;
-        self.next_boundary = 1;
-        self.arm(TimerSlot::Boundary, self.schedule.boundary_time(1));
-        self.hv = None;
-        self.activity = Activity::User {
-            partition: PartitionId::new(0),
-            since: Instant::ZERO,
-        };
-        self.window = None;
-        self.pending_boundary = None;
-        self.latched.clear();
-        self.current_slot = 0;
-        for partition in &mut self.partitions {
-            partition.queue.clear();
-        }
-        for monitor in self.monitors.iter_mut().flatten() {
-            monitor.reset();
-        }
-        if let Some(supervisor) = &mut self.supervisor {
-            supervisor.reset();
-        }
-        self.completions.clear();
-        self.counters.reset();
-        self.next_seq.fill(0);
-        self.expected_completions = 0;
-        self.window_openings.clear();
-        self.admissions.clear();
-        self.defect = None;
-        if let Some(per_partition) = &mut self.service_trace {
-            for intervals in per_partition {
-                intervals.clear();
-            }
-        }
-        if let Some(spans) = &mut self.hv_trace {
-            spans.clear();
-        }
-        if let Some(spans) = &mut self.window_trace {
-            spans.clear();
-        }
-        if let Some(metrics) = &mut self.metrics {
-            metrics.reset();
-        }
-        self.obs_supervision_seen = 0;
     }
 
     /// Finalizes the run: closes the books on the in-progress partition

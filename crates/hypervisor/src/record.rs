@@ -1,7 +1,6 @@
 //! Measurement records: per-IRQ latencies, service accounting, counters.
 
 use std::fmt;
-use std::mem;
 
 use serde::{Deserialize, Serialize};
 
@@ -213,15 +212,6 @@ impl Counters {
     pub fn service_of(&self, partition: PartitionId) -> PartitionService {
         self.service[partition.index()]
     }
-
-    /// Zeroes every counter, keeping the per-partition service vector's
-    /// allocation (its length is fixed by the configuration).
-    pub fn reset(&mut self) {
-        let service = mem::take(&mut self.service);
-        *self = Counters::default();
-        self.service = service;
-        self.service.fill(PartitionService::default());
-    }
 }
 
 /// One admission-monitor decision, in decision order.
@@ -261,11 +251,6 @@ impl TraceRecorder {
     /// Appends one completion record.
     pub fn record(&mut self, completion: IrqCompletion) {
         self.completions.push(completion);
-    }
-
-    /// Drops all records, keeping the backing allocation for reuse.
-    pub fn clear(&mut self) {
-        self.completions.clear();
     }
 
     /// All completions, in completion order.

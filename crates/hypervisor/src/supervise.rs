@@ -584,18 +584,6 @@ impl Supervisor {
         });
     }
 
-    /// Clears all tracker, watch and ledger state back to construction.
-    pub fn reset(&mut self) {
-        for slot in self.slots.iter_mut().flatten() {
-            slot.tracker = HealthTracker::new(self.policy);
-            slot.watch.reset();
-        }
-        for penalty in &mut self.partition_penalties {
-            *penalty = 0;
-        }
-        self.events.clear();
-    }
-
     /// Feeds the supervisor's mutable state to `word` as canonical `u64`
     /// words — every tracker, every conformance watch, the partition ledger
     /// and the event log's length plus its most recent entry — for
@@ -899,11 +887,6 @@ mod tests {
         assert_eq!(sup.state(0), Some(HealthState::Healthy));
         assert_eq!(counters.recoveries, 1);
         assert_eq!(sup.report().recoveries(), 1);
-
-        sup.reset();
-        assert_eq!(sup.state(0), Some(HealthState::Healthy));
-        assert_eq!(sup.report().events.len(), 0);
-        assert_eq!(sup.report().partition_penalties, vec![0, 0, 0]);
     }
 
     #[test]

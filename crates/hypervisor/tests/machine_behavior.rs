@@ -652,92 +652,6 @@ fn mixed_trace() -> Vec<Instant> {
     arrivals
 }
 
-#[test]
-fn reset_rerun_matches_fresh_machine() {
-    let trace = mixed_trace();
-    let run = |m: &mut Machine| {
-        for &at in &trace {
-            m.schedule_irq(IRQ0, at).expect("in the future");
-        }
-        assert!(m.run_until_complete(at_us(1_000_000)));
-    };
-
-    // Reference: a fresh machine.
-    let mut fresh = Machine::new(paper_config(IrqHandlingMode::Interposed, Some(dmin(300))))
-        .expect("valid config");
-    fresh.enable_service_trace();
-    run(&mut fresh);
-    let fresh_report = fresh.finish();
-
-    // Candidate: run, reset, run again — the second run must reproduce the
-    // fresh machine's timeline exactly.
-    let mut reused = Machine::new(paper_config(IrqHandlingMode::Interposed, Some(dmin(300))))
-        .expect("valid config");
-    reused.enable_service_trace();
-    run(&mut reused);
-    assert!(
-        reused.completed_irqs() > 0,
-        "first run recorded completions"
-    );
-    reused.reset();
-    assert_eq!(reused.now(), Instant::ZERO);
-    assert_eq!(reused.outstanding_irqs(), 0);
-    assert_eq!(reused.completed_irqs(), 0);
-    assert_eq!(reused.counters().context_switches, 0);
-    assert_eq!(reused.counters().events_processed, 0);
-    run(&mut reused);
-    let rerun_report = reused.finish();
-
-    assert_eq!(rerun_report.end, fresh_report.end);
-    assert_eq!(
-        rerun_report.recorder.completions(),
-        fresh_report.recorder.completions()
-    );
-    assert_eq!(rerun_report.counters, fresh_report.counters);
-    assert_eq!(rerun_report.window_openings, fresh_report.window_openings);
-    assert_eq!(rerun_report.monitor_stats, fresh_report.monitor_stats);
-    assert_eq!(
-        rerun_report.service_intervals,
-        fresh_report.service_intervals
-    );
-    assert_eq!(rerun_report.hv_spans, fresh_report.hv_spans);
-    assert_eq!(rerun_report.window_spans, fresh_report.window_spans);
-    // The rerun exercised every handling class, so the equality above
-    // covers all dispatch paths.
-    let classes: std::collections::HashSet<_> = fresh_report
-        .recorder
-        .completions()
-        .iter()
-        .map(|c| c.class)
-        .collect();
-    assert_eq!(classes.len(), 3, "trace should exercise all classes");
-}
-
-#[test]
-fn reset_survives_mid_run_interruption() {
-    // Resetting with events still queued (IRQs outstanding, hypervisor
-    // mid-block) must still rewind to a clean slate.
-    let mut m = Machine::new(paper_config(IrqHandlingMode::Interposed, Some(dmin(300))))
-        .expect("valid config");
-    for &at in &mixed_trace() {
-        m.schedule_irq(IRQ0, at).expect("in the future");
-    }
-    m.run_until(at_us(501)); // stop inside the first top handler
-    m.reset();
-    assert_eq!(m.now(), Instant::ZERO);
-    assert_eq!(m.outstanding_irqs(), 0);
-
-    // The machine is fully reusable afterwards.
-    m.schedule_irq(IRQ0, at_us(7_000)).expect("in the future");
-    assert!(m.run_until_complete(at_us(100_000)));
-    let report = m.finish();
-    assert_eq!(report.recorder.len(), 1);
-    assert_eq!(
-        report.recorder.completions()[0].class,
-        HandlingClass::Direct
-    );
-}
-
 // ----------------------------------------------------------------------
 // Graceful degradation: bounded queues, overrunning work, defect surfacing
 // ----------------------------------------------------------------------
@@ -878,49 +792,45 @@ fn supervised_config(monitor_dmin_us: u64) -> HypervisorConfig {
 }
 
 #[test]
-fn reset_after_runtime_delta_change_matches_fresh_machine() {
-    let trace = mixed_trace();
-    let schedule = |m: &mut Machine| {
+fn runtime_delta_change_is_mirrored_in_config() {
+    // Two arrivals 400 µs apart per cycle: admitted and conformant under
+    // d_min = 300 µs, denied and flagged under the swapped-in 450 µs.
+    let mut trace = mixed_trace();
+    for cycle in 0..6u64 {
+        trace.extend([at_us(cycle * 14_000 + 3_000), at_us(cycle * 14_000 + 3_400)]);
+    }
+    trace.sort_unstable();
+    let run = |mut m: Machine| {
+        m.enable_service_trace();
         for &at in &trace {
             m.schedule_irq(IRQ0, at).expect("in the future");
         }
+        assert!(m.run_until_complete(at_us(1_000_000)));
+        m.finish()
     };
 
-    // First run: tighten the monitor distance mid-run. This rewrites the
-    // machine's own config, so reset() must rebuild the per-source monitor
-    // history under the *new* δ⁻, not the construction-time one.
-    let mut m = Machine::new(paper_config(IrqHandlingMode::Interposed, Some(dmin(300))))
-        .expect("valid config");
-    m.enable_service_trace();
-    schedule(&mut m);
-    m.run_until(at_us(20_000));
-    assert!(m.set_monitor_delta(IRQ0, dmin(450)));
-    assert!(m.run_until_complete(at_us(1_000_000)));
-
-    // Reset + rerun: the whole trace now runs under d_min = 450 µs.
-    m.reset();
-    schedule(&mut m);
-    assert!(m.run_until_complete(at_us(1_000_000)));
-    let config = m.config().clone();
-    let rerun = m.finish();
-
-    // Reference: a fresh machine built from the updated config.
-    let mut fresh = Machine::new(config).expect("valid config");
-    fresh.enable_service_trace();
-    schedule(&mut fresh);
-    assert!(fresh.run_until_complete(at_us(1_000_000)));
-    let fresh_report = fresh.finish();
-
-    assert_eq!(rerun.end, fresh_report.end);
-    assert_eq!(
-        rerun.recorder.completions(),
-        fresh_report.recorder.completions()
-    );
-    assert_eq!(rerun.counters, fresh_report.counters);
-    assert_eq!(rerun.monitor_stats, fresh_report.monitor_stats);
-    assert_eq!(rerun.admissions, fresh_report.admissions);
-    // The tightened δ⁻ actually bites: some admissions must be denials.
-    assert!(rerun.counters.monitor_denied > 0);
+    // Unsupervised, then supervised so the rebuilt conformance watch is
+    // covered too.
+    for config in [
+        paper_config(IrqHandlingMode::Interposed, Some(dmin(300))),
+        supervised_config(300),
+    ] {
+        let unchanged = run(Machine::new(config.clone()).expect("valid config"));
+        let mut swapped = Machine::new(config).expect("valid config");
+        assert!(swapped.set_monitor_delta(IRQ0, dmin(450)));
+        // `config()` describes the live monitor and conformance watch: a
+        // machine built from it hashes equal and runs the trace to the same
+        // report.
+        let rebuilt = Machine::new(swapped.config().clone()).expect("valid config");
+        assert_eq!(swapped.state_hash(), rebuilt.state_hash());
+        let swapped = run(swapped);
+        assert_eq!(swapped, run(rebuilt));
+        // The tightened δ⁻ actually bites.
+        assert!(swapped.counters.monitor_denied > unchanged.counters.monitor_denied);
+        if let (Some(after), Some(before)) = (&swapped.supervision, &unchanged.supervision) {
+            assert_ne!(after.events, before.events);
+        }
+    }
 }
 
 /// A denial burst: arrivals every 100 µs in partition 0's slot, far below

@@ -181,26 +181,3 @@ fn restored_run_reproduces_metrics_byte_identically() {
         "resumed metrics diverged from the uninterrupted run"
     );
 }
-
-#[test]
-fn reset_clears_the_hub_with_the_machine() {
-    let mut machine = instrumented_machine(true);
-    machine.run_until(at_us(40_000));
-    assert!(machine.metrics().expect("enabled").counters().raised > 0);
-
-    machine.reset();
-    let hub = machine.metrics().expect("reset keeps metrics enabled");
-    assert_eq!(hub.counters().raised, 0);
-    assert_eq!(hub.recorder().recorded(), 0);
-
-    // A fresh instrumented machine and the reset one must agree byte-for-
-    // byte after the same rerun.
-    schedule_burst(&mut machine);
-    machine.run_until(at_us(HORIZON));
-    let mut fresh = instrumented_machine(true);
-    fresh.run_until(at_us(HORIZON));
-    assert_eq!(
-        machine.metrics_snapshot_json(),
-        fresh.metrics_snapshot_json()
-    );
-}

@@ -197,11 +197,6 @@ impl TraceRing {
             self.push_front(t);
         }
     }
-
-    fn clear(&mut self) {
-        self.head = 0;
-        self.len = 0;
-    }
 }
 
 impl ActivationMonitor {
@@ -329,12 +324,6 @@ impl ActivationMonitor {
             Admission::Denied { .. } => self.stats.denied += 1,
         }
         admission
-    }
-
-    /// Clears the trace buffer and counters.
-    pub fn reset(&mut self) {
-        self.trace.clear();
-        self.stats = MonitorStats::default();
     }
 
     /// Feeds the monitor's state to `word` as canonical `u64` words — the
@@ -521,17 +510,6 @@ mod tests {
         assert_eq!(m.trace.get(0), Instant::from_micros(1_000));
         assert_eq!(m.trace.get(1), Instant::from_micros(900));
         assert_eq!(m.trace.get(2), Instant::from_micros(800));
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut m = dmin_monitor(100);
-        let _ = m.try_admit(Instant::ZERO);
-        let _ = m.try_admit(Instant::from_micros(1));
-        m.reset();
-        assert_eq!(m.stats().total(), 0);
-        assert!(m.last_admitted().is_none());
-        assert!(m.try_admit(Instant::from_micros(2)));
     }
 
     #[test]

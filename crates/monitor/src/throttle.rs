@@ -115,13 +115,6 @@ impl TokenBucket {
         self.stats
     }
 
-    /// Refills the bucket and clears the counters.
-    pub fn reset(&mut self) {
-        self.tokens = self.capacity;
-        self.last_refill = Instant::ZERO;
-        self.stats = MonitorStats::default();
-    }
-
     /// Feeds the bucket's mutable state to `word` as canonical `u64` words
     /// (token count, refill anchor, counters) for checkpoint state-hashing.
     pub fn state_words(&self, word: &mut impl FnMut(u64)) {
@@ -285,16 +278,6 @@ impl Shaper {
         }
     }
 
-    /// Forgets all admission history and clears the counters, keeping the
-    /// configured condition (δ⁻ function or bucket shape). Used by the
-    /// hypervisor's `Machine::reset` to reuse a machine across runs.
-    pub fn reset(&mut self) {
-        match self {
-            Shaper::Delta(monitor) => monitor.reset(),
-            Shaper::Bucket(bucket) => bucket.reset(),
-        }
-    }
-
     /// Feeds the shaper's mutable state to `word` as canonical `u64` words
     /// (a variant discriminant followed by the inner state) for checkpoint
     /// state-hashing.
@@ -409,16 +392,6 @@ mod tests {
     #[should_panic(expected = "positive capacity")]
     fn zero_capacity_rejected() {
         let _ = TokenBucket::new(0, Duration::from_millis(1));
-    }
-
-    #[test]
-    fn reset_refills_and_clears() {
-        let mut bucket = TokenBucket::new(1, Duration::from_millis(5));
-        assert!(bucket.try_admit(at_us(0)));
-        assert!(!bucket.try_admit(at_us(1)));
-        bucket.reset();
-        assert_eq!(bucket.stats().total(), 0);
-        assert!(bucket.try_admit(at_us(2)));
     }
 
     #[test]

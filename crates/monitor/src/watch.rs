@@ -109,14 +109,6 @@ impl ConformanceWatch {
         }
     }
 
-    /// Forgets everything observed, keeping the δ⁻ condition.
-    pub fn reset(&mut self) {
-        self.shadow.reset();
-        self.observed = 0;
-        self.violations = 0;
-        self.last_violation = None;
-    }
-
     /// Feeds the watch's mutable state to `word` as canonical `u64` words
     /// (shadow monitor state, counts, last-violation timestamp) for
     /// checkpoint state-hashing.
@@ -201,19 +193,6 @@ mod tests {
         assert!(!watch.observe(Instant::from_micros(400)));
         assert!(!watch.observe(Instant::from_micros(650)));
         assert!(watch.observe(Instant::from_micros(950)));
-    }
-
-    #[test]
-    fn reset_forgets_history_keeps_delta() {
-        let mut watch = dmin_watch(300);
-        let _ = watch.observe(Instant::from_micros(10));
-        let _ = watch.observe(Instant::from_micros(20));
-        watch.reset();
-        assert_eq!(watch.observed(), 0);
-        assert_eq!(watch.violations(), 0);
-        assert_eq!(watch.last_violation(), None);
-        assert_eq!(watch.delta().dmin(), Duration::from_micros(300));
-        assert!(watch.observe(Instant::from_micros(25)));
     }
 
     #[test]

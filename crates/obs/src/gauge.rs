@@ -122,13 +122,6 @@ impl HeadroomGauge {
             .map(|budget| self.effective_cost * budget)
     }
 
-    /// Clears observations, keeping geometry and allocation.
-    pub fn reset(&mut self) {
-        self.admissions.clear();
-        self.max_window_events = 0;
-        self.saturated = 0;
-    }
-
     /// Appends the gauge as a JSON object value (no key) to `out`.
     pub(crate) fn write_json(&self, out: &mut String, pad: &str) {
         let _ = writeln!(out, "{pad}\"gauge\": {{");
@@ -245,14 +238,5 @@ mod tests {
         }
         assert_eq!(copy, gauge);
         assert_eq!(copy.max_window_events(), 3);
-    }
-
-    #[test]
-    fn reset_clears_observations() {
-        let mut gauge = HeadroomGauge::new(Duration::from_millis(1), Some(3), Duration::ZERO);
-        gauge.record(us(5));
-        gauge.reset();
-        assert_eq!(gauge.max_window_events(), 0);
-        assert_eq!(gauge.min_headroom_events(), Some(3));
     }
 }

@@ -362,23 +362,6 @@ impl MetricsHub {
         self.tenants.len()
     }
 
-    /// Clears all observations, keeping geometry and allocations — the
-    /// observability mirror of `Machine::reset`.
-    pub fn reset(&mut self) {
-        self.counters = ObsCounters::default();
-        self.platform = None;
-        self.tenants.clear();
-        for histogram in &mut self.latency {
-            *histogram =
-                LatencyHistogram::new(self.config.latency_bin_width, self.config.latency_range)
-                    .expect("geometry was validated at construction");
-        }
-        for gauge in &mut self.gauges {
-            gauge.reset();
-        }
-        self.recorder.reset();
-    }
-
     /// Serializes the whole hub as JSON. Every numeric field is an integer
     /// (nanoseconds, counts, or `-1` for "unbounded"/"absent") and nothing
     /// reads ambient state, so equal hubs serialize byte-identically on
@@ -553,16 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_pristine_snapshot() {
-        let mut hub_a = hub();
-        let pristine = hub_a.snapshot_json();
-        hub_a.record_raised(Instant::from_micros(1), 0);
-        hub_a.record_completion(Instant::from_micros(2), 0, Duration::from_micros(1));
-        hub_a.reset();
-        assert_eq!(hub_a.snapshot_json(), pristine);
-    }
-
-    #[test]
     fn tenant_gauges_serialize_and_reset() {
         let mut hub = hub();
         assert_eq!(hub.tenants(), 0);
@@ -582,8 +555,6 @@ mod tests {
         assert!(json.contains(
             "{\"tenant\": 1, \"shed_permille\": 250, \"brownout_rank\": 2, \"budget_headroom\": 7}"
         ));
-        hub.reset();
-        assert_eq!(hub.tenants(), 0);
     }
 
     #[test]

@@ -191,14 +191,6 @@ impl FlightRecorder {
             .chain(self.events[..self.head].iter())
     }
 
-    /// Clears all events and counters, keeping the allocation.
-    pub fn reset(&mut self) {
-        self.events.clear();
-        self.head = 0;
-        self.dropped = 0;
-        self.recorded = 0;
-    }
-
     /// Appends the recorder as a JSON object to `out` under `indent`
     /// spaces. Integer fields only; byte-identical for equal recorders.
     pub(crate) fn write_json(&self, out: &mut String, pad: &str) {
@@ -283,15 +275,5 @@ mod tests {
         assert_eq!(ring.recorded(), 5);
         let times: Vec<u64> = ring.iter().map(|e| e.at.as_nanos()).collect();
         assert_eq!(times, vec![2, 3, 4], "oldest-first, latest retained");
-    }
-
-    #[test]
-    fn reset_keeps_capacity() {
-        let mut ring = FlightRecorder::new(2);
-        ring.record(at(1), ObsEventKind::IrqRaised { source: 0 });
-        ring.reset();
-        assert!(ring.is_empty());
-        assert_eq!(ring.dropped(), 0);
-        assert_eq!(ring.capacity(), 2);
     }
 }
