@@ -6,7 +6,8 @@
 
 use rthv_experiments::SweepRunner;
 use rthv_faults::{
-    idle_reference, run_campaign, run_scenario, CampaignConfig, CampaignReport, Violation,
+    idle_reference, run_campaign, run_scenario, standard_scenarios, CampaignConfig, CampaignReport,
+    Violation,
 };
 
 /// The real campaign at a test-friendly horizon. Scenario structure,
@@ -132,4 +133,29 @@ fn campaign_report_is_byte_identical_across_threads_and_repetition() {
             "campaign diverged at {threads} threads"
         );
     }
+}
+
+/// 64-bit FNV-1a over a report's bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The report of `campaign <report> 7 16392212` (the check.sh smoke
+/// campaign), pinned by length and digest: a change to the step loop, the
+/// machine's records or the oracle that moves any count, latency or
+/// verdict shows here, where a rerun of the same build would not.
+#[test]
+fn smoke_campaign_report_is_pinned() {
+    let config = CampaignConfig {
+        scenarios: standard_scenarios(7, 16_392_212),
+        ..CampaignConfig::default()
+    };
+    let report = run_campaign(&config).expect("valid config").to_json();
+    assert_eq!(
+        (report.len(), fnv1a(report.as_bytes())),
+        (6_791, 14_554_268_698_064_009_381),
+        "smoke campaign report moved:\n{report}"
+    );
 }

@@ -62,6 +62,45 @@ fn smoke_report_is_byte_identical_across_reruns() {
     }
 }
 
+/// 64-bit FNV-1a over a report's bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The report of `smp_storm <report> 5 16392212 --smoke` (the check.sh
+/// smoke campaign), pinned by length and digest: a seal, step-loop or
+/// oracle change that moves any count or verdict shows here, where a rerun
+/// of the same build would not.
+#[test]
+fn ci_smoke_report_is_pinned() {
+    let report = temp_path("pinned.json");
+    let _ = std::fs::remove_file(&report);
+    let output = Command::new(env!("CARGO_BIN_EXE_smp_storm"))
+        .args([
+            report.to_str().expect("utf-8 path"),
+            "5",
+            "16392212",
+            "--smoke",
+        ])
+        .output()
+        .expect("run smp_storm");
+    assert!(
+        output.status.success(),
+        "smoke campaign failed; stderr:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let bytes = std::fs::read(&report).expect("report");
+    let _ = std::fs::remove_file(&report);
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (7_050, 11_015_073_644_380_607_761),
+        "smp smoke report moved:\n{}",
+        String::from_utf8_lossy(&bytes)
+    );
+}
+
 /// The real crash-resume drill: `--abort-after 2` kills the process via
 /// `abort()` mid-sweep; a `--resume` run from the surviving journal must
 /// reproduce the uninterrupted report byte for byte, verdict included.

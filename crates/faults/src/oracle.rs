@@ -454,20 +454,39 @@ fn check_delta_replay(admitted: &[Instant], delta: &DeltaFunction, out: &mut Vec
     }
 }
 
+/// The window widths every count check probes, as multiples of `d_min`:
+/// the paper-relevant 1×, 2× and 5×.
+const WINDOW_FACTORS: [u64; 3] = [1, 2, 5];
+
 /// Invariant B — count check, independent of A's implementation: in any
 /// half-open window `[t, t + Δt)` anchored at an admitted activation, the
 /// number of admitted activations must not exceed `η⁺(Δt)`. Probes the
-/// paper-relevant widths (1×, 2× and 5× `d_min`). Reports at most one
-/// offending window per width (the first).
-fn check_window_counts(admitted: &[Instant], delta: &DeltaFunction, out: &mut Vec<Violation>) {
+/// [`WINDOW_FACTORS`] widths. Reports at most one offending window per
+/// width (the first).
+///
+/// The one sweep per width also finds its densest window: returns each
+/// width with that window's count, in [`WINDOW_FACTORS`] order, for the
+/// Eq. 14 check, or `None` when a `d_min` of zero bounds nothing.
+fn check_window_counts(
+    admitted: &[Instant],
+    delta: &DeltaFunction,
+    out: &mut Vec<Violation>,
+) -> Option<[(Duration, u64); 3]> {
     if delta.dmin().is_zero() {
-        return;
+        return None;
     }
-    for factor in [1u64, 2, 5] {
+    Some(WINDOW_FACTORS.map(|factor| {
         let width = delta.dmin().saturating_mul(factor);
         let allowed = delta.eta_plus(width);
-        if let Some((start, observed)) = window_counts(admitted, width).find(|&(_, n)| n > allowed)
-        {
+        let mut first = None;
+        let mut worst = 0;
+        for (start, observed) in window_counts(admitted, width) {
+            if observed > allowed && first.is_none() {
+                first = Some((start, observed));
+            }
+            worst = worst.max(observed);
+        }
+        if let Some((start, observed)) = first {
             out.push(Violation::WindowCount {
                 width,
                 start,
@@ -475,7 +494,8 @@ fn check_window_counts(admitted: &[Instant], delta: &DeltaFunction, out: &mut Ve
                 allowed,
             });
         }
-    }
+        (width, worst)
+    }))
 }
 
 /// The two-pointer window sweep every count check shares: for each anchor
@@ -534,17 +554,12 @@ pub fn check_admitted_stream(
 ) -> Vec<Violation> {
     let mut out = Vec::new();
     check_delta_replay(admitted, delta, &mut out);
-    check_window_counts(admitted, delta, &mut out);
-    if delta.dmin().is_zero() {
-        return out;
-    }
-    for factor in [1u64, 2, 5] {
-        let width = delta.dmin().saturating_mul(factor);
+    // Every `WindowCount` lands before any `Independence`.
+    for (width, worst) in check_window_counts(admitted, delta, &mut out)
+        .into_iter()
+        .flatten()
+    {
         let bound = interference_bound(width, delta, effective_cost);
-        let worst = window_counts(admitted, width)
-            .map(|(_, n)| n)
-            .max()
-            .unwrap_or(0);
         let lost = effective_cost.saturating_mul(worst);
         if lost > bound {
             out.push(Violation::Independence {

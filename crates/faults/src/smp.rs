@@ -604,25 +604,23 @@ fn platform_violations(
     effective_cost: Duration,
 ) -> u64 {
     let mut total = 0u64;
+    let mut lines: Vec<Vec<Instant>> = Vec::new();
     for (core, run) in report.cores.iter().enumerate() {
-        let line_count = run
-            .admissions
-            .iter()
-            .map(|r| r.source.index() + 1)
-            .max()
-            .unwrap_or(0);
-        for line in 0..line_count {
-            let admitted: Vec<Instant> = run
-                .admissions
-                .iter()
-                .filter(|r| r.admitted && r.source.index() == line)
-                .map(|r| r.check_at)
-                .collect();
+        // One pass splits the core's admitted stream by line.
+        lines.iter_mut().for_each(Vec::clear);
+        for record in run.admissions.iter().filter(|r| r.admitted) {
+            let line = record.source.index();
+            if line >= lines.len() {
+                lines.resize_with(line + 1, Vec::new);
+            }
+            lines[line].push(record.check_at);
+        }
+        for (line, admitted) in lines.iter().enumerate() {
             if admitted.is_empty() {
                 continue;
             }
             total +=
-                check_admitted_stream(core, line, &admitted, delta, effective_cost).len() as u64;
+                check_admitted_stream(core, line, admitted, delta, effective_cost).len() as u64;
         }
     }
     total

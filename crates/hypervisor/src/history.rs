@@ -4,10 +4,10 @@
 //! intervals, hypervisor and window spans, the supervisor's event log) only
 //! ever grow. [`History`] keeps the newest entries in a plain `Vec` tail,
 //! so a run that never checkpoints pays one `Vec::push` per record.
-//! [`History::freeze`] moves the tail, without copying an element, into an
-//! immutable segment linked to the older ones; a clone then copies one
-//! pointer and an empty tail, so a snapshot costs the same at the first
-//! slot boundary and at the last.
+//! [`History::freeze`] moves the entries recorded since the last freeze
+//! into an immutable segment linked to the older ones, copying each entry
+//! once; a clone then copies one pointer and an empty tail, so a snapshot
+//! costs the same at the first slot boundary and at the last.
 
 use std::sync::Arc;
 
@@ -71,9 +71,19 @@ impl<T> History<T> {
         self.tail.push(entry);
     }
 
+    /// Makes room in the tail for `additional` more entries.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.tail.reserve(additional);
+    }
+
     /// Entries recorded so far.
     pub(crate) fn len(&self) -> usize {
         self.frozen_len() + self.tail.len()
+    }
+
+    /// Whether no entry was recorded yet.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.frozen.is_none() && self.tail.is_empty()
     }
 
     fn frozen_len(&self) -> usize {
@@ -89,17 +99,23 @@ impl<T> History<T> {
             .or_else(|| self.frozen.as_ref()?.entries.last())
     }
 
-    /// Moves the tail into a new frozen segment, so clones from here on
-    /// share every entry recorded so far. The new tail is sized like the
-    /// segment: checkpoints come at a steady rate, so it rarely regrows.
+    /// Moves the tail's entries into a new frozen segment, so clones from
+    /// here on share every entry recorded so far. The segment is allocated
+    /// at exactly its length, so a checkpoint never pins a reservation or
+    /// a doubling's slack. The tail keeps its buffer, and with it the room
+    /// the run reserved, so recording on after a checkpoint does not
+    /// allocate again. Shrinking the tail in place and giving the next
+    /// tail a fresh buffer instead cost more page faults and time on the
+    /// repo benchmark's `checkpoint_replay`.
     pub(crate) fn freeze(&mut self) {
         if self.tail.is_empty() {
             return;
         }
         let len = self.len();
-        let next = Vec::with_capacity(self.tail.len());
+        let mut entries = Vec::with_capacity(self.tail.len());
+        entries.append(&mut self.tail);
         self.frozen = Some(Arc::new(Segment {
-            entries: std::mem::replace(&mut self.tail, next),
+            entries,
             older: self.frozen.take(),
             len,
         }));
@@ -208,6 +224,26 @@ mod tests {
         let mut restored = history.clone();
         restored.clone_from(&snapshot);
         assert_eq!(restored.into_vec(), [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_frozen_segment_holds_no_slack_and_the_tail_keeps_its_room() {
+        let mut reserved = History::default();
+        reserved.reserve(100);
+        let mut doubled = History::default();
+        for entry in 0..7 {
+            reserved.push(entry);
+            doubled.push(entry);
+        }
+        for mut history in [reserved, doubled] {
+            let room = history.tail.capacity();
+            assert!(room > history.tail.len());
+            history.freeze();
+            let segment = history.frozen.as_deref().expect("frozen");
+            assert_eq!(segment.entries.capacity(), segment.entries.len());
+            assert_eq!(history.tail.capacity(), room);
+            assert_eq!(history.to_vec(), (0..7).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -746,9 +746,34 @@ impl Machine {
         }
     }
 
+    /// Sizes the records for the arrivals scheduled so far, so a run whose
+    /// trace was scheduled before its first step never regrows them: one
+    /// completion per subscriber per arrival is exact, and an arrival on a
+    /// monitored source makes at most one admission and opens at most one
+    /// window. Only a record that is still empty is sized; one that holds
+    /// entries grows as a `Vec` does. Capacity is not state: no hash,
+    /// snapshot or report can see it.
+    fn size_records(&mut self) {
+        if self.completions.is_empty() {
+            self.completions.reserve(self.expected_completions as usize);
+        }
+        if self.config.mode == IrqHandlingMode::Interposed && self.admissions.is_empty() {
+            let monitored: u64 = self
+                .next_seq
+                .iter()
+                .zip(&self.monitors)
+                .filter(|(_, shaper)| shaper.is_some())
+                .map(|(&scheduled, _)| scheduled)
+                .sum();
+            self.admissions.reserve(monitored as usize);
+            self.window_openings.reserve(monitored as usize);
+        }
+    }
+
     /// Processes all events up to and including virtual time `until` (or up
     /// to the first detected defect).
     pub fn run_until(&mut self, until: Instant) {
+        self.size_records();
         while self.defect.is_none() {
             let Some(event) = self.next_event(until) else {
                 break;
@@ -762,6 +787,7 @@ impl Machine {
     /// reached, or a defect is detected. Returns `true` when all IRQs
     /// completed.
     pub fn run_until_complete(&mut self, deadline: Instant) -> bool {
+        self.size_records();
         while self.outstanding_irqs() > 0 {
             if self.defect.is_some() {
                 return false;
@@ -825,10 +851,10 @@ impl Machine {
     /// completions, admissions, window openings, service intervals,
     /// hypervisor and window spans, the supervision event log — are
     /// append-only, so taking a snapshot moves each one's entries since the
-    /// last snapshot, without copying them, into a frozen segment that the
-    /// machine and all its snapshots share. The pending arrival stream is
-    /// shared as well; a snapshot taken before the first step makes the
-    /// scheduled arrivals that stream. What is copied is the live state —
+    /// last snapshot into a frozen segment that the machine and all its
+    /// snapshots share; no entry is copied twice. The pending arrival
+    /// stream is shared as well; a snapshot taken before the first step
+    /// makes the scheduled arrivals that stream. What is copied is the live state —
     /// timers, queues, monitors, supervision trackers, counters — and the
     /// configuration with its TDMA schedule, which the step loop reads in
     /// place rather than through a pointer. That move is why this takes
@@ -1144,6 +1170,7 @@ impl Machine {
     /// taking any time-based recovery edges that became due. Called after
     /// every processed event so a quarantined source that simply goes
     /// silent still recovers.
+    #[inline]
     fn supervise_tick(&mut self) {
         let now = self.now;
         if let Some(supervisor) = &mut self.supervisor {

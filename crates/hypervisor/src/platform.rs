@@ -771,6 +771,15 @@ impl MultiMachine {
         self.sealed = true;
         let mut pending = std::mem::take(&mut self.pending);
         pending.sort_by_key(|a| (a.at, a.seq));
+        // Size each core's arrival stream for the arrivals homed on it, so
+        // routing never regrows it; only failed-over arrivals land beyond.
+        let mut homed = vec![0usize; self.cores.len()];
+        for arrival in &pending {
+            homed[self.platform.sources[arrival.source].home] += 1;
+        }
+        for (machine, count) in self.cores.iter_mut().zip(homed) {
+            machine.reserve_events(count);
+        }
         // Strictly increasing delivery times per platform source keep the
         // destination monitor's check timestamps unambiguous even when a
         // stall collapses several deferrals onto the stall end.

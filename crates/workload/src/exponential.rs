@@ -101,12 +101,64 @@ fn sample_exponential(rng: &mut StdRng, mean: Duration) -> Duration {
     // u ∈ [0, 1); 1 − u ∈ (0, 1] so ln is finite.
     let u: f64 = rng.gen();
     let gap = -(1.0 - u).ln() * mean.as_nanos() as f64;
-    Duration::from_nanos(gap.round() as u64)
+    Duration::from_nanos(round_to_u64(gap))
+}
+
+/// `x.round() as u64` for every non-negative or NaN `x`, without calling
+/// `round`, which is a library call on x86-64 targets without SSE4.1:
+/// truncate, then add one when the dropped fraction is at least a half
+/// (ties away from zero, as `round` does). The fraction `x - whole` is
+/// exact below 2⁵² and zero from there to 2⁶⁴, where every `f64` is
+/// whole. The add saturates: at `f64::MAX` and `+∞` the truncation is
+/// already `u64::MAX`.
+///
+/// The half-up step is added as a 0 or 1, not taken as a branch: the
+/// fraction of an exponential gap is a coin flip, so a branch on it would
+/// be mispredicted about every other sample.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let whole = x as u64;
+    whole.saturating_add(u64::from(x - whole as f64 >= 0.5))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rounding_matches_f64_round() {
+        let two_52 = 4_503_599_627_370_496.0_f64;
+        let mut values = vec![
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            1e6 + 0.5,
+            two_52 - 0.5,
+            two_52 - 1.5,
+            two_52,
+            two_52 + 1.0,
+            2.0 * two_52 - 1.0,
+            2.0 * two_52,
+            18_446_744_073_709_549_568.0, // the largest f64 below 2⁶⁴
+            18_446_744_073_709_551_616.0, // 2⁶⁴
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        // Every tie and its neighbours on either side.
+        for whole in [0.0, 1.0, 7.0, 1_000_000.0, two_52 / 2.0 - 1.0] {
+            let tie: f64 = whole + 0.5;
+            values.extend([tie, tie.next_down(), tie.next_up()]);
+        }
+        // A stride through 2⁵²–2⁵³, where every f64 is whole.
+        values.extend((0..1_000).map(|i| two_52 + f64::from(i) * 4_503_599_627.0));
+        for x in values {
+            assert_eq!(round_to_u64(x), x.round() as u64, "{x:e}");
+        }
+    }
 
     #[test]
     fn deterministic_per_seed() {
