@@ -24,7 +24,8 @@ use rthv::obs::ObsConfig;
 use rthv::time::{Duration, Instant};
 use rthv::{
     CoreFault, FailoverPolicy, HypervisorConfig, IrqHandlingMode, IrqSourceId, Machine,
-    MultiMachine, PaperSetup, Platform, PlatformSource, SupervisionPolicy, TdmaSchedule,
+    MultiMachine, PaperSetup, PartitionId, Platform, PlatformSource, SlotSpec, SupervisionPolicy,
+    TdmaSchedule,
 };
 use rthv_faults::{
     build_platform, core_faults, line_arrivals, FaultKind, FaultScenario, SmpArm, SmpConfig,
@@ -100,6 +101,36 @@ fn paired_config(
     hv.policies.admission_clock = plan_clock;
     hv.policies.supervision = supervised.then(SupervisionPolicy::default);
     hv
+}
+
+/// Four slot layouts for the split-invariance property: the paper's three
+/// slots (`None`), the slot-splitting experiment's interleaved P0/P1
+/// windows at k = 2 and k = 3 (`k` windows of `6 ms / k` each for P0 and
+/// P1, then the 2 ms housekeeping window), and a layout whose first
+/// window belongs to P1 rather than P0.
+fn layout(index: usize) -> Option<Vec<SlotSpec>> {
+    let p = PartitionId::new;
+    let ms = Duration::from_millis;
+    let interleaved = |k: u64| {
+        let slice = ms(6) / k;
+        let mut windows = Vec::new();
+        for _ in 0..k {
+            windows.push(SlotSpec::new(p(0), slice));
+            windows.push(SlotSpec::new(p(1), slice));
+        }
+        windows.push(SlotSpec::new(p(2), ms(2)));
+        windows
+    };
+    match index {
+        0 => None,
+        1 => Some(interleaved(2)),
+        2 => Some(interleaved(3)),
+        _ => Some(vec![
+            SlotSpec::new(p(1), ms(3)),
+            SlotSpec::new(p(0), ms(6)),
+            SlotSpec::new(p(2), ms(2)),
+        ]),
+    }
 }
 
 /// The observability geometry a machine on `schedule` defaults to.
@@ -239,23 +270,28 @@ proptest! {
     /// `Machine::run_until` is split-invariant: for any `a ≤ b`, running
     /// to `a` and then to `b` ends in the same state, report and metrics
     /// snapshot as running straight to `b`, and so does a run stopped at
-    /// every slot boundary on the way, which jumps no idle rotation.
+    /// every slot boundary on the way, which jumps no idle rotation. The
+    /// stops reach past the plan's last arrival, so the one-shot run's
+    /// idle jumps span many cycles and wrap the slot position on every
+    /// layout.
     #[test]
     fn machine_run_until_is_split_invariant(
         kind_index in 0usize..11,
+        layout_index in 0usize..4,
         seed in any::<u64>(),
         monitored in prop::bool::ANY,
         supervised in prop::bool::ANY,
         metrics in prop::bool::ANY,
-        first_us in 0u64..=150_000,
-        second_us in 0u64..=150_000,
+        first_us in 0u64..=400_000,
+        second_us in 0u64..=400_000,
     ) {
         let scenario = FaultScenario { id: 0, kind: kind(kind_index), seed };
         let plan = scenario.plan(HORIZON, PaperSetup::default().bottom_cost);
         let a = Instant::from_micros(first_us.min(second_us));
         let b = Instant::from_micros(first_us.max(second_us));
 
-        let hv = paired_config(monitored, supervised, plan.admission_clock);
+        let mut hv = paired_config(monitored, supervised, plan.admission_clock);
+        hv.windows = layout(layout_index);
         let build = || {
             let mut machine = Machine::new(hv.clone()).expect("paper config is valid");
             machine.enable_service_trace();

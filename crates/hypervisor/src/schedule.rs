@@ -138,6 +138,14 @@ impl TdmaSchedule {
             .collect()
     }
 
+    /// Owner and length of the slot at `position` within the cycle
+    /// (`position < slot_count()`): slot `k` sits at position
+    /// `k % slot_count()`, so `boundary_time(k + 1)` is `boundary_time(k)`
+    /// plus this length.
+    pub(crate) fn slot_at(&self, position: usize) -> (PartitionId, Duration) {
+        (self.owners[position], self.slots[position])
+    }
+
     /// Partition owning the `k`-th slot (k counts from simulation start).
     #[must_use]
     pub fn owner_of_slot(&self, k: u64) -> PartitionId {

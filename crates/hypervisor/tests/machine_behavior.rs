@@ -298,6 +298,31 @@ fn idle_service_accounting_matches_slot_shares() {
 }
 
 #[test]
+fn the_first_slot_runs_its_own_owner_when_the_layout_starts_elsewhere() {
+    // P1 owns the first window: from time 0 it runs P1's user task, not
+    // P0's, and each later window loses one C_ctx to its entry switch.
+    let p = PartitionId::new;
+    let mut cfg = paper_config(IrqHandlingMode::Baseline, None);
+    cfg.windows = Some(vec![
+        rthv_hypervisor::SlotSpec::new(p(1), us(3_000)),
+        rthv_hypervisor::SlotSpec::new(p(0), us(6_000)),
+        rthv_hypervisor::SlotSpec::new(p(2), us(2_000)),
+    ]);
+    let ctx = cfg.costs.context_switch;
+    let mut m = Machine::new(cfg).expect("valid layout");
+    m.enable_service_trace();
+    m.run_until(at_us(11_000));
+    let report = m.finish();
+    let service = |i| report.counters.service_of(p(i)).user;
+    assert_eq!(service(1), us(3_000));
+    assert_eq!(service(0), us(6_000) - ctx);
+    assert_eq!(service(2), us(2_000) - ctx);
+    let intervals = report.service_intervals.expect("tracing enabled");
+    assert_eq!(intervals[1][0].start, Instant::ZERO);
+    assert_eq!(intervals[1][0].end, at_us(3_000));
+}
+
+#[test]
 fn simulation_is_deterministic() {
     let build = || {
         let cfg = paper_config(IrqHandlingMode::Interposed, Some(dmin(700)));

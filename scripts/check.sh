@@ -120,7 +120,9 @@ cargo run --release -q -p rthv-experiments --bin supervised \
 
 echo "==> paper experiments (every figure and table)"
 # `all` runs every experiment behind the paper's figures and tables at full
-# scale and prints one summary; a panicking experiment fails the gate.
+# scale and prints one summary; a panicking experiment fails the gate. The
+# summary's numbers are pinned by `paper_experiment_summary_is_pinned`
+# (crates/bench/tests/all.rs), which the suite above runs.
 cargo run --release -q -p rthv-experiments --bin all > target/ALL.txt
 
 echo "==> bench_export (timing probes and their identity asserts)"
